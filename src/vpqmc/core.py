@@ -73,6 +73,28 @@ class Species:
         return self.q / self.m
 
 
+@dataclass(frozen=True)
+class SplitCoefficients:
+    """Drift/kick fractions of one composite split step (each sums to 1)."""
+
+    drift: tuple
+    kick: tuple
+
+    def __post_init__(self):
+        if len(self.drift) != len(self.kick):
+            raise ValueError("drift and kick stage counts differ")
+        for name, fr in (("drift", self.drift), ("kick", self.kick)):
+            if abs(sum(fr) - 1.0) > 1e-12:
+                raise ValueError(f"{name} fractions must sum to 1")
+
+
+#: Third-order symplectic Runge-Kutta (Ruth) fractions, applied kick-first
+#: (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. II).
+#: Shared by the spectral split step and the RUTH3 particle pusher.
+RUTH3 = SplitCoefficients(drift=(2.0 / 3.0, -2.0 / 3.0, 1.0),
+                          kick=(7.0 / 24.0, 3.0 / 4.0, -1.0 / 24.0))
+
+
 #: Single electron species in normalized units; the neutralizing ion
 #: background is a fixed unit density inside the field solvers.
 ELECTRON = Species(q=-1.0, m=1.0)
@@ -149,6 +171,34 @@ def v_trapezoid_weights(nv: int) -> np.ndarray:
     return w
 
 
+def periodic_cell(x, x_min: float, h: float, n: int):
+    """Cell index i in 0..n-1 and local coordinate in [0, 1] of x on the
+    periodic grid x_min + i*h (n cells, the last one wrapping)."""
+    t = (np.asarray(x, dtype=float) - x_min) / h
+    i = np.floor(t).astype(np.int64)
+    return i % n, t - i
+
+
+def bounded_cell(v, v_min: float, h: float, n: int):
+    """Cell index j in 0..n-2 and local coordinate in [0, 1] of v on the
+    endpoint-inclusive grid of n nodes v_min + j*h; v is clipped to the
+    grid, and the last node belongs to the last cell."""
+    t = np.clip((np.asarray(v, dtype=float) - v_min) / h, 0.0, n - 1.0)
+    j = np.minimum(np.floor(t).astype(np.int64), n - 2)
+    return j, t - j
+
+
+def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v):
+    """The four (i, j) nodes and bilinear weights at each (x, v) on the
+    package grid of nx x nv nodes over ``domain``."""
+    ix, fx = periodic_cell(x, domain.x_min, domain.length / nx, nx)
+    jv, fv = bounded_cell(v, domain.v_min, domain.v_span / (nv - 1), nv)
+    ixp = (ix + 1) % nx
+    nodes = ((ix, jv), (ixp, jv), (ix, jv + 1), (ixp, jv + 1))
+    wgts = ((1 - fx) * (1 - fv), fx * (1 - fv), (1 - fx) * fv, fx * fv)
+    return nodes, wgts
+
+
 @dataclass(frozen=True)
 class GriddedDensity:
     """Node values of a phase-space density on the package grid convention.
@@ -203,20 +253,10 @@ class GriddedDensity:
 
         Vectorized; returns a scalar for scalar input.
         """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        tx = (x - self.domain.x_min) / self.dx
-        ix = np.floor(tx).astype(np.int64) % self.nx
-        fx = np.mod(tx, 1.0)
-        tv = np.clip((v - self.domain.v_min) / self.dv, 0.0, self.nv - 1.0)
-        jv = np.minimum(np.floor(tv).astype(np.int64), self.nv - 2)
-        fv = tv - jv
-        ixp = (ix + 1) % self.nx
-        g = self.values
-        out = ((1 - fx) * (1 - fv) * g[ix, jv]
-               + fx * (1 - fv) * g[ixp, jv]
-               + (1 - fx) * fv * g[ix, jv + 1]
-               + fx * fv * g[ixp, jv + 1])
+        nodes, wgts = bilinear_stencil(self.domain, self.nx, self.nv, x, v)
+        terms = [w * self.values[i, j] for (i, j), w in zip(nodes, wgts)]
+        # not sum(terms): its 0 + (-0.0) would drop the sign of a zero
+        out = terms[0] + terms[1] + terms[2] + terms[3]
         if out.ndim == 0:
             return float(out)
         return out

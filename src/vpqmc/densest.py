@@ -24,7 +24,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
+from .core import (GriddedDensity, ParticleEnsemble, PhaseSpaceDomain,
+                   bilinear_stencil)
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -94,17 +95,7 @@ class LinearSplineBasis2D:
 
     def cic_indices(self, x: np.ndarray, v: np.ndarray):
         """Cloud-in-cell node indices and bilinear weights for each marker."""
-        tx = (np.asarray(x, dtype=float) - self.domain.x_min) / self.dx
-        ix = np.floor(tx).astype(np.int64) % self.nx
-        fx = np.mod(tx, 1.0)
-        tv = np.clip((np.asarray(v, dtype=float) - self.domain.v_min) / self.dv,
-                     0.0, self.nv - 1.0)
-        jv = np.minimum(np.floor(tv).astype(np.int64), self.nv - 2)
-        fv = tv - jv
-        ixp = (ix + 1) % self.nx
-        nodes = ((ix, jv), (ixp, jv), (ix, jv + 1), (ixp, jv + 1))
-        wgts = ((1 - fx) * (1 - fv), fx * (1 - fv), (1 - fx) * fv, fx * fv)
-        return nodes, wgts
+        return bilinear_stencil(self.domain, self.nx, self.nv, x, v)
 
 
 def cic_moments(basis: LinearSplineBasis2D, x: np.ndarray, v: np.ndarray,

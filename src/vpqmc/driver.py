@@ -104,10 +104,17 @@ class RunConfig:
         return pic.IntegratorKind(self.integrator)
 
     def window(self) -> Tuple[float, float, float, float]:
-        parts = [float(p) for p in self.star_disc_window.split(",")]
-        if len(parts) != 4:
-            raise ValidationError("star_disc_window needs four comma-separated numbers")
-        return tuple(parts)  # type: ignore[return-value]
+        return _parse_window("star_disc_window", self.star_disc_window)
+
+
+def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
+    try:
+        parts = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != 4:
+        raise ParseError(f"{key} {text!r} needs four comma-separated numbers")
+    return parts  # type: ignore[return-value]
 
 
 def _coerce(key: str, text: str, pytype):
@@ -228,6 +235,14 @@ def _validate(cfg: RunConfig) -> None:
         problems.append(f"sampling '{cfg.sampling}' not in its|uniform")
     if cfg.star_disc_period < 0 or cfg.hk_period < 0:
         problems.append("diagnostic periods must be >= 0")
+    if cfg.star_disc_period > 0 and cfg.solver != "pic":
+        problems.append("star_disc_period is computed only by solver=pic")
+    if cfg.hk_period > 0 and cfg.solver == "pic":
+        problems.append("hk_period is not computed by solver=pic")
+    try:
+        cfg.window()
+    except ParseError as exc:
+        problems.append(str(exc))
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -506,9 +521,7 @@ def _cmd_discrepancy(args: List[str]) -> int:
         raise ParseError("discrepancy needs a particle dump")
     src, *rest = args
     kv = _parse_kv(rest, {"window": str, "cap": int})
-    window = tuple(float(p) for p in kv.get("window", "0,2,-1,1").split(","))
-    if len(window) != 4:
-        raise ParseError("window needs four comma-separated numbers")
+    window = _parse_window("window", kv.get("window", "0,2,-1,1"))
     result = read_dump(src)
     if result[0] != "particles":
         raise FormatError("discrepancy expects a particle dump")

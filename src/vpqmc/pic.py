@@ -18,14 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ELECTRON, ParticleEnsemble, Species
-
-try:  # jitted particle kernels; the numpy paths below remain the reference
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a soft dependency
-    _HAVE_NUMBA = False
+from .core import ELECTRON, RUTH3, ParticleEnsemble, Species, periodic_cell
 
 
 class FixedPointDiverged(RuntimeError):
@@ -45,15 +38,6 @@ class IntegratorKind(enum.Enum):
     CRANK_NICOLSON = "cn"
     RUTH3 = "ruth3"
 
-
-#: Kinds whose one-step flow has unit Jacobian determinant.
-VOLUME_PRESERVING = frozenset({IntegratorKind.SYMPLECTIC_EULER,
-                               IntegratorKind.IMPLICIT_MIDPOINT,
-                               IntegratorKind.CRANK_NICOLSON,
-                               IntegratorKind.RUTH3})
-
-_RUTH3_DRIFT = (2.0 / 3.0, -2.0 / 3.0, 1.0)
-_RUTH3_KICK = (7.0 / 24.0, 3.0 / 4.0, -1.0 / 24.0)
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_CAP = 100
@@ -87,59 +71,6 @@ def _bspline3_d2weights(u: np.ndarray):
     d2_1 = -3.0 * u + 1.0
     d2_2 = u
     return d2_m1, d2_0, d2_1, d2_2
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _deposit_kernel(x, w, x_min, inv_dx, n_f):
-        out = np.zeros(n_f)
-        for k in range(x.shape[0]):
-            t = (x[k] - x_min) * inv_dx
-            i = int(np.floor(t))
-            u = t - i
-            i = i % n_f
-            c = 1.0 - u
-            u2 = u * u
-            u3 = u2 * u
-            wk = w[k]
-            out[(i - 1) % n_f] += wk * (c * c * c / 6.0)
-            out[i] += wk * ((3.0 * u3 - 6.0 * u2 + 4.0) / 6.0)
-            out[(i + 1) % n_f] += wk * ((-3.0 * u3 + 3.0 * u2 + 3.0 * u + 1.0) / 6.0)
-            out[(i + 2) % n_f] += wk * (u3 / 6.0)
-        return out
-
-    @numba.njit(cache=True)
-    def _spline_eval_kernel(coeffs, x, x_min, inv_dx, n_f, order):
-        out = np.empty(x.shape[0])
-        for k in range(x.shape[0]):
-            t = (x[k] - x_min) * inv_dx
-            i = int(np.floor(t))
-            u = t - i
-            i = i % n_f
-            cm1 = coeffs[(i - 1) % n_f]
-            c0 = coeffs[i]
-            c1 = coeffs[(i + 1) % n_f]
-            c2 = coeffs[(i + 2) % n_f]
-            if order == 0:
-                c = 1.0 - u
-                u2 = u * u
-                u3 = u2 * u
-                out[k] = (cm1 * (c * c * c / 6.0)
-                          + c0 * ((3.0 * u3 - 6.0 * u2 + 4.0) / 6.0)
-                          + c1 * ((-3.0 * u3 + 3.0 * u2 + 3.0 * u + 1.0) / 6.0)
-                          + c2 * (u3 / 6.0))
-            elif order == 1:
-                c = 1.0 - u
-                u2 = u * u
-                out[k] = (cm1 * (-0.5 * c * c)
-                          + c0 * (1.5 * u2 - 2.0 * u)
-                          + c1 * (-1.5 * u2 + u + 0.5)
-                          + c2 * (0.5 * u2))
-            else:
-                out[k] = (cm1 * (1.0 - u) + c0 * (3.0 * u - 2.0)
-                          + c1 * (-3.0 * u + 1.0) + c2 * u)
-        return out
 
 
 @dataclass(frozen=True)
@@ -177,15 +108,9 @@ class SplinePoissonSolver:
     def dx(self) -> float:
         return self.length / self.n_f
 
-    def _cells(self, x: np.ndarray):
-        t = (np.asarray(x, dtype=float) - self.x_min) / self.dx
-        i = np.floor(t).astype(np.int64)
-        u = t - i
-        return i % self.n_f, u
-
     def basis_matrix_indices(self, x: np.ndarray):
         """(indices, weights) of the four basis functions active at each x."""
-        i, u = self._cells(x)
+        i, u = periodic_cell(x, self.x_min, self.dx, self.n_f)
         weights = _bspline3_weights(u)
         indices = tuple((i + off) % self.n_f for off in (-1, 0, 1, 2))
         return indices, weights
@@ -232,13 +157,9 @@ def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
     b = np.zeros(solver.n_f)
     if ensemble.n_p > 0:
         w = ensemble.weights()
-        if _HAVE_NUMBA:
-            b = _deposit_kernel(ensemble.x, w, solver.x_min,
-                                1.0 / solver.dx, solver.n_f)
-        else:
-            indices, weights = solver.basis_matrix_indices(ensemble.x)
-            for idx, wgt in zip(indices, weights):
-                b += np.bincount(idx, weights=w * wgt, minlength=solver.n_f)
+        indices, weights = solver.basis_matrix_indices(ensemble.x)
+        for idx, wgt in zip(indices, weights):
+            b += np.bincount(idx, weights=w * wgt, minlength=solver.n_f)
         b /= ensemble.n_p
     return species.q * (b - solver.dx)
 
@@ -257,10 +178,7 @@ def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray,
 def _spline_eval(solver: SplinePoissonSolver, coeffs: np.ndarray,
                  x: np.ndarray, order: int) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if _HAVE_NUMBA:
-        return _spline_eval_kernel(coeffs, x, solver.x_min, 1.0 / solver.dx,
-                                   solver.n_f, order)
-    i, u = solver._cells(x)
+    i, u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
     table = (_bspline3_weights, _bspline3_dweights, _bspline3_d2weights)[order]
     out = np.zeros_like(u)
     for off, wgt in zip((-1, 0, 1, 2), table(u)):
@@ -324,8 +242,9 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
     harness tests).  Implicit kinds iterate the collective particle-field
     fixed point to 1e-12 in the max norm of position increments.
 
-    Likelihood bookkeeping: the volume-preserving kinds leave f_like and
-    g_like untouched; ExplicitEuler divides g_like by the one-step flow
+    Likelihood bookkeeping: the volume-preserving kinds and Crank-Nicolson
+    (whose determinant is only 1 + O(dt^3)) leave f_like and g_like
+    untouched; ExplicitEuler divides g_like by the one-step flow
     determinant 1 - dt^2 (q/m) dE(x_old); ExplicitEuler2 divides both
     likelihoods, keeping the weights unchanged.
     """
@@ -361,7 +280,7 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
         return
 
     if kind is IntegratorKind.RUTH3:
-        for c, d in zip(_RUTH3_DRIFT, _RUTH3_KICK):
+        for c, d in zip(RUTH3.drift, RUTH3.kick):
             field = fields(ensemble)
             ensemble.v = ensemble.v + d * dt * qm * field.E(ensemble.x)
             ensemble.x = ensemble.x + c * dt * ensemble.v
@@ -431,39 +350,17 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
 
 def frozen_step(kind: IntegratorKind, x, v, dt: float, field,
                 species: Species = ELECTRON):
-    """One step of ``kind`` for independent particles in a frozen field."""
-    qm = species.q_over_m
+    """One step of ``kind`` for independent particles (1-D arrays x, v) in
+    a frozen field.
+
+    Runs :func:`push` on a unit-likelihood ensemble without wrapping, so
+    the Jacobian probes measure the production integrators.
+    """
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if kind in (IntegratorKind.EXPLICIT_EULER, IntegratorKind.EXPLICIT_EULER2):
-        return x + dt * v, v + dt * qm * field.E(x)
-    if kind is IntegratorKind.SYMPLECTIC_EULER:
-        x_new = x + dt * v
-        return x_new, v + dt * qm * field.E(x_new)
-    if kind is IntegratorKind.RUTH3:
-        for c, d in zip(_RUTH3_DRIFT, _RUTH3_KICK):
-            v = v + d * dt * qm * field.E(x)
-            x = x + c * dt * v
-        return x, v
-    if kind is IntegratorKind.IMPLICIT_MIDPOINT:
-        x_half, v_half = adjoint_euler_step(x, v, 0.5 * dt, field, species)
-        e_half = field.E(x_half)
-        return x + dt * v_half, v + dt * qm * e_half
-    if kind is IntegratorKind.CRANK_NICOLSON:
-        e_n = field.E(x)
-        v_new = np.array(v, dtype=float, copy=True)
-        for it in range(_FIXED_POINT_CAP):
-            x_new = x + 0.5 * dt * (v + v_new)
-            v_next = v + 0.5 * dt * qm * (e_n + field.E(x_new))
-            resid = float(np.max(np.abs(v_next - v_new)))
-            v_new = v_next
-            if resid <= 1e-14 * max(1.0, float(np.max(np.abs(v_new)))):
-                break
-        else:
-            raise FixedPointDiverged("frozen Crank-Nicolson stalled",
-                                     _FIXED_POINT_CAP, resid)
-        return x + 0.5 * dt * (v + v_new), v_new
-    raise ValueError(f"unknown integrator kind {kind!r}")
+    ensemble = ParticleEnsemble(x, np.asarray(v, dtype=float),
+                                np.ones_like(x), np.ones_like(x))
+    push(kind, ensemble, FrozenField(field), dt, species)
+    return ensemble.x, ensemble.v
 
 
 def adjoint_euler_step(x, v, dt: float, field, species: Species = ELECTRON):

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import erf, erfcinv
 
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
-                   PhaseSpaceDomain, SQRT_2PI, eval_initial_f,
-                   initial_x_density)
+                   PhaseSpaceDomain, SQRT_2PI, bounded_cell, eval_initial_f,
+                   initial_x_density, periodic_cell)
 
 
 class ZeroConditional(ValueError):
@@ -97,14 +97,6 @@ class BilinearSampler:
                                   axis=1)
         return cls(g=g, marginal_x_nodes=gx, cum_x=cum_x, cum_cols=cum_cols)
 
-    def _x_cell(self, x):
-        dom = self.g.domain
-        tx = (np.asarray(x, dtype=float) - dom.x_min) / self.g.dx
-        ix = np.floor(tx).astype(np.int64)
-        fx = tx - ix
-        ix = ix % self.g.nx
-        return ix, fx
-
     def _x_cell_clamped(self, x):
         # CDF-side lookup: x_max belongs to the last cell (coordinate 1),
         # not to the wrapped first cell
@@ -117,7 +109,7 @@ class BilinearSampler:
 
     def marginal_x_at(self, x):
         """g_X(x): linear interpolation of the marginal nodes (periodic)."""
-        ix, fx = self._x_cell(x)
+        ix, fx = periodic_cell(x, self.g.domain.x_min, self.g.dx, self.g.nx)
         gx = self.marginal_x_nodes
         return (1.0 - fx) * gx[ix] + fx * gx[(ix + 1) % self.g.nx]
 
@@ -163,7 +155,7 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     if x.shape != u.shape:
         x, u = np.broadcast_arrays(x, u)
     g = s.g
-    ix, fx = s._x_cell(x)
+    ix, fx = periodic_cell(x, g.domain.x_min, g.dx, g.nx)
     ixp = (ix + 1) % g.nx
     gx_here = (1.0 - fx) * s.marginal_x_nodes[ix] + fx * s.marginal_x_nodes[ixp]
     if np.any(gx_here <= 0.0):
@@ -225,9 +217,7 @@ def forward_cdf(s: BilinearSampler, x, v):
     b = s.marginal_x_nodes[ixp]
     u_x = s.cum_x[ix] + _cell_cdf(a, b, fx, g.dx)
 
-    tv = np.clip((v - g.domain.v_min) / g.dv, 0.0, g.nv - 1.0)
-    j = np.minimum(np.floor(tv).astype(np.int64), g.nv - 2)
-    fv = tv - j
+    j, fv = bounded_cell(v, g.domain.v_min, g.dv, g.nv)
     delta = (1.0 - fx) * s.cum_cols[ix, j] + fx * s.cum_cols[ixp, j]
     gamma0 = (1.0 - fx) * g.values[ix, j] + fx * g.values[ixp, j]
     gamma1 = (1.0 - fx) * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]

@@ -18,33 +18,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (DiagnosticsRecord, ELECTRON, GriddedDensity,
-                   InitialCondition, PhaseSpaceDomain, Species,
-                   eval_initial_f)
+                   InitialCondition, PhaseSpaceDomain, RUTH3, Species,
+                   SplitCoefficients, eval_initial_f)
 
 
 class NonNeutralPlasmaWarning(UserWarning):
     """Mean charge density deviates from the neutralizing background."""
-
-
-@dataclass(frozen=True)
-class SplitCoefficients:
-    """Drift/kick fractions of one composite split step (each sums to 1)."""
-
-    drift: tuple
-    kick: tuple
-
-    def __post_init__(self):
-        if len(self.drift) != len(self.kick):
-            raise ValueError("drift and kick stage counts differ")
-        for name, fr in (("drift", self.drift), ("kick", self.kick)):
-            if abs(sum(fr) - 1.0) > 1e-12:
-                raise ValueError(f"{name} fractions must sum to 1")
-
-
-#: Third-order symplectic Runge-Kutta (Ruth) fractions, applied kick-first.
-#: Validated by the order-3 self-convergence test.
-RUTH3 = SplitCoefficients(drift=(2.0 / 3.0, -2.0 / 3.0, 1.0),
-                          kick=(7.0 / 24.0, 3.0 / 4.0, -1.0 / 24.0))
 
 
 @dataclass

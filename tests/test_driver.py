@@ -69,6 +69,22 @@ def test_bad_value_type():
         parse_config(None, ["nx=abc"])
 
 
+@pytest.mark.parametrize("overrides", [
+    ["solver=coupled", "t0=1", "star_disc_period=1"],
+    ["solver=spectral", "star_disc_period=1"],
+    ["solver=pic", "hk_period=1"],
+])
+def test_diagnostic_period_the_solver_never_computes_rejected(overrides):
+    with pytest.raises(ValidationError, match="period"):
+        parse_config(None, overrides)
+
+
+def test_diagnostic_periods_the_solver_computes_accepted():
+    assert parse_config(None, ["solver=pic", "star_disc_period=1"]).star_disc_period == 1
+    assert parse_config(None, ["solver=spectral", "hk_period=1"]).hk_period == 1
+    assert parse_config(None, ["solver=coupled", "t0=1", "hk_period=1"]).hk_period == 1
+
+
 # --- dumps ---------------------------------------------------------------------
 
 def test_grid_dump_round_trip(tmp_path):
@@ -248,6 +264,19 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_bad_window_is_usage_error(tmp_path, capsys):
+    dump = tmp_path / "p.dump"
+    e = ParticleEnsemble(x=[0.5, 1.0], v=[0.0, 0.5], f_like=[1.0, 1.0],
+                         g_like=[1.0, 1.0])
+    write_particle_dump(dump, e, PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0), 0.0)
+    assert cli_main(["discrepancy", str(dump), "window=a,b,c,d"]) == 2
+    outdir = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "star_disc_window=a,b,c,d",
+                     f"outdir={outdir}"]) == 2
+    assert not outdir.exists()  # rejected before anything is written
+    assert "star_disc_window" in capsys.readouterr().err
 
 
 def test_cli_help():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from vpqmc.core import (GriddedDensity, InitialCondition, PhaseSpaceDomain,
@@ -143,9 +144,14 @@ def test_rosenblatt_uniform_is_affine():
     np.testing.assert_allclose(e.g_like, 0.25, rtol=1e-12)
 
 
-def test_round_trip_identity():
-    s = _random_sampler(10)
-    pairs = np.random.default_rng(11).random((1000, 2))
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 24), nv=st.integers(2, 24),
+       x_min=st.floats(-5.0, 5.0).filter(lambda x: x != 0.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_round_trip_identity(nx, nv, x_min, seed):
+    dom = PhaseSpaceDomain(x_min, x_min + 2.0, -1.0, 1.5)
+    s = _random_sampler(seed, domain=dom, nx=nx, nv=nv)
+    pairs = np.random.default_rng(seed + 1).random((1000, 2))
     e = rosenblatt_sample(s, pairs)
     ux, uv = forward_cdf(s, e.x, e.v)
     np.testing.assert_allclose(ux, pairs[:, 0], atol=1e-10)
