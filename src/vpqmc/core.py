@@ -171,12 +171,22 @@ def v_trapezoid_weights(nv: int) -> np.ndarray:
     return w
 
 
-def periodic_cell(x, x_min: float, h: float, n: int):
+def periodic_cell(x, x_min: float, h: float, n: int, out=None):
     """Cell index i in 0..n-1 and local coordinate in [0, 1] of x on the
-    periodic grid x_min + i*h (n cells, the last one wrapping)."""
-    t = (np.asarray(x, dtype=float) - x_min) / h
-    i = np.floor(t).astype(np.int64)
-    return i % n, t - i
+    periodic grid x_min + i*h (n cells, the last one wrapping).
+
+    ``out`` is an optional (int64, float64) pair of arrays shaped like x
+    that receives (i, u) in place, so repeated lookups reuse the buffers.
+    """
+    x = np.asarray(x, dtype=float)
+    i, u = out if out is not None else (np.empty(x.shape, np.int64), np.empty(x.shape))
+    np.subtract(x, x_min, out=u)
+    u /= h
+    np.floor(u, out=i, casting="unsafe")
+    u -= i
+    if i.size and (i.min() < 0 or i.max() >= n):  # the modulo is the slow pass
+        i %= n
+    return i, u
 
 
 def bounded_cell(v, v_min: float, h: float, n: int):
@@ -293,7 +303,8 @@ class ParticleEnsemble:
     Each marker carries its position, velocity and the two likelihoods
     f_like (plasma density at the marker) and g_like (sampling density at
     the marker); the ratio f_like/g_like is the particle weight.  The
-    only mutable core type: pushers update arrays in place.
+    only mutable core type: pushers rebind its arrays to new ones and
+    never write into them, so an array object never changes its values.
     """
 
     x: np.ndarray

@@ -233,6 +233,11 @@ def _validate(cfg: RunConfig) -> None:
         problems.append("sobol_skip must be >= 1")
     if cfg.sampling not in ("its", "uniform"):
         problems.append(f"sampling '{cfg.sampling}' not in its|uniform")
+    if cfg.sampling == "uniform" and cfg.solver == "coupled":
+        problems.append("sampling=uniform is not used by solver=coupled "
+                        "(the handoff samples the spectral state)")
+    if cfg.seed != 0 and cfg.sequence == "sobol":
+        problems.append("seed is not used by sequence=sobol (use sobol_skip)")
     if cfg.star_disc_period < 0 or cfg.hk_period < 0:
         problems.append("diagnostic periods must be >= 0")
     if cfg.star_disc_period > 0 and cfg.solver != "pic":
@@ -301,9 +306,10 @@ def write_grid_dump(path, density: GriddedDensity, t: float) -> None:
 
 def write_particle_dump(path, ensemble: ParticleEnsemble,
                         domain: PhaseSpaceDomain, t: float) -> None:
-    cols = np.concatenate([ensemble.x, ensemble.v,
-                           ensemble.f_like, ensemble.g_like])
-    Path(path).write_bytes(np.ascontiguousarray(cols, dtype="<f8").tobytes())
+    # one column at a time, so no copy of the whole payload is built
+    with open(path, "wb") as fh:
+        for col in (ensemble.x, ensemble.v, ensemble.f_like, ensemble.g_like):
+            fh.write(np.ascontiguousarray(col, dtype="<f8"))
     sidecar = {"kind": "particles", "n_p": ensemble.n_p,
                "domain": _domain_dict(domain), "t": t,
                "columns": ["x", "v", "f_like", "g_like"],

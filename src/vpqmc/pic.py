@@ -5,16 +5,17 @@ Monte-Carlo estimators of the conserved quantities.
 Charge deposition and field evaluation share one periodic cubic B-spline
 basis (Galerkin consistency); the circulant stiffness matrix is inverted
 spectrally with the constant null space pinned to zero mean.  Pushers
-mutate the ensemble in place; the dissipative explicit Euler variants
-rescale the likelihoods by the one-step flow determinant, all other kinds
-leave them untouched.
+advance the ensemble by rebinding its arrays to new ones, never by
+writing into them; the dissipative explicit Euler variants rescale the
+likelihoods by the one-step flow determinant, all other kinds leave them
+untouched.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,31 +47,9 @@ _FIXED_POINT_CAP = 100
 # ---------------------------------------------------------------------------
 # cubic B-spline basis on a uniform periodic grid
 
-def _bspline3_weights(u: np.ndarray):
-    """Values of the four cubic B-splines covering a cell at local u in [0,1)."""
-    c = 1.0 - u
-    w_m1 = c * c * c / 6.0
-    w_0 = (3.0 * u ** 3 - 6.0 * u ** 2 + 4.0) / 6.0
-    w_1 = (-3.0 * u ** 3 + 3.0 * u ** 2 + 3.0 * u + 1.0) / 6.0
-    w_2 = u ** 3 / 6.0
-    return w_m1, w_0, w_1, w_2
-
-
-def _bspline3_dweights(u: np.ndarray):
-    c = 1.0 - u
-    d_m1 = -0.5 * c * c
-    d_0 = 1.5 * u ** 2 - 2.0 * u
-    d_1 = -1.5 * u ** 2 + u + 0.5
-    d_2 = 0.5 * u ** 2
-    return d_m1, d_0, d_1, d_2
-
-
-def _bspline3_d2weights(u: np.ndarray):
-    d2_m1 = 1.0 - u
-    d2_0 = 3.0 * u - 2.0
-    d2_1 = -3.0 * u + 1.0
-    d2_2 = u
-    return d2_m1, d2_0, d2_1, d2_2
+#: Offsets, relative to a marker's cell, of the four cubic B-splines that
+#: cover it.
+_OFFSETS = (-1, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -80,7 +59,8 @@ class SplinePoissonSolver:
     The stiffness matrix (integrals of N_i' N_j') is circulant with first
     row (2/3, -1/8, -1/5, -1/120, 0, ..., -1/120, -1/5, -1/8)/dx; its rows
     sum to zero (constants are the null space), so the solve pins the
-    coefficient mean to zero.
+    coefficient mean to zero.  ``neighbours[i + 1 + off]`` is the periodic
+    index of cell i + off for i in 0..n_f-1 and off in -1..2.
     """
 
     x_min: float
@@ -88,6 +68,7 @@ class SplinePoissonSolver:
     n_f: int
     stiffness_eigs: np.ndarray
     stiffness_row: np.ndarray
+    neighbours: np.ndarray
 
     @classmethod
     def build(cls, x_min: float, length: float, n_f: int) -> "SplinePoissonSolver":
@@ -102,29 +83,149 @@ class SplinePoissonSolver:
             row[-off] += stencil[off]
         eigs = np.fft.fft(row)
         return cls(x_min=x_min, length=length, n_f=n_f,
-                   stiffness_eigs=eigs, stiffness_row=row)
+                   stiffness_eigs=eigs, stiffness_row=row,
+                   neighbours=np.arange(-1, n_f + 2) % n_f)
 
     @property
     def dx(self) -> float:
         return self.length / self.n_f
 
-    def basis_matrix_indices(self, x: np.ndarray):
-        """(indices, weights) of the four basis functions active at each x."""
-        i, u = periodic_cell(x, self.x_min, self.dx, self.n_f)
-        weights = _bspline3_weights(u)
-        indices = tuple((i + off) % self.n_f for off in (-1, 0, 1, 2))
-        return indices, weights
-
     def apply_stiffness(self, c: np.ndarray) -> np.ndarray:
         return np.fft.ifft(np.fft.fft(c) * self.stiffness_eigs).real
 
 
+class SplineStencil:
+    """One position array located on a solver's cubic B-spline grid.
+
+    Holds each position's cell ``i`` and local coordinate ``u`` (from
+    :func:`core.periodic_cell`) plus per-marker scratch, so the charge
+    deposit and every spline evaluation at the same positions share one
+    lookup.  :meth:`relocate` reuses the buffers for the next position
+    array of the same length.  The weights are computed offset by offset
+    into scratch with the arithmetic of the textbook formulas (kept in
+    ``tests/oracles.py``), so results match them bit for bit.
+    """
+
+    def __init__(self, solver: SplinePoissonSolver, x: np.ndarray):
+        self.solver = solver
+        self.x = None
+        self.relocate(x)
+
+    def relocate(self, x: np.ndarray) -> None:
+        if self.x is None or self.x.shape != x.shape:
+            self.i = np.empty(x.shape, dtype=np.int64)
+            self.u, self._u3, self._w, self._tmp = (np.empty(x.shape) for _ in range(4))
+        s = self.solver
+        periodic_cell(x, s.x_min, s.dx, s.n_f, out=(self.i, self.u))
+        np.power(self.u, 3, out=self._u3)
+        self.x = x
+
+    def _weight(self, order: int, off: int) -> np.ndarray:
+        """The order-th derivative (0, 1 or 2) of the B-spline at cell
+        offset ``off`` at every u, written into scratch."""
+        u, u3, w, t = self.u, self._u3, self._w, self._tmp
+        if order == 0:
+            if off == -1:                     # (1-u)^3 / 6
+                np.subtract(1.0, u, out=t)
+                np.multiply(t, t, out=w)
+                w *= t
+            elif off == 0:                    # (3u^3 - 6u^2 + 4) / 6
+                np.multiply(3.0, u3, out=w)
+                np.square(u, out=t)
+                t *= 6.0
+                w -= t
+                w += 4.0
+            elif off == 1:                    # (-3u^3 + 3u^2 + 3u + 1) / 6
+                np.multiply(-3.0, u3, out=w)
+                np.square(u, out=t)
+                t *= 3.0
+                w += t
+                np.multiply(3.0, u, out=t)
+                w += t
+                w += 1.0
+            else:                             # u^3 / 6
+                np.copyto(w, u3)
+            w /= 6.0
+        elif order == 1:
+            if off == -1:                     # -(1-u)^2 / 2
+                np.subtract(1.0, u, out=t)
+                np.multiply(-0.5, t, out=w)
+                w *= t
+            elif off == 0:                    # 1.5u^2 - 2u
+                np.square(u, out=w)
+                w *= 1.5
+                np.multiply(2.0, u, out=t)
+                w -= t
+            elif off == 1:                    # -1.5u^2 + u + 0.5
+                np.square(u, out=w)
+                w *= -1.5
+                w += u
+                w += 0.5
+            else:                             # u^2 / 2
+                np.square(u, out=w)
+                w *= 0.5
+        else:
+            if off == -1:                     # 1 - u
+                np.subtract(1.0, u, out=w)
+            elif off == 0:                    # 3u - 2
+                np.multiply(3.0, u, out=w)
+                w -= 2.0
+            elif off == 1:                    # -3u + 1
+                np.multiply(-3.0, u, out=w)
+                w += 1.0
+            else:                             # u
+                np.copyto(w, u)
+        return w
+
+    def deposit(self, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights_k N_j(x_k) for every basis function j.
+
+        Each offset's contributions are binned by the marker's own cell,
+        then each cell's bin is added to its neighbour's entry (a rotation,
+        so no entry repeats); every entry sums in the same (marker-index)
+        order as binning by the neighbour index would.
+        """
+        n = self.solver.n_f
+        b = np.zeros(n)
+        for k, off in enumerate(_OFFSETS):
+            wgt = self._weight(0, off)
+            wgt *= weights
+            b[self.solver.neighbours[k:k + n]] += np.bincount(self.i, weights=wgt,
+                                                              minlength=n)
+        return b
+
+    def evaluate(self, coeffs: np.ndarray, order: int) -> np.ndarray:
+        """The order-th derivative of sum_j coeffs_j N_j at the positions."""
+        n = self.solver.n_f
+        padded = coeffs[self.solver.neighbours]
+        out = np.zeros(self.u.shape)
+        for k, off in enumerate(_OFFSETS):
+            wgt = self._weight(order, off)
+            # mode="clip" (i is in range) lets take write into out unbuffered
+            gathered = np.take(padded[k:k + n], self.i, out=self._tmp, mode="clip")
+            gathered *= wgt
+            out += gathered
+        return out
+
+
+def _stencil_at(stencil, solver: SplinePoissonSolver, x) -> SplineStencil:
+    """``stencil`` when it is located at this very array x, else a new one."""
+    if stencil is not None and x is stencil.x:
+        return stencil
+    return SplineStencil(solver, np.atleast_1d(np.asarray(x, dtype=float)))
+
+
 class FieldSolution(NamedTuple):
-    """Cubic-spline coefficients of the zero-mean potential at time t."""
+    """Cubic-spline coefficients of the zero-mean potential at time t.
+
+    ``stencil``, when set, is the located position array the field was
+    deposited from; evaluations at that same array reuse it.
+    """
 
     coeffs: np.ndarray
     solver: "SplinePoissonSolver"
     t: float = 0.0
+    stencil: Optional[SplineStencil] = None
 
     def E(self, x):
         return eval_E(self, x)
@@ -147,19 +248,17 @@ class AnalyticField(NamedTuple):
 
 
 def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
-                species: Species = ELECTRON) -> np.ndarray:
+                species: Species = ELECTRON,
+                stencil: Optional[SplineStencil] = None) -> np.ndarray:
     """Weak-form load vector b_i = q [ (1/n_p) sum_k w_k N_i(x_k) - dx ].
 
     The subtracted dx is the projection of the unit neutralizing
     background onto each basis function.  Deposition accumulates in one
     fixed (marker-index) order, so results do not depend on chunking.
+    ``stencil`` is used when it is located at ``ensemble.x``.
     """
-    b = np.zeros(solver.n_f)
+    b = _stencil_at(stencil, solver, ensemble.x).deposit(ensemble.weights())
     if ensemble.n_p > 0:
-        w = ensemble.weights()
-        indices, weights = solver.basis_matrix_indices(ensemble.x)
-        for idx, wgt in zip(indices, weights):
-            b += np.bincount(idx, weights=w * wgt, minlength=solver.n_f)
         b /= ensemble.n_p
     return species.q * (b - solver.dx)
 
@@ -175,29 +274,30 @@ def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray,
     return FieldSolution(coeffs=coeffs, solver=solver, t=t)
 
 
-def _spline_eval(solver: SplinePoissonSolver, coeffs: np.ndarray,
-                 x: np.ndarray, order: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    i, u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
-    table = (_bspline3_weights, _bspline3_dweights, _bspline3_d2weights)[order]
-    out = np.zeros_like(u)
-    for off, wgt in zip((-1, 0, 1, 2), table(u)):
-        out += coeffs[(i + off) % solver.n_f] * wgt
-    return out
+def _spline_eval(field: FieldSolution, x, order: int) -> np.ndarray:
+    stencil = _stencil_at(field.stencil, field.solver, x)
+    return stencil.evaluate(field.coeffs, order)
 
 
 def eval_phi(field: FieldSolution, x):
-    return _spline_eval(field.solver, field.coeffs, x, 0)
+    return _spline_eval(field, x, 0)
+
+
+def _minus_derivative(field: FieldSolution, x, order: int) -> np.ndarray:
+    out = _spline_eval(field, x, order)
+    np.negative(out, out=out)
+    out /= field.solver.dx ** order
+    return out
 
 
 def eval_E(field: FieldSolution, x):
     """E = -Phi'(x); continuous and C1 across knots."""
-    return -_spline_eval(field.solver, field.coeffs, x, 1) / field.solver.dx
+    return _minus_derivative(field, x, 1)
 
 
 def eval_dE(field: FieldSolution, x):
     """dE/dx = -Phi''(x) from the analytic second derivative of the spline."""
-    return -_spline_eval(field.solver, field.coeffs, x, 2) / field.solver.dx ** 2
+    return _minus_derivative(field, x, 2)
 
 
 def field_energy(field: FieldSolution) -> float:
@@ -207,15 +307,34 @@ def field_energy(field: FieldSolution) -> float:
 
 
 class SelfConsistentField:
-    """Callable field machinery: deposit the ensemble, solve, return the field."""
+    """Callable field machinery: deposit the ensemble, solve, return the field.
+
+    Owns one :class:`SplineStencil` whose buffers every deposit reuses,
+    and remembers the field built from the last (x, f_like, g_like) array
+    objects: a call with the same three arrays returns that field without
+    depositing again.  This relies on an invariant that every pusher
+    keeps: ensemble arrays are rebound to new arrays, never changed in
+    place, so array identity stands for array contents.
+    """
 
     def __init__(self, solver: SplinePoissonSolver, species: Species = ELECTRON):
         self.solver = solver
         self.species = species
+        self.stencil: Optional[SplineStencil] = None
+        self._key = ()
+        self._field: Optional[FieldSolution] = None
 
     def __call__(self, ensemble: ParticleEnsemble, t: float = 0.0) -> FieldSolution:
-        b = deposit_rhs(ensemble, self.solver, self.species)
-        return solve_poisson_fem(self.solver, b, t=t)
+        key = (ensemble.x, ensemble.f_like, ensemble.g_like)
+        if self._field is None or any(a is not b for a, b in zip(key, self._key)):
+            if self.stencil is None:
+                self.stencil = SplineStencil(self.solver, ensemble.x)
+            elif self.stencil.x is not ensemble.x:
+                self.stencil.relocate(ensemble.x)
+            b = deposit_rhs(ensemble, self.solver, self.species, self.stencil)
+            self._field = solve_poisson_fem(self.solver, b)._replace(stencil=self.stencil)
+            self._key = key
+        return self._field._replace(t=t)
 
 
 class FrozenField:
@@ -234,7 +353,10 @@ def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
 
 def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
          species: Species = ELECTRON) -> None:
-    """Advance the ensemble one step of ``kind`` in place.
+    """Advance the ensemble one step of ``kind``.
+
+    The ensemble's arrays are rebound to new arrays, never written into:
+    :class:`SelfConsistentField` reuses a field for the same array objects.
 
     ``fields`` is the field machinery: a callable mapping the current
     ensemble to a field object with E(x) and dE(x) (use
@@ -318,7 +440,7 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
         x_n = ensemble.x.copy()
         v_n = ensemble.v.copy()
         field_n = fields(ensemble)
-        e_n = field_n.E(x_n)
+        e_n = field_n.E(ensemble.x)
         v_new = ensemble.v.copy()
         trial = ensemble.copy()
         x_new_prev = None

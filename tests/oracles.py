@@ -99,3 +99,48 @@ def fit_loglog_slope(n_values, errors):
     """Least-squares slope of log(error) against log(n)."""
     return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)),
                             np.log(np.asarray(errors, dtype=float)), 1)[0])
+
+
+def bspline3_weights_reference(u, order=0):
+    """The four cubic B-splines covering a cell (offsets -1, 0, 1, 2) at
+    local u in [0, 1), or their first or second derivative in u: the
+    textbook formulas, written out as whole-array expressions."""
+    c = 1.0 - u
+    if order == 0:
+        return (c * c * c / 6.0,
+                (3.0 * u ** 3 - 6.0 * u ** 2 + 4.0) / 6.0,
+                (-3.0 * u ** 3 + 3.0 * u ** 2 + 3.0 * u + 1.0) / 6.0,
+                u ** 3 / 6.0)
+    if order == 1:
+        return (-0.5 * c * c,
+                1.5 * u ** 2 - 2.0 * u,
+                -1.5 * u ** 2 + u + 0.5,
+                0.5 * u ** 2)
+    return (1.0 - u, 3.0 * u - 2.0, -3.0 * u + 1.0, u)
+
+
+def _spline_cells_reference(x, x_min, dx, n_f):
+    t = (np.asarray(x, dtype=float) - x_min) / dx
+    i = np.floor(t).astype(np.int64)
+    return i % n_f, t - i
+
+
+def spline_deposit_reference(x, weights, x_min, dx, n_f):
+    """sum_k weights_k N_j(x_k) for each periodic cubic B-spline j, binned
+    by each neighbour's own index (no shared lookup, no rotation)."""
+    i, u = _spline_cells_reference(x, x_min, dx, n_f)
+    b = np.zeros(n_f)
+    for off, wgt in zip((-1, 0, 1, 2), bspline3_weights_reference(u)):
+        b += np.bincount((i + off) % n_f, weights=weights * wgt, minlength=n_f)
+    return b
+
+
+def spline_eval_reference(coeffs, x, x_min, dx, n_f, order):
+    """The order-th u-derivative of sum_j coeffs_j N_j at x (divide by
+    dx**order for the x-derivative)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    i, u = _spline_cells_reference(x, x_min, dx, n_f)
+    out = np.zeros_like(u)
+    for off, wgt in zip((-1, 0, 1, 2), bspline3_weights_reference(u, order)):
+        out += coeffs[(i + off) % n_f] * wgt
+    return out

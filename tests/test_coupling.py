@@ -105,6 +105,23 @@ def test_run_pic_emits_cadence_and_star_disc():
     assert records[2].star_disc is not None
 
 
+@pytest.mark.parametrize("kind,per_step", [(pic.IntegratorKind.RUTH3, 3),
+                                            (pic.IntegratorKind.SYMPLECTIC_EULER, 1)])
+def test_run_pic_shares_the_emit_deposit_with_the_push(monkeypatch, kind, per_step):
+    # the emitted record's field and the next push's first field are one
+    # deposit at the same positions
+    calls = []
+    deposit = pic.deposit_rhs
+    monkeypatch.setattr(pic, "deposit_rhs",
+                        lambda *args: calls.append(1) or deposit(*args))
+    e = handoff(_maxwell_state(), HandoffConfig(t0=0.0, n_p=2000, n_pad=2,
+                                                sequence=Sobol(skip=1), n_f=16))
+    solver = pic.SplinePoissonSolver.build(0.0, DOM.length, 16)
+    k = 4
+    run_pic(e, solver, kind, dt=0.1, t_start=0.0, t_max=k * 0.1)
+    assert len(calls) == 1 + per_step * k
+
+
 def test_run_coupled_equilibrium_stays_flat():
     cfg = HandoffConfig(t0=1.0, n_p=20_000, n_pad=4, sequence=Sobol(skip=1),
                         n_f=16)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpqmc.core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.core import DiagnosticsRecord
@@ -85,6 +86,20 @@ def test_diagnostic_periods_the_solver_computes_accepted():
     assert parse_config(None, ["solver=coupled", "t0=1", "hk_period=1"]).hk_period == 1
 
 
+@pytest.mark.parametrize("overrides,key", [
+    (["solver=coupled", "t0=1", "sampling=uniform"], "sampling"),
+    (["sequence=sobol", "seed=3"], "seed"),
+])
+def test_key_the_run_never_uses_rejected(overrides, key):
+    with pytest.raises(ValidationError, match=key):
+        parse_config(None, overrides)
+
+
+def test_keys_the_run_uses_accepted():
+    assert parse_config(None, ["solver=pic", "sampling=uniform"]).sampling == "uniform"
+    assert parse_config(None, ["sequence=pseudorandom", "seed=3"]).seed == 3
+
+
 # --- dumps ---------------------------------------------------------------------
 
 def test_grid_dump_round_trip(tmp_path):
@@ -98,15 +113,27 @@ def test_grid_dump_round_trip(tmp_path):
     assert back.domain == dom
 
 
-def test_particle_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    e = ParticleEnsemble(x=rng.random(11), v=rng.standard_normal(11),
-                         f_like=rng.random(11), g_like=rng.random(11) + 0.5)
-    dom = PhaseSpaceDomain(0.0, 2.0, -3.0, 3.0)
-    path = tmp_path / "parts.bin"
-    write_particle_dump(path, e, dom, t=0.5)
-    kind, back, dom2, t = read_dump(path)
-    assert kind == "particles" and t == 0.5 and dom2 == dom
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_p=st.integers(1, 300), x_min=_finite, length=st.floats(1e-3, 1e3),
+       v_min=_finite, v_span=st.floats(1e-3, 1e3), t=_finite,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_particle_dump_round_trip(tmp_path_factory, n_p, x_min, length, v_min,
+                                  v_span, t, seed):
+    rng = np.random.default_rng(seed)
+    dom = PhaseSpaceDomain(x_min, x_min + length, v_min, v_min + v_span)
+    e = ParticleEnsemble(x=dom.wrap_x(rng.uniform(x_min, x_min + length, n_p)),
+                         v=rng.uniform(dom.v_min, dom.v_max, n_p),
+                         f_like=rng.standard_normal(n_p),  # signed, as after a handoff
+                         g_like=rng.random(n_p) + 0.5)
+    path = tmp_path_factory.mktemp("dump") / "parts.bin"
+    write_particle_dump(path, e, dom, t=t)
+    assert path.read_bytes() == np.concatenate(
+        [e.x, e.v, e.f_like, e.g_like]).astype("<f8").tobytes()
+    kind, back, dom2, t2 = read_dump(path)
+    assert kind == "particles" and t2 == t and dom2 == dom
     for a, b in ((back.x, e.x), (back.v, e.v),
                  (back.f_like, e.f_like), (back.g_like, e.g_like)):
         np.testing.assert_array_equal(a, b)

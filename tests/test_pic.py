@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from vpqmc.core import (InitialCondition, ParticleEnsemble, PhaseSpaceDomain,
                         Species)
 from vpqmc import pic
@@ -68,6 +69,51 @@ def test_deposit_sum_identity():
     b = deposit_rhs(e, solver, QPLUS)
     # partition of unity: sum_i b_i = q (mean w - L)
     assert np.sum(b) == pytest.approx(np.mean(w) - L, abs=1e-12)
+
+
+# --- one stencil per position array: bitwise against the reference formulas -----
+
+def _edge_positions(x_min, length, n=300):
+    # the period's ends, one ulp below its right end, points left of x_min
+    # and more than one period out, plus a random spread
+    edges = [x_min, x_min + length, np.nextafter(x_min + length, -np.inf),
+             x_min - 0.3, -2.0, x_min + 2.5 * length, x_min - 1.7 * length]
+    rest = np.random.default_rng(4).uniform(x_min - length, x_min + 2 * length, n)
+    return np.concatenate([edges, rest])
+
+
+@pytest.mark.parametrize("x_min", [0.0, -1.3])
+def test_stencil_path_matches_reference_bitwise(x_min):
+    length = 4 * np.pi
+    solver = SplinePoissonSolver.build(x_min, length, 16)
+    dx = solver.dx
+    x = _edge_positions(x_min, length)
+    rng = np.random.default_rng(5)
+    e = _ensemble(x, np.zeros_like(x), f=rng.random(x.size) - 0.2,
+                  g=rng.random(x.size) + 0.5)
+    ref_b = oracles.spline_deposit_reference(x, e.weights(), x_min, dx, 16)
+    ref_b /= e.n_p
+    np.testing.assert_array_equal(deposit_rhs(e, solver), -1.0 * (ref_b - dx))
+
+    field = SelfConsistentField(solver)(e)
+    c = field.coeffs
+    ref = [oracles.spline_eval_reference(c, x, x_min, dx, 16, order) for order in (0, 1, 2)]
+    # the stencil the field was deposited from, and a one-off stencil
+    for at in (e.x, x.copy()):
+        np.testing.assert_array_equal(pic.eval_phi(field, at), ref[0])
+        np.testing.assert_array_equal(pic.eval_E(field, at), -ref[1] / dx)
+        np.testing.assert_array_equal(pic.eval_dE(field, at), -ref[2] / dx ** 2)
+
+
+def test_stencil_path_with_no_markers():
+    solver = _solver()
+    e = _ensemble(np.empty(0), np.empty(0))
+    np.testing.assert_array_equal(deposit_rhs(e, solver, QPLUS),
+                                  np.full(solver.n_f, -solver.dx))
+    field = SelfConsistentField(solver, QPLUS)(e)
+    np.testing.assert_array_equal(field.coeffs, 0.0)
+    for ev in (pic.eval_phi, pic.eval_E, pic.eval_dE):
+        assert ev(field, e.x).shape == (0,)
 
 
 # --- field solve ------------------------------------------------------------------
@@ -314,6 +360,30 @@ def test_volume_preserving_kinds_keep_likelihoods_bitwise(kind):
         assert total_mass(e) == m0  # bitwise: same reduction of same values
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_cached_field_equals_a_fresh_deposit(kind):
+    e, dom = _landau_ensemble()
+    solver = SplinePoissonSolver.build(0.0, dom.length, 16)
+    fields = SelfConsistentField(solver)
+    for _ in range(2):
+        push(kind, e, fields, 0.05)
+        cached, fresh = fields(e), SelfConsistentField(solver)(e)
+        np.testing.assert_array_equal(cached.coeffs, fresh.coeffs)
+        np.testing.assert_array_equal(cached.E(e.x), fresh.E(e.x))
+
+
+def test_cached_field_follows_each_rebound_array():
+    e, dom = _landau_ensemble()
+    solver = SplinePoissonSolver.build(0.0, dom.length, 16)
+    fields = SelfConsistentField(solver)
+    first = fields(e)
+    assert fields(e).coeffs is first.coeffs  # same arrays: no new deposit
+    for name in ("x", "f_like", "g_like"):
+        setattr(e, name, getattr(e, name) * 0.75)
+        np.testing.assert_array_equal(fields(e).coeffs,
+                                      SelfConsistentField(solver)(e).coeffs)
+
+
 def test_explicit_euler_weights_drift():
     e, dom = _landau_ensemble()
     w0 = e.weights().copy()
@@ -369,9 +439,9 @@ def test_positions_wrapped_into_period():
 def test_basis_translation_invariance_and_momentum_drift():
     # the derivative weights of the basis sum to zero pointwise (the
     # translation-invariance identity behind momentum balance) ...
-    u = np.random.default_rng(2).random(100)
-    d = pic._bspline3_dweights(u)
-    np.testing.assert_allclose(d[0] + d[1] + d[2] + d[3], 0.0, atol=1e-14)
+    stencil = pic.SplineStencil(_solver(), np.random.default_rng(2).uniform(0, L, 100))
+    d = sum(stencil._weight(1, off).copy() for off in (-1, 0, 1, 2))
+    np.testing.assert_allclose(d, 0.0, atol=1e-14)
     # ... and the self-consistent momentum drift per step stays at the
     # deposition-aliasing level (the Galerkin derivative force is not
     # exactly momentum conserving; the error scales with field amplitude
