@@ -16,7 +16,8 @@ from .lowdisc import (EmptyPointSet, PseudoRandom, Sobol, generate_pairs,
 from .sampling import (BilinearSampler, NewtonNoConvergence, ZeroConditional,
                        build_sampler, forward_cdf, its_tensor_product,
                        rosenblatt_sample, sample_conditional_v,
-                       sample_marginal_x, uniform_sample)
+                       sample_gridded_density, sample_marginal_x,
+                       uniform_sample)
 from .spectral import (RUTH3, SpectralState, SplitCoefficients, advect_x,
                        hk_variation, kick_v, poisson_fourier, run_spectral,
                        step_order3, zero_pad)

@@ -15,12 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from . import lowdisc, pic, sampling, spectral
 from .core import (DiagnosticsRecord, ELECTRON, InitialCondition,
-                   ParticleEnsemble, PhaseSpaceDomain, Species,
-                   normalize_to_sampling_density)
+                   ParticleEnsemble, PhaseSpaceDomain, Species)
 from .lowdisc import SequenceKind
 
 
@@ -49,12 +46,7 @@ def handoff(state: spectral.SpectralState, cfg: HandoffConfig) -> ParticleEnsemb
     marginal CDFs stay monotone and the inversion well-posed.
     """
     f_fine = spectral.zero_pad(state, cfg.n_pad)
-    g = normalize_to_sampling_density(f_fine)
-    sampler = sampling.build_sampler(g)
-    pairs = lowdisc.generate_pairs(cfg.sequence, cfg.n_p)
-    ensemble = sampling.rosenblatt_sample(sampler, pairs)
-    ensemble.f_like = np.asarray(f_fine.bilinear_at(ensemble.x, ensemble.v))
-    return ensemble
+    return sampling.sample_gridded_density(f_fine, cfg.sequence, cfg.n_p)
 
 
 def run_pic(ensemble: ParticleEnsemble,

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import coupling, densest, lowdisc, pic, sampling, spectral
 from .core import (DiagnosticsRecord, GriddedDensity, InitialCondition,
-                   ParticleEnsemble, PhaseSpaceDomain,
-                   normalize_to_sampling_density)
+                   ParticleEnsemble, PhaseSpaceDomain)
 
 
 class ParseError(ValueError):
@@ -105,6 +104,23 @@ class RunConfig:
 
     def window(self) -> Tuple[float, float, float, float]:
         return _parse_window("star_disc_window", self.star_disc_window)
+
+
+# The keys the spectral branch of _run reads, directly or through
+# initial_condition() and domain(); with solver=spectral every other key
+# is a particle or handoff key that the run would ignore.
+_SPECTRAL_KEYS = frozenset({
+    "scenario", "solver", "epsilon", "k", "n_b", "sigma_b", "v_b", "v_min",
+    "v_max", "nx", "nv", "dt", "t_max", "output_stride", "dump_stride",
+    "hk_period", "outdir"})
+
+
+def _unused_keys(solver: str) -> List[str]:
+    """The config keys that a run of ``solver`` never reads."""
+    if solver != "spectral":
+        return []
+    return [f.name for f in dataclass_fields(RunConfig)
+            if f.name not in _SPECTRAL_KEYS]
 
 
 def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
@@ -189,11 +205,13 @@ def parse_config(path: Optional[str] = None,
         raise ValidationError(f"unknown scenario '{scenario}'")
     for key, value in merged.items():
         cfg = replace(cfg, **{key: value})
-    _validate(cfg)
+    _validate(cfg, merged)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, explicit) -> None:
+    """Check cfg; ``explicit`` holds the keys set in the file or overrides,
+    which must all be keys the chosen solver reads."""
     problems = []
     if cfg.solver not in ("spectral", "pic", "coupled"):
         problems.append(f"solver '{cfg.solver}' not in spectral|pic|coupled")
@@ -238,6 +256,11 @@ def _validate(cfg: RunConfig) -> None:
                         "(the handoff samples the spectral state)")
     if cfg.seed != 0 and cfg.sequence == "sobol":
         problems.append("seed is not used by sequence=sobol (use sobol_skip)")
+    if cfg.sobol_skip != 1 and cfg.sequence == "pseudorandom":
+        problems.append("sobol_skip is not used by sequence=pseudorandom (use seed)")
+    unused = [key for key in _unused_keys(cfg.solver) if key in explicit]
+    if unused:
+        problems.append(f"{', '.join(unused)} not used by solver={cfg.solver}")
     if cfg.star_disc_period < 0 or cfg.hk_period < 0:
         problems.append("diagnostic periods must be >= 0")
     if cfg.star_disc_period > 0 and cfg.solver != "pic":
@@ -253,8 +276,12 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def echo_config(cfg: RunConfig, path: Path) -> None:
+    """Write every key the run reads, so the echo parses back to cfg."""
     lines = []
+    unused = _unused_keys(cfg.solver)
     for f in dataclass_fields(RunConfig):
+        if f.name in unused:
+            continue
         value = getattr(cfg, f.name)
         if value is None:
             continue
@@ -472,8 +499,17 @@ def _cmd_run(args: List[str]) -> int:
 
 
 def _sequence_from_kv(kv: dict) -> lowdisc.SequenceKind:
-    if kv.get("sequence", "sobol") == "pseudorandom":
+    # as in _validate, a key the chosen sequence never reads is an error
+    sequence = kv.get("sequence", "sobol")
+    if sequence not in ("sobol", "pseudorandom"):
+        raise ValidationError(f"sequence '{sequence}' not in sobol|pseudorandom")
+    if sequence == "pseudorandom":
+        if "sobol_skip" in kv:
+            raise ValidationError("sobol_skip is not used by sequence=pseudorandom "
+                                  "(use seed)")
         return lowdisc.PseudoRandom(seed=kv.get("seed", 0))
+    if "seed" in kv:
+        raise ValidationError("seed is not used by sequence=sobol (use sobol_skip)")
     return lowdisc.Sobol(skip=kv.get("sobol_skip", 1))
 
 
@@ -485,15 +521,12 @@ def _cmd_sample(args: List[str]) -> int:
     n = kv.get("n", 0)
     if n < 1:
         raise ParseError("sample requires n >= 1")
+    sequence = _sequence_from_kv(kv)
     result = read_dump(src)
     if result[0] != "grid":
         raise FormatError("sample expects a grid dump")
     _, density, t = result
-    g = normalize_to_sampling_density(density)
-    sampler = sampling.build_sampler(g)
-    pairs = lowdisc.generate_pairs(_sequence_from_kv(kv), n)
-    ensemble = sampling.rosenblatt_sample(sampler, pairs)
-    ensemble.f_like = np.asarray(density.bilinear_at(ensemble.x, ensemble.v))
+    ensemble = sampling.sample_gridded_density(density, sequence, n)
     write_particle_dump(dst, ensemble, density.domain, t)
     print(f"sampled {n} markers -> {dst}")
     return 0

@@ -348,7 +348,14 @@ class FrozenField:
 
 
 def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
-    ensemble.x = x_min + np.mod(ensemble.x - x_min, length)
+    """Rebind x to ``x_min + np.mod(x - x_min, length)``, running the
+    modulo only where it changes something: on ``[0, length)`` it returns
+    its argument exactly, and after a stage almost every marker is there."""
+    r = ensemble.x - x_min
+    outside = ~((r >= 0.0) & (r < length))  # NaN included, as np.mod sees it
+    if outside.any():
+        r[outside] = np.mod(r[outside], length)
+    ensemble.x = x_min + r
 
 
 def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,

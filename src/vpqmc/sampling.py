@@ -21,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfcinv
 
+from . import lowdisc
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
                    PhaseSpaceDomain, SQRT_2PI, bounded_cell, eval_initial_f,
-                   initial_x_density, periodic_cell)
+                   initial_x_density, normalize_to_sampling_density,
+                   periodic_cell)
+from .lowdisc import SequenceKind
 
 
 class ZeroConditional(ValueError):
@@ -145,7 +148,15 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
 
     The conditional density is the linear interpolation between the two
     neighbouring grid columns; its cumulative table is the same
-    interpolation of the per-column tables.  Raises
+    interpolation of the per-column tables,
+    ``delta_j = (1-fx)*cum_cols[ix, j] + fx*cum_cols[ixp, j]``.  The cell
+    is the rightmost j with ``delta_j <= target`` (ties go right), found
+    by a vectorized bisection over j: about log2(nv) probes, each
+    evaluating ``delta_j`` at one j per marker, so no n x nv table is
+    built.  ``cum_cols`` is a cumsum of nonnegative values and the
+    rounding of the interpolation is monotone, so ``delta_j`` is
+    nondecreasing in j in floating point and the bisection picks the same
+    cell as counting every ``delta_j <= target``.  Raises
     :class:`ZeroConditional` where the marginal g_X(x) vanishes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -162,16 +173,28 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
         raise ZeroConditional("conditional density requested on a zero-mass column")
 
     target = gx_here * u
-    # delta_j = (1-fx)*cum_cols[ix, j] + fx*cum_cols[ixp, j], nondecreasing in j;
-    # the cell is the rightmost j with delta_j <= target (ties go right)
-    delta = (1.0 - fx)[:, None] * s.cum_cols[ix] + fx[:, None] * s.cum_cols[ixp]
-    j = np.sum(delta <= target[:, None], axis=1) - 1
-    j = np.clip(j, 0, g.nv - 2)
+    w0 = 1.0 - fx
+    cum = s.cum_cols.ravel()
+    row0 = ix * g.nv
+    row1 = ixp * g.nv
 
-    rows = np.arange(x.size)
-    gamma0 = (1.0 - fx) * g.values[ix, j] + fx * g.values[ixp, j]
-    gamma1 = (1.0 - fx) * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
-    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta[rows, j], g.dv)
+    def delta(j):
+        return w0 * cum[row0 + j] + fx * cum[row1 + j]
+
+    # n_le counts the j with delta_j <= target (a prefix of 0..nv-1), built
+    # bit by bit from the highest power of two not above nv
+    n_le = np.zeros(x.shape, dtype=np.int64)
+    step = 1 << (g.nv.bit_length() - 1)
+    while step:
+        probe = n_le + step
+        j = np.minimum(probe, g.nv) - 1
+        n_le = np.where((probe <= g.nv) & (delta(j) <= target), probe, n_le)
+        step >>= 1
+    j = np.clip(n_le - 1, 0, g.nv - 2)
+
+    gamma0 = w0 * g.values[ix, j] + fx * g.values[ixp, j]
+    gamma1 = w0 * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
+    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), g.dv)
     v = g.domain.v_min + (j + frac) * g.dv
     return float(v[0]) if scalar else v
 
@@ -179,25 +202,37 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
 def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble:
     """Map uniform pairs through the inverse Rosenblatt transform.
 
-    Output ordering matches the input pair ordering.  g_like is the
-    bilinear density at the sampled points; f_like is initialized to a
-    copy of g_like (unit weights) and is overwritten by callers that
-    sample a different target density, e.g. the spectral handoff.
+    Output ordering matches the input pair ordering.  All markers are
+    mapped in one pass: every step is elementwise and the conditional
+    inversion bisects rather than tabulating, so the temporaries are a
+    few arrays of length n and peak memory grows linearly in n, not in
+    n * nv.  g_like is the bilinear density at the sampled points; f_like
+    is initialized to a copy of g_like (unit weights) and is overwritten
+    by callers that sample a different target density, e.g. the
+    spectral handoff.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("pairs must be a nonempty (n, 2) array")
-    chunk = 1 << 14
-    xs = np.empty(pairs.shape[0])
-    vs = np.empty(pairs.shape[0])
-    for lo in range(0, pairs.shape[0], chunk):
-        hi = min(lo + chunk, pairs.shape[0])
-        x = sample_marginal_x(s, pairs[lo:hi, 0])
-        v = sample_conditional_v(s, x, pairs[lo:hi, 1])
-        xs[lo:hi] = x
-        vs[lo:hi] = v
-    g_like = np.asarray(s.g.bilinear_at(xs, vs))
-    return ParticleEnsemble(x=xs, v=vs, f_like=g_like.copy(), g_like=g_like)
+    x = sample_marginal_x(s, pairs[:, 0])
+    v = sample_conditional_v(s, x, pairs[:, 1])
+    g_like = np.asarray(s.g.bilinear_at(x, v))
+    return ParticleEnsemble(x=x, v=v, f_like=g_like.copy(), g_like=g_like)
+
+
+def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
+                           n: int) -> ParticleEnsemble:
+    """Draw n markers from a signed gridded density.
+
+    The sampling density is |density| normalized to unit mass; g_like is
+    its bilinear value at each marker and f_like the bilinear value of
+    ``density`` itself, so markers where it is negative carry negative
+    weights.
+    """
+    sampler = build_sampler(normalize_to_sampling_density(density))
+    ensemble = rosenblatt_sample(sampler, lowdisc.generate_pairs(sequence, n))
+    ensemble.f_like = np.asarray(density.bilinear_at(ensemble.x, ensemble.v))
+    return ensemble
 
 
 def forward_cdf(s: BilinearSampler, x, v):

@@ -144,3 +144,46 @@ def spline_eval_reference(coeffs, x, x_min, dx, n_f, order):
     for off, wgt in zip((-1, 0, 1, 2), bspline3_weights_reference(u, order)):
         out += coeffs[(i + off) % n_f] * wgt
     return out
+
+
+def sample_conditional_v_dense_reference(s, x, u_v):
+    """The conditional inversion of ``vpqmc.sampling.sample_conditional_v``
+    by the dense route: the whole n x nv table of interpolated cumulative
+    sums, and the cell as the count of entries not above the target, minus
+    one.  The cell lookup and the in-cell root are the package's own."""
+    from vpqmc.core import periodic_cell
+    from vpqmc.sampling import ZeroConditional, _invert_cell_quadratic
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u_v, dtype=float))
+    if x.shape != u.shape:
+        x, u = np.broadcast_arrays(x, u)
+    g = s.g
+    ix, fx = periodic_cell(x, g.domain.x_min, g.dx, g.nx)
+    ixp = (ix + 1) % g.nx
+    gx_here = (1.0 - fx) * s.marginal_x_nodes[ix] + fx * s.marginal_x_nodes[ixp]
+    if np.any(gx_here <= 0.0):
+        raise ZeroConditional("conditional density requested on a zero-mass column")
+    target = gx_here * u
+    delta = (1.0 - fx)[:, None] * s.cum_cols[ix] + fx[:, None] * s.cum_cols[ixp]
+    j = np.clip(np.sum(delta <= target[:, None], axis=1) - 1, 0, g.nv - 2)
+    rows = np.arange(x.size)
+    gamma0 = (1.0 - fx) * g.values[ix, j] + fx * g.values[ixp, j]
+    gamma1 = (1.0 - fx) * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
+    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta[rows, j], g.dv)
+    return g.domain.v_min + (j + frac) * g.dv
+
+
+def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
+    """(x, v, g_like) of the inverse Rosenblatt map, computed chunk by chunk
+    with the dense conditional table."""
+    from vpqmc.sampling import sample_marginal_x
+
+    pairs = np.asarray(pairs, dtype=float)
+    xs = np.empty(pairs.shape[0])
+    vs = np.empty(pairs.shape[0])
+    for lo in range(0, pairs.shape[0], chunk):
+        hi = min(lo + chunk, pairs.shape[0])
+        xs[lo:hi] = sample_marginal_x(s, pairs[lo:hi, 0])
+        vs[lo:hi] = sample_conditional_v_dense_reference(s, xs[lo:hi], pairs[lo:hi, 1])
+    return xs, vs, np.asarray(s.g.bilinear_at(xs, vs))

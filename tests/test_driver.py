@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from vpqmc.core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.core import DiagnosticsRecord
-from vpqmc.driver import (CSV_HEADER, FormatError, ParseError,
+from vpqmc import driver
+from vpqmc.driver import (CSV_HEADER, FormatError, ParseError, RunConfig,
                           ValidationError, cli_main, parse_config, read_dump,
                           write_grid_dump, write_particle_dump,
                           write_timeseries)
@@ -89,6 +91,7 @@ def test_diagnostic_periods_the_solver_computes_accepted():
 @pytest.mark.parametrize("overrides,key", [
     (["solver=coupled", "t0=1", "sampling=uniform"], "sampling"),
     (["sequence=sobol", "seed=3"], "seed"),
+    (["solver=pic", "sequence=pseudorandom", "sobol_skip=3"], "sobol_skip"),
 ])
 def test_key_the_run_never_uses_rejected(overrides, key):
     with pytest.raises(ValidationError, match=key):
@@ -97,7 +100,58 @@ def test_key_the_run_never_uses_rejected(overrides, key):
 
 def test_keys_the_run_uses_accepted():
     assert parse_config(None, ["solver=pic", "sampling=uniform"]).sampling == "uniform"
-    assert parse_config(None, ["sequence=pseudorandom", "seed=3"]).seed == 3
+    assert parse_config(None, ["solver=pic", "sequence=pseudorandom",
+                               "seed=3"]).seed == 3
+    assert parse_config(None, ["solver=pic", "sobol_skip=5"]).sobol_skip == 5
+
+
+@pytest.mark.parametrize("key", ["n_p=5", "sampling=uniform", "integrator=euler",
+                                 "n_f=8", "t0=1", "n_pad=4", "sequence=sobol",
+                                 "sobol_skip=3", "star_disc_cap=10",
+                                 "star_disc_window=0,1,0,1"])
+def test_spectral_rejects_particle_keys_set_explicitly(key, tmp_path):
+    name = key.split("=")[0]
+    with pytest.raises(ValidationError, match=name):
+        parse_config(None, ["solver=spectral", key])
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(f"solver = spectral\n{key.replace('=', ' = ')}\n")
+    with pytest.raises(ValidationError, match=name):
+        parse_config(str(cfg_file))
+
+
+def test_spectral_rejects_every_unused_key_at_once(capsys, tmp_path):
+    overrides = ["solver=spectral", "sampling=uniform", "integrator=euler", "n_p=5"]
+    with pytest.raises(ValidationError, match="n_p, integrator, sampling"):
+        parse_config(None, overrides)
+    outdir = tmp_path / "run"
+    assert cli_main(["run", *overrides, f"outdir={outdir}"]) == 2
+    assert not outdir.exists()
+    assert "solver=spectral" in capsys.readouterr().err
+
+
+def test_spectral_key_list_covers_what_the_spectral_run_reads(tmp_path):
+    # every RunConfig field the spectral branch of _run reads is a key that
+    # solver=spectral accepts
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    seen = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    cfg = parse_config(None, ["solver=spectral", "nx=16", "nv=16", "dt=0.1",
+                              "t_max=0.2", "dump_stride=1", f"outdir={tmp_path}"])
+    driver._run(Recording(**dataclasses.asdict(cfg)))
+    assert seen <= driver._SPECTRAL_KEYS
+    assert "nx" in seen and "dump_stride" in seen
+
+
+def test_benchmark_spectral_command_parses():
+    cfg = parse_config(None, ["scenario=landau", "solver=spectral", "nx=128",
+                              "nv=128", "dt=0.05", "t_max=50", "hk_period=10"])
+    assert cfg.solver == "spectral" and cfg.hk_period == 10
 
 
 # --- dumps ---------------------------------------------------------------------
@@ -226,6 +280,25 @@ def test_cli_sample_rejects_zero_n(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("args,key", [
+    (["sequence=sobol", "seed=3"], "seed"),
+    (["seed=3"], "seed"),
+    (["sequence=pseudorandom", "sobol_skip=3"], "sobol_skip"),
+    (["sequence=halton"], "sequence"),
+])
+def test_cli_sample_rejects_key_the_sequence_never_reads(tmp_path, capsys, args, key):
+    src = tmp_path / "g.bin"
+    write_grid_dump(src, GriddedDensity(PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0),
+                                        np.ones((8, 8))), t=0.0)
+    out = tmp_path / "out.bin"
+    assert cli_main(["sample", str(src), str(out), "n=10", *args]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["sample", str(src), str(out), "n=10", "sequence=pseudorandom",
+                     "seed=3"]) == 0
+    assert cli_main(["sample", str(src), str(out), "n=10", "sobol_skip=3"]) == 0
 
 
 def test_cli_sample_and_reconstruct_round_trip(tmp_path):

@@ -116,6 +116,21 @@ def test_stencil_path_with_no_markers():
         assert ev(field, e.x).shape == (0,)
 
 
+@pytest.mark.parametrize("x_min", [0.0, -1.3, 2.5])
+def test_wrap_matches_full_modulo_bitwise(x_min):
+    # the masked wrap against x_min + np.mod(x - x_min, L) on every marker
+    length = 4 * np.pi
+    x = np.array([0.0, -0.0, length, np.nextafter(length, 0.0), -1e-300,
+                  -length, 3.5 * length, -5.25 * length, 7 * length + 0.1,
+                  -9 * length - 0.1, np.nan])
+    x = np.concatenate([x, x + x_min, np.random.default_rng(6).uniform(
+        x_min - 3 * length, x_min + 3 * length, 200)])
+    e = _ensemble(x, np.zeros_like(x))
+    pic._wrap(e, x_min, length)
+    want = x_min + np.mod(x - x_min, length)
+    np.testing.assert_array_equal(e.x.view(np.uint64), want.view(np.uint64))
+
+
 # --- field solve ------------------------------------------------------------------
 
 def test_stiffness_rows_sum_to_zero():

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import oracles
+from vpqmc import spectral
 from vpqmc.core import (GriddedDensity, InitialCondition, PhaseSpaceDomain,
                         eval_initial_f, normalize_to_sampling_density)
 from vpqmc.lowdisc import PseudoRandom, Sobol, generate_pairs
@@ -130,6 +132,62 @@ def test_zero_conditional_raises():
     s = _sampler(dom, vals)
     with pytest.raises(ZeroConditional):
         sample_conditional_v(s, 1.0, 0.5)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 24), nv=st.integers(2, 40),
+       runs=st.lists(st.tuples(st.integers(0, 39), st.integers(1, 12),
+                               st.booleans()), max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conditional_bisection_matches_dense_table_bitwise(nx, nv, runs, seed):
+    # zero-mass runs along v, across every column or in one column only,
+    # leave flat stretches in cum_cols, so delta_j ties over several j
+    rng = np.random.default_rng(seed)
+    vals = rng.random((nx, nv)) + 0.05
+    for start, length, every_column in runs:
+        rows = slice(None) if every_column else int(rng.integers(nx))
+        vals[rows, start % nv:start % nv + length] = 0.0
+    vals[:, rng.integers(nv)] = 0.5  # no column is all zero
+    s = _sampler(PhaseSpaceDomain(-1.0, 2.0, -1.0, 1.5), vals)
+    nodes = s.g.domain.x_min + np.arange(nx) * s.g.dx
+    x = np.concatenate([nodes, rng.uniform(-1.0, 2.0, 200)])
+    x = np.repeat(x, 6)
+    u = np.tile([0.0, 1.0, np.nextafter(1.0, 0.0), np.nan, 0.5, 0.0], x.size // 6)
+    u[4::6] = rng.random(x.size // 6)
+    np.testing.assert_array_equal(
+        _bits(sample_conditional_v(s, x, u)),
+        _bits(oracles.sample_conditional_v_dense_reference(s, x, u)))
+
+
+def test_conditional_bisection_matches_dense_table_on_padded_grid():
+    # the handoff's fine grid: 32 x 32 bump-on-tail state padded 32 times,
+    # nv = 1025, with the absolute value of the signed padded density
+    ic = InitialCondition(epsilon=1e-3, k=0.3, n_b=0.1, sigma_b=0.3, v_b=4.5)
+    dom = PhaseSpaceDomain(0.0, ic.length, -10.0, 10.0)
+    fine = spectral.zero_pad(spectral.state_from_initial_condition(ic, dom, 32, 32), 32)
+    assert fine.nv == 1025
+    s = build_sampler(normalize_to_sampling_density(fine))
+    pairs = generate_pairs(Sobol(skip=1), 3000)
+    x = sample_marginal_x(s, pairs[:, 0])
+    u = pairs[:, 1].copy()
+    u[:3] = (0.0, 1.0, np.nextafter(1.0, 0.0))
+    np.testing.assert_array_equal(
+        _bits(sample_conditional_v(s, x, u)),
+        _bits(oracles.sample_conditional_v_dense_reference(s, x, u)))
+
+
+def test_rosenblatt_sample_matches_chunked_dense_path_bitwise():
+    # more markers than the reference's 16384-marker chunk, not a multiple of it
+    s = _random_sampler(21, nx=11, nv=37)
+    pairs = np.random.default_rng(22).random((40_000, 2))
+    e = rosenblatt_sample(s, pairs)
+    x, v, g_like = oracles.rosenblatt_sample_chunked_reference(s, pairs)
+    for got, want in ((e.x, x), (e.v, v), (e.g_like, g_like), (e.f_like, g_like)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 # --- rosenblatt + forward map -----------------------------------------------
