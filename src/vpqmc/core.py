@@ -272,15 +272,6 @@ class GriddedDensity:
         return out
 
 
-def density_from_initial_condition(ic: InitialCondition,
-                                   domain: PhaseSpaceDomain,
-                                   nx: int, nv: int) -> GriddedDensity:
-    """Tabulate the initial density on an nx x nv package grid."""
-    g = GriddedDensity(domain, np.zeros((nx, nv)))
-    xx, vv = np.meshgrid(g.x_nodes(), g.v_nodes(), indexing="ij")
-    return GriddedDensity(domain, eval_initial_f(ic, xx, vv))
-
-
 def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:
     """Return |f| scaled to unit trapezoid mass.
 

@@ -61,18 +61,18 @@ def run_pic(ensemble: ParticleEnsemble,
             on_record=None) -> List[DiagnosticsRecord]:
     """PIC time loop with diagnostics every ``out_stride`` steps.
 
-    The optional star-discrepancy probe runs every ``star_disc_period``
-    emitted records (it is quadratic in the windowed subset size, hence
+    The optional star-discrepancy probe runs on every ``star_disc_period``-th
+    emitted record (it is quadratic in the windowed subset size, hence
     throttled separately from the cheap moment diagnostics).
     """
     fields = pic.SelfConsistentField(solver, species)
     records: List[DiagnosticsRecord] = []
     n_steps = int(round((t_max - t_start) / dt))
 
-    def emit(step_index: int, t: float):
+    def emit(t: float):
         fld = fields(ensemble, t=t)
         star = None
-        if star_disc_period > 0 and (step_index // out_stride) % star_disc_period == 0:
+        if star_disc_period > 0 and len(records) % star_disc_period == 0:
             window = star_disc_window or (0.0, 2.0, -1.0, 1.0)
             star = lowdisc.star_discrepancy_in_window(
                 ensemble, window, cap=star_disc_cap).d_star
@@ -88,20 +88,19 @@ def run_pic(ensemble: ParticleEnsemble,
         if on_record is not None:
             on_record(rec, ensemble)
 
-    emit(0, t_start)
+    emit(t_start)
     for i in range(1, n_steps + 1):
         pic.push(kind, ensemble, fields, dt, species)
         if i % out_stride == 0 or i == n_steps:
-            emit(i, t_start + i * dt)
+            emit(t_start + i * dt)
     return records
 
 
 @dataclass
 class CoupledResult:
-    """Diagnostics of both segments plus the handoff ensemble."""
+    """Diagnostics of both segments plus the final PIC ensemble."""
 
     rows: List[Tuple[str, DiagnosticsRecord]]
-    spectral_state: spectral.SpectralState
     ensemble: ParticleEnsemble
 
 
@@ -132,4 +131,4 @@ def run_coupled(ic: InitialCondition, domain: PhaseSpaceDomain,
                           on_record=on_pic_record)
     rows = [("spectral", r) for r in spec_records]
     rows += [("pic", r) for r in pic_records]
-    return CoupledResult(rows=rows, spectral_state=state, ensemble=ensemble)
+    return CoupledResult(rows=rows, ensemble=ensemble)

@@ -17,7 +17,6 @@ computed.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -106,21 +105,32 @@ class RunConfig:
         return _parse_window("star_disc_window", self.star_disc_window)
 
 
-# The keys the spectral branch of _run reads, directly or through
-# initial_condition() and domain(); with solver=spectral every other key
-# is a particle or handoff key that the run would ignore.
-_SPECTRAL_KEYS = frozenset({
-    "scenario", "solver", "epsilon", "k", "n_b", "sigma_b", "v_b", "v_min",
-    "v_max", "nx", "nv", "dt", "t_max", "output_stride", "dump_stride",
-    "hk_period", "outdir"})
+_KEY_TYPES = {f.name: float if f.name == "t0" else type(f.default)
+              for f in dataclass_fields(RunConfig)}
+
+# The keys a run of each solver reads: its branch of _run reads them
+# directly or through the RunConfig methods, and parse_config reads
+# `scenario` for the preset.  Every key rule derives from this table.
+_EVERY_RUN = frozenset({"scenario", "solver", "epsilon", "k", "n_b", "sigma_b",
+                        "v_b", "v_min", "v_max", "dt", "t_max", "output_stride",
+                        "dump_stride", "outdir"})
+_READS = {
+    "spectral": _EVERY_RUN | {"nx", "nv", "hk_period"},
+    "pic": _EVERY_RUN | {"n_f", "n_p", "integrator", "sequence", "sampling",
+                         "star_disc_period", "star_disc_window", "star_disc_cap"},
+    "coupled": _EVERY_RUN | {"nx", "nv", "n_f", "n_p", "t0", "n_pad",
+                             "integrator", "sequence", "hk_period"},
+}
+# the key that picks the points of each sequence
+_SEQUENCE_READS = {"sobol": {"sobol_skip"}, "pseudorandom": {"seed"}}
 
 
-def _unused_keys(solver: str) -> List[str]:
-    """The config keys that a run of ``solver`` never reads."""
-    if solver != "spectral":
-        return []
-    return [f.name for f in dataclass_fields(RunConfig)
-            if f.name not in _SPECTRAL_KEYS]
+def _reads(cfg: RunConfig) -> frozenset:
+    """The keys a run of cfg reads (all of them if its solver is unknown)."""
+    reads = _READS.get(cfg.solver, frozenset(_KEY_TYPES))
+    if "sequence" in reads:
+        reads = reads | _SEQUENCE_READS.get(cfg.sequence, set())
+    return reads
 
 
 def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
@@ -133,41 +143,19 @@ def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
     return parts  # type: ignore[return-value]
 
 
-def _coerce(key: str, text: str, pytype):
+def _key_value(token: str, allowed: dict, where: str):
+    """Split a ``key=value`` token, check the key against ``allowed`` (key ->
+    type) and coerce the value; errors start with ``where``."""
+    if "=" not in token:
+        raise ParseError(f"{where}: expected key=value, got {token!r}")
+    key, value = (part.strip() for part in token.split("=", 1))
+    if key not in allowed:
+        raise ParseError(f"{where}: unknown key '{key}'")
     try:
-        if pytype is float:
-            return float(text)
-        if pytype is int:
-            return int(text)
-        return text
+        return key, allowed[key](value)
     except ValueError:
-        raise ParseError(f"key '{key}': cannot parse {text!r} as {pytype.__name__}")
-
-
-def _known_keys():
-    types = {}
-    for f in dataclass_fields(RunConfig):
-        if f.name == "t0":
-            types[f.name] = float
-        else:
-            types[f.name] = type(getattr(RunConfig(), f.name))
-    return types
-
-
-def _read_config_text(text: str, source: str) -> dict:
-    known = _known_keys()
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or (line.startswith("[") and line.endswith("]")):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
-        out[key] = _coerce(key, value, known[key])
-    return out
+        raise ParseError(f"{where}: key '{key}': cannot parse {value!r} "
+                         f"as {allowed[key].__name__}")
 
 
 def parse_config(path: Optional[str] = None,
@@ -177,43 +165,39 @@ def parse_config(path: Optional[str] = None,
     Overrides are ``key=value`` tokens and win over file values; the
     scenario preset is applied first so explicit keys can refine it.
     """
-    file_kv = {}
+    explicit = {}
     if path is not None:
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise ParseError(f"cannot read config {path}: {exc}")
-        file_kv = _read_config_text(text, str(path))
-    known = _known_keys()
-    override_kv = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line and not (line.startswith("[") and line.endswith("]")):
+                key, value = _key_value(line, _KEY_TYPES, f"{path}:{lineno}")
+                explicit[key] = value
     for token in overrides or []:
-        if "=" not in token:
-            raise ParseError(f"override '{token}' is not key=value")
-        key, value = (part.strip() for part in token.split("=", 1))
-        if key not in known:
-            raise ParseError(f"unknown key '{key}'")
-        override_kv[key] = _coerce(key, value, known[key])
+        key, value = _key_value(token, _KEY_TYPES, "override")
+        explicit[key] = value
 
-    merged = {**file_kv, **override_kv}
     cfg = RunConfig()
-    scenario = merged.get("scenario", cfg.scenario)
+    scenario = explicit.get("scenario", cfg.scenario)
     if scenario in _SCENARIOS:
         eps, k, n_b, sigma_b, v_b, v_lo, v_hi = _SCENARIOS[scenario]
         cfg = replace(cfg, scenario=scenario, epsilon=eps, k=k, n_b=n_b,
                       sigma_b=sigma_b, v_b=v_b, v_min=v_lo, v_max=v_hi)
     elif scenario != "custom":
         raise ValidationError(f"unknown scenario '{scenario}'")
-    for key, value in merged.items():
-        cfg = replace(cfg, **{key: value})
-    _validate(cfg, merged)
+    cfg = replace(cfg, **explicit)
+    _validate(cfg, explicit)
     return cfg
 
 
 def _validate(cfg: RunConfig, explicit) -> None:
     """Check cfg; ``explicit`` holds the keys set in the file or overrides,
-    which must all be keys the chosen solver reads."""
+    which must all be keys the run reads."""
     problems = []
-    if cfg.solver not in ("spectral", "pic", "coupled"):
+    if cfg.solver not in _READS:
         problems.append(f"solver '{cfg.solver}' not in spectral|pic|coupled")
     if not cfg.dt > 0:
         problems.append("dt must be > 0")
@@ -227,17 +211,11 @@ def _validate(cfg: RunConfig, explicit) -> None:
         problems.append("n_b must lie in [0, 1)")
     if not cfg.v_max > cfg.v_min:
         problems.append("v_max must exceed v_min")
-    for name in ("nx", "nv", "n_f"):
-        if getattr(cfg, name) < 2:
-            problems.append(f"{name} must be >= 2")
-    if cfg.n_p < 1 and cfg.solver in ("pic", "coupled"):
-        problems.append("n_p must be >= 1")
-    if cfg.n_pad < 1:
-        problems.append("n_pad must be >= 1")
-    if cfg.output_stride < 1:
-        problems.append("output_stride must be >= 1")
-    if cfg.dump_stride < 0:
-        problems.append("dump_stride must be >= 0")
+    for name, least in (("nx", 2), ("nv", 2), ("n_f", 2), ("n_p", 1), ("n_pad", 1),
+                        ("output_stride", 1), ("sobol_skip", 1), ("seed", 0),
+                        ("dump_stride", 0), ("star_disc_period", 0), ("hk_period", 0)):
+        if getattr(cfg, name) < least:
+            problems.append(f"{name} must be >= {least}")
     if cfg.solver == "coupled":
         if cfg.t0 is None:
             problems.append("coupled runs require t0")
@@ -245,28 +223,18 @@ def _validate(cfg: RunConfig, explicit) -> None:
             problems.append("t0 must lie in (0, t_max)")
     if cfg.integrator not in {k.value for k in pic.IntegratorKind}:
         problems.append(f"integrator '{cfg.integrator}' unknown")
-    if cfg.sequence not in ("sobol", "pseudorandom"):
+    if cfg.sequence not in _SEQUENCE_READS:
         problems.append(f"sequence '{cfg.sequence}' not in sobol|pseudorandom")
-    if cfg.sobol_skip < 1:
-        problems.append("sobol_skip must be >= 1")
     if cfg.sampling not in ("its", "uniform"):
         problems.append(f"sampling '{cfg.sampling}' not in its|uniform")
-    if cfg.sampling == "uniform" and cfg.solver == "coupled":
-        problems.append("sampling=uniform is not used by solver=coupled "
-                        "(the handoff samples the spectral state)")
-    if cfg.seed != 0 and cfg.sequence == "sobol":
-        problems.append("seed is not used by sequence=sobol (use sobol_skip)")
-    if cfg.sobol_skip != 1 and cfg.sequence == "pseudorandom":
-        problems.append("sobol_skip is not used by sequence=pseudorandom (use seed)")
-    unused = [key for key in _unused_keys(cfg.solver) if key in explicit]
-    if unused:
-        problems.append(f"{', '.join(unused)} not used by solver={cfg.solver}")
-    if cfg.star_disc_period < 0 or cfg.hk_period < 0:
-        problems.append("diagnostic periods must be >= 0")
-    if cfg.star_disc_period > 0 and cfg.solver != "pic":
-        problems.append("star_disc_period is computed only by solver=pic")
-    if cfg.hk_period > 0 and cfg.solver == "pic":
-        problems.append("hk_period is not computed by solver=pic")
+    reads = _reads(cfg)
+    unread = [f.name for f in dataclass_fields(RunConfig)
+              if f.name in explicit and f.name not in reads]
+    if unread:
+        run = f"solver={cfg.solver}"
+        if "sequence" in reads:
+            run += f" sequence={cfg.sequence}"
+        problems.append(f"{', '.join(unread)} not read by {run}")
     try:
         cfg.window()
     except ParseError as exc:
@@ -277,16 +245,9 @@ def _validate(cfg: RunConfig, explicit) -> None:
 
 def echo_config(cfg: RunConfig, path: Path) -> None:
     """Write every key the run reads, so the echo parses back to cfg."""
-    lines = []
-    unused = _unused_keys(cfg.solver)
-    for f in dataclass_fields(RunConfig):
-        if f.name in unused:
-            continue
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {value}")
-    path.write_text("\n".join(lines) + "\n")
+    reads = _reads(cfg)
+    path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                            for f in dataclass_fields(RunConfig) if f.name in reads))
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +430,6 @@ def _error_line(exc: Exception) -> str:
     return "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)})
 
 
-def _parse_kv(tokens: List[str], allowed: dict, source="argument") -> dict:
-    out = {}
-    for token in tokens:
-        if "=" not in token:
-            raise ParseError(f"{source} '{token}' is not key=value")
-        key, value = token.split("=", 1)
-        if key not in allowed:
-            raise ParseError(f"unknown {source} key '{key}'")
-        out[key] = _coerce(key, value, allowed[key])
-    return out
-
-
 def _cmd_run(args: List[str]) -> int:
     config_path = None
     rest = []
@@ -498,35 +447,28 @@ def _cmd_run(args: List[str]) -> int:
     return 0
 
 
-def _sequence_from_kv(kv: dict) -> lowdisc.SequenceKind:
-    # as in _validate, a key the chosen sequence never reads is an error
-    sequence = kv.get("sequence", "sobol")
-    if sequence not in ("sobol", "pseudorandom"):
-        raise ValidationError(f"sequence '{sequence}' not in sobol|pseudorandom")
-    if sequence == "pseudorandom":
-        if "sobol_skip" in kv:
-            raise ValidationError("sobol_skip is not used by sequence=pseudorandom "
-                                  "(use seed)")
-        return lowdisc.PseudoRandom(seed=kv.get("seed", 0))
-    if "seed" in kv:
-        raise ValidationError("seed is not used by sequence=sobol (use sobol_skip)")
-    return lowdisc.Sobol(skip=kv.get("sobol_skip", 1))
-
-
 def _cmd_sample(args: List[str]) -> int:
     if len(args) < 2:
         raise ParseError("sample needs DUMP and OUT paths")
     src, dst, *rest = args
-    kv = _parse_kv(rest, {"n": int, "sequence": str, "seed": int, "sobol_skip": int})
-    n = kv.get("n", 0)
+    allowed = {"n": int, "sequence": str, "seed": int, "sobol_skip": int}
+    kv = dict(_key_value(token, allowed, "argument") for token in rest)
+    n = kv.pop("n", 0)
     if n < 1:
         raise ParseError("sample requires n >= 1")
-    sequence = _sequence_from_kv(kv)
+    # as in _validate, a key the chosen sequence never reads is an error
+    cfg = RunConfig(**kv)
+    if cfg.sequence not in _SEQUENCE_READS:
+        raise ValidationError(f"sequence '{cfg.sequence}' not in sobol|pseudorandom")
+    unread = [key for key in kv
+              if key != "sequence" and key not in _SEQUENCE_READS[cfg.sequence]]
+    if unread:
+        raise ValidationError(f"{', '.join(unread)} not read by sequence={cfg.sequence}")
     result = read_dump(src)
     if result[0] != "grid":
         raise FormatError("sample expects a grid dump")
     _, density, t = result
-    ensemble = sampling.sample_gridded_density(density, sequence, n)
+    ensemble = sampling.sample_gridded_density(density, cfg.sequence_kind(), n)
     write_particle_dump(dst, ensemble, density.domain, t)
     print(f"sampled {n} markers -> {dst}")
     return 0
@@ -536,7 +478,8 @@ def _cmd_reconstruct(args: List[str]) -> int:
     if len(args) < 2:
         raise ParseError("reconstruct needs DUMP and OUT paths")
     src, dst, *rest = args
-    kv = _parse_kv(rest, {"mode": str, "nx": int, "nv": int, "lam": float})
+    allowed = {"mode": str, "nx": int, "nv": int, "lam": float}
+    kv = dict(_key_value(token, allowed, "argument") for token in rest)
     mode = kv.get("mode", "osde")
     if mode not in ("osde", "interp"):
         raise ParseError("mode must be osde or interp")
@@ -559,7 +502,8 @@ def _cmd_discrepancy(args: List[str]) -> int:
     if len(args) < 1:
         raise ParseError("discrepancy needs a particle dump")
     src, *rest = args
-    kv = _parse_kv(rest, {"window": str, "cap": int})
+    kv = dict(_key_value(token, {"window": str, "cap": int}, "argument")
+              for token in rest)
     window = _parse_window("window", kv.get("window", "0,2,-1,1"))
     result = read_dump(src)
     if result[0] != "particles":
@@ -627,11 +571,6 @@ def cli_main(argv: List[str]) -> int:
 
 
 def main() -> None:
-    threads = os.environ.get("VPQMC_THREADS")
-    if threads:
-        # best-effort single knob for the BLAS/FFT pools linked into numpy
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     sys.exit(cli_main(sys.argv[1:]))
 
 

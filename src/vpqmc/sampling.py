@@ -85,10 +85,11 @@ class BilinearSampler:
     @classmethod
     def from_density(cls, g: GriddedDensity) -> "BilinearSampler":
         vals = g.values
-        if np.any(vals < 0):
+        # written so that NaN fails both checks
+        if not np.all(vals >= 0):
             raise ValueError("sampling density must be nonnegative")
         mass = g.mass()
-        if abs(mass - 1.0) > 1e-12:
+        if not abs(mass - 1.0) <= 1e-12:
             raise ValueError(f"sampling density mass {mass!r} is not 1 within 1e-12")
         gx = g.x_marginal_nodes()
         cell = 0.5 * g.dx * (gx + np.roll(gx, -1))
@@ -109,12 +110,6 @@ class BilinearSampler:
         ix = np.minimum(np.floor(tx).astype(np.int64), self.g.nx - 1)
         fx = tx - ix
         return ix, fx
-
-    def marginal_x_at(self, x):
-        """g_X(x): linear interpolation of the marginal nodes (periodic)."""
-        ix, fx = periodic_cell(x, self.g.domain.x_min, self.g.dx, self.g.nx)
-        gx = self.marginal_x_nodes
-        return (1.0 - fx) * gx[ix] + fx * gx[(ix + 1) % self.g.nx]
 
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# RUTH3 and SplitCoefficients are also re-exported from here
 from .core import (DiagnosticsRecord, ELECTRON, GriddedDensity,
                    InitialCondition, PhaseSpaceDomain, RUTH3, Species,
                    SplitCoefficients, eval_initial_f)
@@ -151,16 +152,15 @@ def apply_filter(s: SpectralState) -> SpectralState:
 
 
 def step_order3(s: SpectralState, dt: float, species: Species = ELECTRON,
-                coefficients: SplitCoefficients = RUTH3,
                 force_zero_field: bool = False) -> SpectralState:
-    """One composite kick-first split step followed by the filter.
+    """One composite kick-first RUTH3 split step followed by the filter.
 
     The field is recomputed before every kick (kicks preserve the charge
     density, so each sub-flow is exact).  ``force_zero_field`` is a
     diagnostic switch that turns the step into pure free streaming.
     """
     out = s
-    for c, d in zip(coefficients.drift, coefficients.kick):
+    for c, d in zip(RUTH3.drift, RUTH3.kick):
         if force_zero_field:
             out = kick_v(out, d * dt, species, e_field=np.zeros(out.nx))
         else:
@@ -277,34 +277,29 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
                  species: Species = ELECTRON,
                  out_stride: int = 1,
                  hk_period: int = 0,
-                 t_start: float = 0.0,
-                 state: Optional[SpectralState] = None,
                  on_record: Optional[Callable[[DiagnosticsRecord], None]] = None):
-    """Step the spectral solver from t_start to t_max.
+    """Step the spectral solver from the initial condition at t = 0 to t_max.
 
-    Diagnostics are emitted at t_start and then every ``out_stride`` steps
-    (the Hardy-Krause variation every ``hk_period`` records when > 0).
+    Diagnostics are emitted at t = 0 and then every ``out_stride`` steps
+    (the Hardy-Krause variation on every ``hk_period``-th record when > 0).
     ``on_record(record, state)`` is invoked per emission, e.g. for periodic
-    dumps.  Returns (records, final_state).  An explicit ``state``
-    overrides the initial-condition tabulation, e.g. to continue a run.
+    dumps.  Returns (records, final_state).
     """
-    if state is None:
-        state = state_from_initial_condition(ic, domain, nx, nv)
-        state.t = t_start
-    n_steps = int(round((t_max - t_start) / dt))
+    state = state_from_initial_condition(ic, domain, nx, nv)
+    n_steps = int(round(t_max / dt))
     records = []
 
-    def emit(step_index):
-        with_hk = hk_period > 0 and (step_index // out_stride) % hk_period == 0
+    def emit():
+        with_hk = hk_period > 0 and len(records) % hk_period == 0
         rec = diagnostics(state, species, with_hk=with_hk)
         records.append(rec)
         if on_record is not None:
             on_record(rec, state)
 
-    emit(0)
+    emit()
     for i in range(1, n_steps + 1):
         state = step_order3(state, dt, species)
-        state.t = t_start + i * dt
+        state.t = i * dt
         if i % out_stride == 0 or i == n_steps:
-            emit(i)
+            emit()
     return records, state

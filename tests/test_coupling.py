@@ -100,9 +100,13 @@ def test_run_pic_emits_cadence_and_star_disc():
                       t_start=0.0, t_max=0.5, out_stride=1,
                       star_disc_period=2, star_disc_window=(0, 2, -1, 1))
     assert [round(r.t, 10) for r in records] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    assert records[0].star_disc is not None
-    assert records[1].star_disc is None
-    assert records[2].star_disc is not None
+    assert [r.star_disc is not None for r in records] == [True, False] * 3
+    # every star_disc_period-th emitted record, also after a partial last stride
+    records = run_pic(e, solver, pic.IntegratorKind.RUTH3, dt=0.1,
+                      t_start=0.5, t_max=1.2, out_stride=2,
+                      star_disc_period=2, star_disc_window=(0, 2, -1, 1))
+    assert [round(r.t, 10) for r in records] == [0.5, 0.7, 0.9, 1.1, 1.2]
+    assert [r.star_disc is not None for r in records] == [True, False, True, False, True]
 
 
 @pytest.mark.parametrize("kind,per_step", [(pic.IntegratorKind.RUTH3, 3),

@@ -40,6 +40,14 @@ def test_zero_dt_rejected():
         parse_config(None, ["dt=0"])
 
 
+def test_negative_seed_rejected(tmp_path):
+    overrides = ["solver=pic", "sequence=pseudorandom", "seed=-1"]
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        parse_config(None, overrides)
+    assert cli_main(["run", *overrides, f"outdir={tmp_path / 'run'}"]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_coupled_requires_t0():
     with pytest.raises(ValidationError, match="t0"):
         parse_config(None, ["solver=coupled"])
@@ -129,9 +137,39 @@ def test_spectral_rejects_every_unused_key_at_once(capsys, tmp_path):
     assert "solver=spectral" in capsys.readouterr().err
 
 
-def test_spectral_key_list_covers_what_the_spectral_run_reads(tmp_path):
-    # every RunConfig field the spectral branch of _run reads is a key that
-    # solver=spectral accepts
+@pytest.mark.parametrize("overrides,unread", [
+    (["solver=pic", "nx=5", "n_pad=3"], "nx, n_pad"),
+    (["solver=coupled", "t0=1", "star_disc_cap=10"], "star_disc_cap"),
+    # rejected even at the default value
+    (["solver=pic", "hk_period=0"], "hk_period"),
+    (["solver=coupled", "t0=1", "sampling=its"], "sampling"),
+    (["solver=pic", "sequence=sobol", "seed=0"], "seed"),
+    (["solver=pic", "sequence=pseudorandom", "sobol_skip=1"], "sobol_skip"),
+], ids=["pic-nx-n_pad", "coupled-star_disc_cap", "pic-hk_period=0",
+        "coupled-sampling=its", "sobol-seed=0", "pseudorandom-sobol_skip=1"])
+def test_particle_runs_reject_keys_they_never_read(overrides, unread, tmp_path, capsys):
+    with pytest.raises(ValidationError, match=f"{unread} not read by solver="):
+        parse_config(None, overrides)
+    outdir = tmp_path / "run"
+    assert cli_main(["run", *overrides, f"outdir={outdir}"]) == 2
+    assert not outdir.exists()
+    assert unread in capsys.readouterr().err
+
+
+_RECORDED_RUNS = {
+    "spectral": ["solver=spectral", "nx=16", "nv=16"],
+    "pic-sobol": ["solver=pic", "n_p=200", "n_f=8", "star_disc_period=1"],
+    "pic-pseudorandom": ["solver=pic", "n_p=200", "n_f=8", "sequence=pseudorandom",
+                         "seed=3"],
+    "coupled": ["solver=coupled", "nx=16", "nv=16", "n_pad=2", "n_p=200", "n_f=8",
+                "t0=0.1", "hk_period=1"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RECORDED_RUNS))
+def test_key_table_matches_what_the_run_reads(run, tmp_path, monkeypatch):
+    # the RunConfig fields _run touches are exactly the keys the table
+    # declares for the run, less `scenario` (read by parse_config)
     names = {f.name for f in dataclasses.fields(RunConfig)}
     seen = set()
 
@@ -141,17 +179,71 @@ def test_spectral_key_list_covers_what_the_spectral_run_reads(tmp_path):
                 seen.add(name)
             return super().__getattribute__(name)
 
-    cfg = parse_config(None, ["solver=spectral", "nx=16", "nv=16", "dt=0.1",
-                              "t_max=0.2", "dump_stride=1", f"outdir={tmp_path}"])
+    cfg = parse_config(None, [*_RECORDED_RUNS[run], "dt=0.1", "t_max=0.2",
+                              "dump_stride=1", f"outdir={tmp_path}"])
+    monkeypatch.setattr(driver, "echo_config", lambda cfg, path: None)
     driver._run(Recording(**dataclasses.asdict(cfg)))
-    assert seen <= driver._SPECTRAL_KEYS
-    assert "nx" in seen and "dump_stride" in seen
+    reads = driver._reads(cfg)
+    assert seen <= reads
+    assert reads - seen <= {"scenario"}
 
 
-def test_benchmark_spectral_command_parses():
-    cfg = parse_config(None, ["scenario=landau", "solver=spectral", "nx=128",
-                              "nv=128", "dt=0.05", "t_max=50", "hk_period=10"])
-    assert cfg.solver == "spectral" and cfg.hk_period == 10
+_VALUES = {
+    "scenario": st.sampled_from(["landau", "linear_landau", "bump_on_tail", "custom"]),
+    "epsilon": st.floats(-1.0, 1.0),
+    "k": st.floats(0.01, 10.0),
+    "n_b": st.floats(0.0, 0.99),
+    "sigma_b": st.floats(0.01, 10.0),
+    "v_b": st.floats(-10.0, 10.0),
+    "v_min": st.floats(-20.0, -0.5),
+    "v_max": st.floats(0.5, 20.0),
+    "nx": st.integers(2, 512),
+    "nv": st.integers(2, 512),
+    "n_f": st.integers(2, 512),
+    "n_p": st.integers(1, 10 ** 7),
+    "dt": st.floats(1e-6, 1.0),
+    "t_max": st.floats(20.0, 1e4),
+    "t0": st.floats(1e-3, 19.0),
+    "n_pad": st.integers(1, 64),
+    "integrator": st.sampled_from(["euler", "euler2", "seuler", "midpoint", "cn",
+                                   "ruth3"]),
+    "seed": st.integers(0, 2 ** 63),
+    "sobol_skip": st.integers(1, 2 ** 40),
+    "sampling": st.sampled_from(["its", "uniform"]),
+    "output_stride": st.integers(1, 1000),
+    "dump_stride": st.integers(0, 1000),
+    "star_disc_period": st.integers(0, 1000),
+    "star_disc_window": st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4).map(
+        lambda xs: ",".join(map(repr, xs))),
+    "star_disc_cap": st.integers(1, 10 ** 6),
+    "hk_period": st.integers(0, 1000),
+    "outdir": st.text("abz09_-./", min_size=1, max_size=20),
+}
+
+
+@st.composite
+def _explicit_keys(draw):
+    solver = draw(st.sampled_from(["spectral", "pic", "coupled"]))
+    reads = driver._READS[solver]
+    required = {"solver": solver}
+    if "sequence" in reads:
+        required["sequence"] = draw(st.sampled_from(sorted(driver._SEQUENCE_READS)))
+        reads = reads | driver._SEQUENCE_READS[required["sequence"]]
+    if solver == "coupled":
+        required["t0"] = draw(_VALUES["t0"])
+    keys = draw(st.sets(st.sampled_from(sorted(reads - set(required)))))
+    return {**required, **{key: draw(_VALUES[key]) for key in sorted(keys)}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(explicit=_explicit_keys())
+def test_config_echo_round_trip(tmp_path_factory, explicit):
+    cfg = parse_config(None, [f"{key}={value}" for key, value in explicit.items()])
+    echo = tmp_path_factory.mktemp("echo") / "config.echo.cfg"
+    driver.echo_config(cfg, echo)
+    assert parse_config(str(echo)) == cfg
+    echoed = {line.split(" = ")[0] for line in echo.read_text().splitlines()}
+    assert echoed == driver._reads(cfg)
 
 
 # --- dumps ---------------------------------------------------------------------

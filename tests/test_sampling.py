@@ -31,6 +31,15 @@ def _random_sampler(seed, domain=None, nx=9, nv=8):
     return _sampler(domain, rng.random((nx, nv)) + 0.05)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampler_rejects_a_non_finite_node(bad):
+    values = np.ones((4, 5))  # unit mass on the unit square
+    build_sampler(GriddedDensity(UNIT, values))
+    values[2, 3] = bad
+    with pytest.raises(ValueError, match="sampling density"):
+        build_sampler(GriddedDensity(UNIT, values))
+
+
 # --- marginal inversion -------------------------------------------------------
 
 def test_uniform_marginal_identity():

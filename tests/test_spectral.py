@@ -293,10 +293,13 @@ def test_run_emits_expected_cadence():
 
 
 def test_run_hk_period_toggles_field():
-    records, _ = run_spectral(LANDAU, DOM, 16, 16, 0.1, 0.5, hk_period=2)
-    assert records[0].hk_variation is not None
-    assert records[1].hk_variation is None
-    assert records[2].hk_variation is not None
+    # every hk_period-th emitted record, also when the last stride is partial
+    # (steps 0, 2, 4, 5 are emitted below)
+    for stride, expected in ((1, [True, False, True, False, True, False]),
+                             (2, [True, False, True, False])):
+        records, _ = run_spectral(LANDAU, DOM, 16, 16, 0.1, 0.5,
+                                  out_stride=stride, hk_period=2)
+        assert [r.hk_variation is not None for r in records] == expected
 
 
 def test_run_bump_on_tail_grows_then_saturates():
