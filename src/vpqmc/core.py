@@ -171,18 +171,13 @@ def v_trapezoid_weights(nv: int) -> np.ndarray:
     return w
 
 
-def periodic_cell(x, x_min: float, h: float, n: int, out=None):
+def periodic_cell(x, x_min: float, h: float, n: int):
     """Cell index i in 0..n-1 and local coordinate in [0, 1] of x on the
-    periodic grid x_min + i*h (n cells, the last one wrapping).
-
-    ``out`` is an optional (int64, float64) pair of arrays shaped like x
-    that receives (i, u) in place, so repeated lookups reuse the buffers.
-    """
+    periodic grid x_min + i*h (n cells, the last one wrapping)."""
     x = np.asarray(x, dtype=float)
-    i, u = out if out is not None else (np.empty(x.shape, np.int64), np.empty(x.shape))
-    np.subtract(x, x_min, out=u)
+    u = np.subtract(x, x_min, out=np.empty(x.shape))
     u /= h
-    np.floor(u, out=i, casting="unsafe")
+    i = np.floor(u, out=np.empty(x.shape, np.int64), casting="unsafe")
     u -= i
     if i.size and (i.min() < 0 or i.max() >= n):  # the modulo is the slow pass
         i %= n

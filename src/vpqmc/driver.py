@@ -123,6 +123,11 @@ _READS = {
 }
 # the key that picks the points of each sequence
 _SEQUENCE_READS = {"sobol": {"sobol_skip"}, "pseudorandom": {"seed"}}
+# the least value of each integer key; the subcommands check the arguments
+# that stand for these keys against the same bounds
+_LEAST = {"nx": 2, "nv": 2, "n_f": 2, "n_p": 1, "n_pad": 1, "output_stride": 1,
+          "sobol_skip": 1, "seed": 0, "dump_stride": 0, "star_disc_period": 0,
+          "star_disc_cap": 1, "hk_period": 0}
 
 
 def _reads(cfg: RunConfig) -> frozenset:
@@ -131,6 +136,20 @@ def _reads(cfg: RunConfig) -> frozenset:
     if "sequence" in reads:
         reads = reads | _SEQUENCE_READS.get(cfg.sequence, set())
     return reads
+
+
+def _too_small(values: dict, names: Optional[dict] = None) -> List[str]:
+    """A message for each key in ``values`` below its least value;
+    ``names`` maps a key to the argument name that stands for it."""
+    names = names or {}
+    return [f"{names.get(key, key)} must be >= {least}" for key, least in _LEAST.items()
+            if key in values and values[key] < least]
+
+
+def _check_least(values: dict, names: Optional[dict] = None) -> None:
+    problems = _too_small(values, names)
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
 def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
@@ -211,11 +230,7 @@ def _validate(cfg: RunConfig, explicit) -> None:
         problems.append("n_b must lie in [0, 1)")
     if not cfg.v_max > cfg.v_min:
         problems.append("v_max must exceed v_min")
-    for name, least in (("nx", 2), ("nv", 2), ("n_f", 2), ("n_p", 1), ("n_pad", 1),
-                        ("output_stride", 1), ("sobol_skip", 1), ("seed", 0),
-                        ("dump_stride", 0), ("star_disc_period", 0), ("hk_period", 0)):
-        if getattr(cfg, name) < least:
-            problems.append(f"{name} must be >= {least}")
+    problems += _too_small(vars(cfg))
     if cfg.solver == "coupled":
         if cfg.t0 is None:
             problems.append("coupled runs require t0")
@@ -259,15 +274,21 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_timeseries(path, rows: List[Tuple[str, DiagnosticsRecord]]) -> None:
-    """CSV writer: fixed header, '.' decimal, 17 significant digits."""
-    lines = [",".join(CSV_HEADER)]
+def write_timeseries(path, rows: List[Tuple[str, DiagnosticsRecord]],
+                     mode: str = "w") -> None:
+    """CSV writer: fixed header, '.' decimal, 17 significant digits.
+
+    Mode "w" starts the file with the header; mode "a" appends the rows to
+    it, so a run can stream each row as it is emitted.
+    """
+    lines = [",".join(CSV_HEADER)] if mode == "w" else []
     for segment, r in rows:
         lines.append(",".join([
             _fmt(r.t), segment, _fmt(r.field_energy), _fmt(r.kinetic_energy),
             _fmt(r.total_energy), _fmt(r.total_mass), _fmt(r.entropy),
             _fmt(r.star_disc), _fmt(r.hk_variation)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, mode) as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _sidecar_path(path) -> Path:
@@ -353,18 +374,22 @@ def _run(cfg: RunConfig) -> Path:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, outdir / "config.echo.cfg")
+    timeseries = outdir / "timeseries.csv"
+    write_timeseries(timeseries, [])
     ic, domain = cfg.initial_condition(), cfg.domain()
 
     emitted = {"n": 0}
 
-    def periodic_dump(rec, carrier):
-        # every dump_stride-th emitted record; 0 disables
+    def on_record(rec, carrier):
+        # stream the row; dump every dump_stride-th emitted record (0 disables)
+        spectral_record = isinstance(carrier, spectral.SpectralState)
+        write_timeseries(timeseries, [("spectral" if spectral_record else "pic", rec)], "a")
         n = emitted["n"]
         emitted["n"] += 1
         if cfg.dump_stride < 1 or n % cfg.dump_stride != 0:
             return
         stamp = f"t{rec.t:012.5f}"
-        if isinstance(carrier, spectral.SpectralState):
+        if spectral_record:
             write_grid_dump(outdir / f"state_{stamp}.grid",
                             spectral.zero_pad(carrier, 1), rec.t)
         else:
@@ -372,23 +397,21 @@ def _run(cfg: RunConfig) -> Path:
                                 domain, rec.t)
 
     if cfg.solver == "spectral":
-        records, state = spectral.run_spectral(
+        _, state = spectral.run_spectral(
             ic, domain, cfg.nx, cfg.nv, cfg.dt, cfg.t_max,
             out_stride=cfg.output_stride, hk_period=cfg.hk_period,
-            on_record=periodic_dump)
-        rows = [("spectral", r) for r in records]
+            on_record=on_record)
         write_grid_dump(outdir / "final_state.grid",
                         spectral.zero_pad(state, 1), state.t)
     elif cfg.solver == "pic":
         ensemble = _initial_ensemble(cfg)
         solver = pic.SplinePoissonSolver.build(domain.x_min, domain.length, cfg.n_f)
-        records = coupling.run_pic(
+        coupling.run_pic(
             ensemble, solver, cfg.integrator_kind(), cfg.dt, 0.0, cfg.t_max,
             out_stride=cfg.output_stride,
             star_disc_period=cfg.star_disc_period,
             star_disc_window=cfg.window(), star_disc_cap=cfg.star_disc_cap,
-            on_record=periodic_dump)
-        rows = [("pic", r) for r in records]
+            on_record=on_record)
         write_particle_dump(outdir / "final_particles.dump", ensemble,
                             domain, cfg.t_max)
     else:
@@ -398,11 +421,9 @@ def _run(cfg: RunConfig) -> Path:
             ic, domain, cfg.nx, cfg.nv, cfg.dt, cfg.t_max, cfgh,
             kind=cfg.integrator_kind(), out_stride=cfg.output_stride,
             hk_period=cfg.hk_period,
-            on_spectral_record=periodic_dump, on_pic_record=periodic_dump)
-        rows = result.rows
+            on_spectral_record=on_record, on_pic_record=on_record)
         write_particle_dump(outdir / "final_particles.dump", result.ensemble,
                             domain, cfg.t_max)
-    write_timeseries(outdir / "timeseries.csv", rows)
     return outdir
 
 
@@ -456,6 +477,7 @@ def _cmd_sample(args: List[str]) -> int:
     n = kv.pop("n", 0)
     if n < 1:
         raise ParseError("sample requires n >= 1")
+    _check_least(kv)
     # as in _validate, a key the chosen sequence never reads is an error
     cfg = RunConfig(**kv)
     if cfg.sequence not in _SEQUENCE_READS:
@@ -483,6 +505,7 @@ def _cmd_reconstruct(args: List[str]) -> int:
     mode = kv.get("mode", "osde")
     if mode not in ("osde", "interp"):
         raise ParseError("mode must be osde or interp")
+    _check_least(kv)
     result = read_dump(src)
     if result[0] != "particles":
         raise FormatError("reconstruct expects a particle dump")
@@ -505,12 +528,13 @@ def _cmd_discrepancy(args: List[str]) -> int:
     kv = dict(_key_value(token, {"window": str, "cap": int}, "argument")
               for token in rest)
     window = _parse_window("window", kv.get("window", "0,2,-1,1"))
+    cap = kv.get("cap", RunConfig.star_disc_cap)
+    _check_least({"star_disc_cap": cap}, {"star_disc_cap": "cap"})
     result = read_dump(src)
     if result[0] != "particles":
         raise FormatError("discrepancy expects a particle dump")
     _, ensemble, domain, t = result
-    res = lowdisc.star_discrepancy_in_window(ensemble, window,
-                                             cap=kv.get("cap", 4000))
+    res = lowdisc.star_discrepancy_in_window(ensemble, window, cap=cap)
     print("t,n_in_window,d_star")
     print(f"{_fmt(t)},{res.n_in_window},{_fmt(res.d_star)}")
     return 0

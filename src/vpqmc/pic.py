@@ -3,12 +3,15 @@ integrator family with explicit likelihood bookkeeping, and the
 Monte-Carlo estimators of the conserved quantities.
 
 Charge deposition and field evaluation share one periodic cubic B-spline
-basis (Galerkin consistency); the circulant stiffness matrix is inverted
-spectrally with the constant null space pinned to zero mean.  Pushers
-advance the ensemble by rebinding its arrays to new ones, never by
-writing into them; the dissipative explicit Euler variants rescale the
-likelihoods by the one-step flow determinant, all other kinds leave them
-untouched.
+basis (Galerkin consistency), read from one table of its polynomial
+pieces: the deposit applies the table to per-cell power moments of the
+marker weights, the evaluation applies its transpose to the coefficients,
+so each is the adjoint of the other.  The circulant stiffness matrix is
+inverted spectrally with the constant null space pinned to zero mean.
+Pushers advance the ensemble by rebinding its arrays to new ones, never
+by writing into them; the dissipative explicit Euler variants rescale
+the likelihoods by the one-step flow determinant, all other kinds leave
+them untouched.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ELECTRON, RUTH3, ParticleEnsemble, Species, periodic_cell
 
@@ -47,9 +51,13 @@ _FIXED_POINT_CAP = 100
 # ---------------------------------------------------------------------------
 # cubic B-spline basis on a uniform periodic grid
 
-#: Offsets, relative to a marker's cell, of the four cubic B-splines that
-#: cover it.
-_OFFSETS = (-1, 0, 1, 2)
+#: The four cubic B-splines that cover a cell, at cell offsets -1, 0, 1
+#: and 2 (rows), as polynomials in the local coordinate u: column p holds
+#: the coefficient of u^p, so the first row is (1 - u)^3 / 6.
+_BSPLINE3 = np.array([[1.0, -3.0, 3.0, -1.0],
+                      [4.0, 0.0, -6.0, 3.0],
+                      [1.0, 3.0, 3.0, -3.0],
+                      [0.0, 0.0, 0.0, 1.0]]) / 6.0
 
 
 @dataclass(frozen=True)
@@ -98,113 +106,54 @@ class SplineStencil:
     """One position array located on a solver's cubic B-spline grid.
 
     Holds each position's cell ``i`` and local coordinate ``u`` (from
-    :func:`core.periodic_cell`) plus per-marker scratch, so the charge
-    deposit and every spline evaluation at the same positions share one
-    lookup.  :meth:`relocate` reuses the buffers for the next position
-    array of the same length.  The weights are computed offset by offset
-    into scratch with the arithmetic of the textbook formulas (kept in
-    ``tests/oracles.py``), so results match them bit for bit.
+    :func:`core.periodic_cell`), so the charge deposit and every spline
+    evaluation at the same positions share one lookup; :meth:`relocate`
+    moves it to the next position array.  Both kernels read the one
+    coefficient table ``_BSPLINE3``: the deposit applies it to per-cell
+    power moments of the weights, the evaluation applies its transpose to
+    the coefficients and runs Horner in u at the positions.
     """
 
     def __init__(self, solver: SplinePoissonSolver, x: np.ndarray):
         self.solver = solver
-        self.x = None
         self.relocate(x)
 
     def relocate(self, x: np.ndarray) -> None:
-        if self.x is None or self.x.shape != x.shape:
-            self.i = np.empty(x.shape, dtype=np.int64)
-            self.u, self._u3, self._w, self._tmp = (np.empty(x.shape) for _ in range(4))
         s = self.solver
-        periodic_cell(x, s.x_min, s.dx, s.n_f, out=(self.i, self.u))
-        np.power(self.u, 3, out=self._u3)
+        self.i, self.u = periodic_cell(x, s.x_min, s.dx, s.n_f)
         self.x = x
-
-    def _weight(self, order: int, off: int) -> np.ndarray:
-        """The order-th derivative (0, 1 or 2) of the B-spline at cell
-        offset ``off`` at every u, written into scratch."""
-        u, u3, w, t = self.u, self._u3, self._w, self._tmp
-        if order == 0:
-            if off == -1:                     # (1-u)^3 / 6
-                np.subtract(1.0, u, out=t)
-                np.multiply(t, t, out=w)
-                w *= t
-            elif off == 0:                    # (3u^3 - 6u^2 + 4) / 6
-                np.multiply(3.0, u3, out=w)
-                np.square(u, out=t)
-                t *= 6.0
-                w -= t
-                w += 4.0
-            elif off == 1:                    # (-3u^3 + 3u^2 + 3u + 1) / 6
-                np.multiply(-3.0, u3, out=w)
-                np.square(u, out=t)
-                t *= 3.0
-                w += t
-                np.multiply(3.0, u, out=t)
-                w += t
-                w += 1.0
-            else:                             # u^3 / 6
-                np.copyto(w, u3)
-            w /= 6.0
-        elif order == 1:
-            if off == -1:                     # -(1-u)^2 / 2
-                np.subtract(1.0, u, out=t)
-                np.multiply(-0.5, t, out=w)
-                w *= t
-            elif off == 0:                    # 1.5u^2 - 2u
-                np.square(u, out=w)
-                w *= 1.5
-                np.multiply(2.0, u, out=t)
-                w -= t
-            elif off == 1:                    # -1.5u^2 + u + 0.5
-                np.square(u, out=w)
-                w *= -1.5
-                w += u
-                w += 0.5
-            else:                             # u^2 / 2
-                np.square(u, out=w)
-                w *= 0.5
-        else:
-            if off == -1:                     # 1 - u
-                np.subtract(1.0, u, out=w)
-            elif off == 0:                    # 3u - 2
-                np.multiply(3.0, u, out=w)
-                w -= 2.0
-            elif off == 1:                    # -3u + 1
-                np.multiply(-3.0, u, out=w)
-                w += 1.0
-            else:                             # u
-                np.copyto(w, u)
-        return w
 
     def deposit(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k N_j(x_k) for every basis function j.
 
-        Each offset's contributions are binned by the marker's own cell,
-        then each cell's bin is added to its neighbour's entry (a rotation,
-        so no entry repeats); every entry sums in the same (marker-index)
-        order as binning by the neighbour index would.
+        The power moments sum_k weights_k u_k^p of each cell (p = 0..3)
+        times the table give each offset's contribution by the marker's
+        own cell; each is then added to its neighbour's entry (a
+        rotation, so no entry repeats).
         """
         n = self.solver.n_f
+        moments = np.empty((4, n))
+        wu = weights
+        for p in range(4):
+            if p:
+                wu = wu * self.u
+            moments[p] = np.bincount(self.i, weights=wu, minlength=n)
         b = np.zeros(n)
-        for k, off in enumerate(_OFFSETS):
-            wgt = self._weight(0, off)
-            wgt *= weights
-            b[self.solver.neighbours[k:k + n]] += np.bincount(self.i, weights=wgt,
-                                                              minlength=n)
+        for k, row in enumerate(_BSPLINE3 @ moments):
+            b[self.solver.neighbours[k:k + n]] += row
         return b
 
     def evaluate(self, coeffs: np.ndarray, order: int) -> np.ndarray:
-        """The order-th derivative of sum_j coeffs_j N_j at the positions."""
+        """The order-th u-derivative of sum_j coeffs_j N_j at the positions."""
         n = self.solver.n_f
-        padded = coeffs[self.solver.neighbours]
-        out = np.zeros(self.u.shape)
-        for k, off in enumerate(_OFFSETS):
-            wgt = self._weight(order, off)
-            # mode="clip" (i is in range) lets take write into out unbuffered
-            gathered = np.take(padded[k:k + n], self.i, out=self._tmp, mode="clip")
-            gathered *= wgt
-            out += gathered
+        window = sliding_window_view(coeffs[self.solver.neighbours], n)
+        poly = _BSPLINE3.T @ window          # row p: each cell's u^p coefficient
+        for _ in range(order):
+            poly = poly[1:] * np.arange(1.0, len(poly))[:, None]
+        out = np.take(poly[-1], self.i)
+        for row in poly[-2::-1]:
+            out *= self.u
+            out += np.take(row, self.i)
         return out
 
 
@@ -274,30 +223,24 @@ def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray,
     return FieldSolution(coeffs=coeffs, solver=solver, t=t)
 
 
-def _spline_eval(field: FieldSolution, x, order: int) -> np.ndarray:
+def _spline_eval(field: FieldSolution, x, order: int, scale: float = 1.0) -> np.ndarray:
+    """The order-th u-derivative of the spline scale * coeffs at x."""
     stencil = _stencil_at(field.stencil, field.solver, x)
-    return stencil.evaluate(field.coeffs, order)
+    return stencil.evaluate(scale * field.coeffs, order)
 
 
 def eval_phi(field: FieldSolution, x):
     return _spline_eval(field, x, 0)
 
 
-def _minus_derivative(field: FieldSolution, x, order: int) -> np.ndarray:
-    out = _spline_eval(field, x, order)
-    np.negative(out, out=out)
-    out /= field.solver.dx ** order
-    return out
-
-
 def eval_E(field: FieldSolution, x):
     """E = -Phi'(x); continuous and C1 across knots."""
-    return _minus_derivative(field, x, 1)
+    return _spline_eval(field, x, 1, -1.0 / field.solver.dx)
 
 
 def eval_dE(field: FieldSolution, x):
     """dE/dx = -Phi''(x) from the analytic second derivative of the spline."""
-    return _minus_derivative(field, x, 2)
+    return _spline_eval(field, x, 2, -1.0 / field.solver.dx ** 2)
 
 
 def field_energy(field: FieldSolution) -> float:

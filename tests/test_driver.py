@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vpqmc.core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.core import DiagnosticsRecord
-from vpqmc import driver
+from vpqmc import driver, pic
 from vpqmc.driver import (CSV_HEADER, FormatError, ParseError, RunConfig,
                           ValidationError, cli_main, parse_config, read_dump,
                           write_grid_dump, write_particle_dump,
@@ -46,6 +46,17 @@ def test_negative_seed_rejected(tmp_path):
         parse_config(None, overrides)
     assert cli_main(["run", *overrides, f"outdir={tmp_path / 'run'}"]) == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_star_disc_cap_below_one_rejected(tmp_path, capsys, cap):
+    # cap=0 used to divide by zero after writing the echo, and cap=-3 ran
+    # with a negative stride, taking the D* of about three markers
+    outdir = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "n_p=50", "star_disc_period=1",
+                     f"star_disc_cap={cap}", f"outdir={outdir}"]) == 2
+    assert "star_disc_cap must be >= 1" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_coupled_requires_t0():
@@ -343,6 +354,29 @@ def test_cli_run_deterministic(tmp_path, capsys):
         (out1 / "timeseries.csv").read_bytes()
 
 
+def test_failed_run_keeps_the_rows_emitted_before_it(tmp_path, monkeypatch):
+    # a push that diverges at step N leaves the header and the N rows
+    # emitted before it (t = 0 and steps 1..N-1), as a full run wrote them
+    args = ["run", "scenario=landau", "solver=pic", "integrator=midpoint", "n_p=300",
+            "n_f=8", "dt=0.1", "t_max=1.0"]
+    assert cli_main(args + [f"outdir={tmp_path / 'full'}"]) == 0
+    full = (tmp_path / "full" / "timeseries.csv").read_text().splitlines()
+    n_fail = 4
+    steps = {"n": 0}
+    push = pic.push
+
+    def diverging_push(*a, **kw):
+        steps["n"] += 1
+        if steps["n"] == n_fail:
+            raise pic.FixedPointDiverged("stalled", 100, 1.0)
+        push(*a, **kw)
+
+    monkeypatch.setattr(pic, "push", diverging_push)
+    assert cli_main(args + [f"outdir={tmp_path / 'failed'}"]) == 1
+    kept = (tmp_path / "failed" / "timeseries.csv").read_text().splitlines()
+    assert kept == full[:1 + n_fail]
+
+
 def test_cli_pic_run_writes_particles(tmp_path):
     outdir = tmp_path / "picrun"
     rc = cli_main(["run", "scenario=landau", "solver=pic", "n_p=500",
@@ -391,6 +425,43 @@ def test_cli_sample_rejects_key_the_sequence_never_reads(tmp_path, capsys, args,
     assert cli_main(["sample", str(src), str(out), "n=10", "sequence=pseudorandom",
                      "seed=3"]) == 0
     assert cli_main(["sample", str(src), str(out), "n=10", "sobol_skip=3"]) == 0
+
+
+def _particle_dump(path):
+    e = ParticleEnsemble(x=[0.5, 1.0], v=[0.0, 0.5], f_like=[1.0, 1.0],
+                         g_like=[1.0, 1.0])
+    write_particle_dump(path, e, PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0), 0.0)
+    return path
+
+
+@pytest.mark.parametrize("args,problem", [
+    (["n=10", "sobol_skip=0"], "sobol_skip must be >= 1"),
+    (["n=10", "sequence=pseudorandom", "seed=-1"], "seed must be >= 0"),
+])
+def test_cli_sample_bounds_are_usage_errors(tmp_path, capsys, args, problem):
+    src = tmp_path / "g.bin"
+    write_grid_dump(src, GriddedDensity(PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0),
+                                        np.ones((8, 8))), t=0.0)
+    out = tmp_path / "out.bin"
+    assert cli_main(["sample", str(src), str(out), *args]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reconstruct_bounds_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "out.bin"
+    assert cli_main(["reconstruct", str(_particle_dump(tmp_path / "p.dump")), str(out),
+                     "nx=1", "nv=1"]) == 2
+    assert "nx must be >= 2; nv must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_discrepancy_cap_below_one_is_usage_error(tmp_path, capsys):
+    assert cli_main(["discrepancy", str(_particle_dump(tmp_path / "p.dump")),
+                     "cap=0"]) == 2
+    captured = capsys.readouterr()
+    assert "cap must be >= 1" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_sample_and_reconstruct_round_trip(tmp_path):
@@ -459,10 +530,7 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 
 def test_cli_bad_window_is_usage_error(tmp_path, capsys):
-    dump = tmp_path / "p.dump"
-    e = ParticleEnsemble(x=[0.5, 1.0], v=[0.0, 0.5], f_like=[1.0, 1.0],
-                         g_like=[1.0, 1.0])
-    write_particle_dump(dump, e, PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0), 0.0)
+    dump = _particle_dump(tmp_path / "p.dump")
     assert cli_main(["discrepancy", str(dump), "window=a,b,c,d"]) == 2
     outdir = tmp_path / "run"
     assert cli_main(["run", "solver=pic", "star_disc_window=a,b,c,d",

@@ -71,7 +71,22 @@ def test_deposit_sum_identity():
     assert np.sum(b) == pytest.approx(np.mean(w) - L, abs=1e-12)
 
 
-# --- one stencil per position array: bitwise against the reference formulas -----
+# --- one stencil per position array, against the textbook formulas --------------
+
+# The moment deposit and the Horner evaluation regroup the terms of the
+# textbook formulas in tests/oracles.py (monomials in u, summed per cell),
+# so they agree with them to rounding, not bit for bit.  Two orders of one
+# floating-point sum differ by a few ulps of the sum of the absolute values
+# of its terms.  The monomial coefficients of every B-spline piece and of
+# its first two u-derivatives sum to at most 5 in absolute value, so that
+# sum is at most 5 * sum_k |w_k| for a deposit entry and 4 * 5 * max_j |c_j|
+# for a spline value.
+ORACLE_ULPS = 4
+
+
+def _oracle_atol(abs_terms):
+    return ORACLE_ULPS * np.finfo(float).eps * abs_terms
+
 
 def _edge_positions(x_min, length, n=300):
     # the period's ends, one ulp below its right end, points left of x_min
@@ -82,27 +97,40 @@ def _edge_positions(x_min, length, n=300):
     return np.concatenate([edges, rest])
 
 
-@pytest.mark.parametrize("x_min", [0.0, -1.3])
-def test_stencil_path_matches_reference_bitwise(x_min):
+def _edge_field(x_min):
     length = 4 * np.pi
     solver = SplinePoissonSolver.build(x_min, length, 16)
-    dx = solver.dx
     x = _edge_positions(x_min, length)
     rng = np.random.default_rng(5)
     e = _ensemble(x, np.zeros_like(x), f=rng.random(x.size) - 0.2,
                   g=rng.random(x.size) + 0.5)
-    ref_b = oracles.spline_deposit_reference(x, e.weights(), x_min, dx, 16)
-    ref_b /= e.n_p
-    np.testing.assert_array_equal(deposit_rhs(e, solver), -1.0 * (ref_b - dx))
+    return solver, e, SelfConsistentField(solver)(e)
 
-    field = SelfConsistentField(solver)(e)
+
+@pytest.mark.parametrize("x_min", [0.0, -1.3])
+def test_stencil_path_matches_textbook_oracle(x_min):
+    solver, e, field = _edge_field(x_min)
+    dx, x, w = solver.dx, e.x, e.weights()
+    ref_b = oracles.spline_deposit_reference(x, w, x_min, dx, 16)
+    np.testing.assert_allclose(pic.SplineStencil(solver, x).deposit(w), ref_b, rtol=0,
+                               atol=_oracle_atol(5 * np.sum(np.abs(w))))
+
     c = field.coeffs
     ref = [oracles.spline_eval_reference(c, x, x_min, dx, 16, order) for order in (0, 1, 2)]
+    atol = _oracle_atol(4 * 5 * np.max(np.abs(c)))
+    np.testing.assert_allclose(pic.eval_phi(field, x), ref[0], rtol=0, atol=atol)
+    np.testing.assert_allclose(pic.eval_E(field, x), -ref[1] / dx, rtol=0, atol=atol / dx)
+    np.testing.assert_allclose(pic.eval_dE(field, x), -ref[2] / dx ** 2, rtol=0,
+                               atol=atol / dx ** 2)
+
+
+@pytest.mark.parametrize("x_min", [0.0, -1.3])
+def test_deposited_stencil_matches_one_off_stencil_bitwise(x_min):
     # the stencil the field was deposited from, and a one-off stencil
-    for at in (e.x, x.copy()):
-        np.testing.assert_array_equal(pic.eval_phi(field, at), ref[0])
-        np.testing.assert_array_equal(pic.eval_E(field, at), -ref[1] / dx)
-        np.testing.assert_array_equal(pic.eval_dE(field, at), -ref[2] / dx ** 2)
+    _, e, field = _edge_field(x_min)
+    assert field.stencil.x is e.x
+    for ev in (pic.eval_phi, pic.eval_E, pic.eval_dE):
+        np.testing.assert_array_equal(ev(field, e.x), ev(field, e.x.copy()))
 
 
 def test_stencil_path_with_no_markers():
@@ -452,11 +480,10 @@ def test_positions_wrapped_into_period():
 
 
 def test_basis_translation_invariance_and_momentum_drift():
-    # the derivative weights of the basis sum to zero pointwise (the
+    # the derivative of the basis functions' sum vanishes pointwise (the
     # translation-invariance identity behind momentum balance) ...
     stencil = pic.SplineStencil(_solver(), np.random.default_rng(2).uniform(0, L, 100))
-    d = sum(stencil._weight(1, off).copy() for off in (-1, 0, 1, 2))
-    np.testing.assert_allclose(d, 0.0, atol=1e-14)
+    np.testing.assert_allclose(stencil.evaluate(np.ones(16), 1), 0.0, atol=1e-14)
     # ... and the self-consistent momentum drift per step stays at the
     # deposition-aliasing level (the Galerkin derivative force is not
     # exactly momentum conserving; the error scales with field amplitude
