@@ -125,7 +125,7 @@ _READS = {
 _SEQUENCE_READS = {"sobol": {"sobol_skip"}, "pseudorandom": {"seed"}}
 # the least value of each integer key; the subcommands check the arguments
 # that stand for these keys against the same bounds
-_LEAST = {"nx": 2, "nv": 2, "n_f": 2, "n_p": 1, "n_pad": 1, "output_stride": 1,
+_LEAST = {"nx": 2, "nv": 2, "n_f": 4, "n_p": 1, "n_pad": 1, "output_stride": 1,
           "sobol_skip": 1, "seed": 0, "dump_stride": 0, "star_disc_period": 0,
           "star_disc_cap": 1, "hk_period": 0}
 

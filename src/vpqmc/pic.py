@@ -40,7 +40,6 @@ class IntegratorKind(enum.Enum):
     EXPLICIT_EULER2 = "euler2"
     SYMPLECTIC_EULER = "seuler"
     IMPLICIT_MIDPOINT = "midpoint"
-    CRANK_NICOLSON = "cn"
     RUTH3 = "ruth3"
 
 
@@ -311,12 +310,11 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
     ``fields`` is the field machinery: a callable mapping the current
     ensemble to a field object with E(x) and dE(x) (use
     :class:`SelfConsistentField` for production, :class:`FrozenField` for
-    harness tests).  Implicit kinds iterate the collective particle-field
-    fixed point to 1e-12 in the max norm of position increments.
+    harness tests).  The implicit midpoint kind iterates the collective
+    particle-field fixed point to 1e-12 in the max norm of position increments.
 
-    Likelihood bookkeeping: the volume-preserving kinds and Crank-Nicolson
-    (whose determinant is only 1 + O(dt^3)) leave f_like and g_like
-    untouched; ExplicitEuler divides g_like by the one-step flow
+    Likelihood bookkeeping: the volume-preserving kinds leave f_like and
+    g_like untouched; ExplicitEuler divides g_like by the one-step flow
     determinant 1 - dt^2 (q/m) dE(x_old); ExplicitEuler2 divides both
     likelihoods, keeping the weights unchanged.
     """
@@ -383,34 +381,6 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
         e_half = field.E(trial.x)
         ensemble.x = x_n + dt * v_half
         ensemble.v = v_n + dt * qm * e_half
-        wrap()
-        return
-
-    if kind is IntegratorKind.CRANK_NICOLSON:
-        x_n = ensemble.x.copy()
-        v_n = ensemble.v.copy()
-        field_n = fields(ensemble)
-        e_n = field_n.E(ensemble.x)
-        v_new = ensemble.v.copy()
-        trial = ensemble.copy()
-        x_new_prev = None
-        for it in range(_FIXED_POINT_CAP):
-            x_new = x_n + 0.5 * dt * (v_n + v_new)
-            if x_new_prev is not None:
-                resid = float(np.max(np.abs(x_new - x_new_prev)))
-                if resid <= _FIXED_POINT_TOL:
-                    break
-            x_new_prev = x_new
-            trial.x = x_new
-            if x_min is not None:
-                _wrap(trial, x_min, length)
-            field = fields(trial)
-            v_new = v_n + 0.5 * dt * qm * (e_n + field.E(trial.x))
-        else:
-            raise FixedPointDiverged("Crank-Nicolson fixed point stalled",
-                                     _FIXED_POINT_CAP, resid)
-        ensemble.x = x_n + 0.5 * dt * (v_n + v_new)
-        ensemble.v = v_new
         wrap()
         return
 

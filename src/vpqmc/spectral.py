@@ -5,8 +5,9 @@ directions (velocity is treated as periodic on [v_min, v_max]; the
 Gaussian tails make the wrap-around error negligible for a wide enough
 box).  Each split sub-step is an exact shear implemented as a phase
 multiplication in the transformed direction, so mass and the L2 norm are
-conserved to rounding.  A smooth exponential filter applied once per full
-step keeps aliasing at bay.
+conserved to rounding.  Every transform is real-input (rfft/irfft), so the
+state is real by construction.  A smooth exponential filter applied once
+per full step keeps aliasing at bay.
 """
 
 from __future__ import annotations
@@ -68,13 +69,12 @@ class SpectralState:
         return self.domain.v_min + self.dv * np.arange(self.nv)
 
     def kappa_x(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
+        """The non-negative wavenumbers of an rfft along x."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)
 
     def kappa_v(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.nv, d=self.dv)
-
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.domain, self.values.copy(), self.t)
+        """The non-negative wavenumbers of an rfft along v."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.nv, d=self.dv)
 
 
 def state_from_initial_condition(ic: InitialCondition, domain: PhaseSpaceDomain,
@@ -87,9 +87,9 @@ def state_from_initial_condition(ic: InitialCondition, domain: PhaseSpaceDomain,
 
 def advect_x(s: SpectralState, dt: float) -> SpectralState:
     """Exact free-streaming shear f(x, v) <- f(x - v*dt, v)."""
-    fh = np.fft.fft(s.values, axis=0)
+    fh = np.fft.rfft(s.values, axis=0)
     phase = np.exp(-1j * np.outer(s.kappa_x(), s.v_nodes()) * dt)
-    out = np.fft.ifft(fh * phase, axis=0).real
+    out = np.fft.irfft(fh * phase, s.nx, axis=0)
     return SpectralState(s.domain, out, s.t)
 
 
@@ -108,7 +108,7 @@ def poisson_fourier(s: SpectralState, species: Species = ELECTRON,
     departs from the unit neutralizing background.
     """
     rho = charge_density(s)
-    rho_hat = np.fft.fft(rho)
+    rho_hat = np.fft.rfft(rho)
     if warn_nonneutral and abs(rho_hat[0] / s.nx - 1.0) > 1e-6:
         warnings.warn("mean density deviates from the unit background",
                       NonNeutralPlasmaWarning, stacklevel=2)
@@ -118,7 +118,7 @@ def poisson_fourier(s: SpectralState, species: Species = ELECTRON,
     phi_hat[nonzero] = species.q * rho_hat[nonzero] / kx[nonzero] ** 2
     # the background only affects the zero mode, which is pinned anyway
     e_hat = -1j * kx * phi_hat
-    return np.fft.ifft(e_hat).real
+    return np.fft.irfft(e_hat, s.nx)
 
 
 def kick_v(s: SpectralState, dt: float, species: Species = ELECTRON,
@@ -130,42 +130,38 @@ def kick_v(s: SpectralState, dt: float, species: Species = ELECTRON,
     """
     if e_field is None:
         e_field = poisson_fourier(s, species)
-    fh = np.fft.fft(s.values, axis=1)
+    fh = np.fft.rfft(s.values, axis=1)
     shift = species.q_over_m * np.asarray(e_field) * dt
     phase = np.exp(-1j * np.outer(shift, s.kappa_v()))
-    out = np.fft.ifft(fh * phase, axis=1).real
+    out = np.fft.irfft(fh * phase, s.nv, axis=1)
     return SpectralState(s.domain, out, s.t)
 
 
 def _filter_profile(n: int) -> np.ndarray:
-    # Hou-Li style smooth exponential filter exp(-36 (|k|/k_max)^36)
-    k = np.fft.fftfreq(n) * n
-    kmax = np.max(np.abs(k))
-    return np.exp(-36.0 * (np.abs(k) / kmax) ** 36)
+    # Hou-Li style smooth exponential filter exp(-36 (|k|/k_max)^36), with
+    # |k| = min(i, n - i) the integer wavenumber of transform bin i
+    i = np.arange(n)
+    k = np.minimum(i, n - i)
+    return np.exp(-36.0 * (k / k.max()) ** 36)
 
 
 def apply_filter(s: SpectralState) -> SpectralState:
     """Smooth exponential anti-alias filter in both directions."""
-    fh = np.fft.fft2(s.values)
-    fh *= np.outer(_filter_profile(s.nx), _filter_profile(s.nv))
-    return SpectralState(s.domain, np.fft.ifft2(fh).real, s.t)
+    fh = np.fft.rfft2(s.values)
+    fh *= np.outer(_filter_profile(s.nx), _filter_profile(s.nv)[:s.nv // 2 + 1])
+    return SpectralState(s.domain, np.fft.irfft2(fh, s.values.shape), s.t)
 
 
-def step_order3(s: SpectralState, dt: float, species: Species = ELECTRON,
-                force_zero_field: bool = False) -> SpectralState:
+def step_order3(s: SpectralState, dt: float,
+                species: Species = ELECTRON) -> SpectralState:
     """One composite kick-first RUTH3 split step followed by the filter.
 
     The field is recomputed before every kick (kicks preserve the charge
-    density, so each sub-flow is exact).  ``force_zero_field`` is a
-    diagnostic switch that turns the step into pure free streaming.
+    density, so each sub-flow is exact).
     """
     out = s
     for c, d in zip(RUTH3.drift, RUTH3.kick):
-        if force_zero_field:
-            out = kick_v(out, d * dt, species, e_field=np.zeros(out.nx))
-        else:
-            out = kick_v(out, d * dt, species)
-        out = advect_x(out, c * dt)
+        out = advect_x(kick_v(out, d * dt, species), c * dt)
     out = apply_filter(out)
     out.t = s.t + dt
     return out
@@ -179,7 +175,7 @@ def hk_variation(s: SpectralState) -> float:
     absolute values integrated by the periodic trapezoid rule.
     """
     f = s.values
-    fx = np.fft.ifft(1j * s.kappa_x()[:, None] * np.fft.fft(f, axis=0), axis=0).real
+    fx = np.fft.irfft(1j * s.kappa_x()[:, None] * np.fft.rfft(f, axis=0), s.nx, axis=0)
 
     def ddv(a):
         return (-np.roll(a, -2, axis=1) + 8.0 * np.roll(a, -1, axis=1)
@@ -191,58 +187,35 @@ def hk_variation(s: SpectralState) -> float:
     return float(cell * (np.sum(np.abs(fx)) + np.sum(np.abs(fv)) + np.sum(np.abs(fxv))))
 
 
-def _pad_spectrum_axis(fh: np.ndarray, n_pad: int, axis: int) -> np.ndarray:
-    """Embed an unshifted FFT into an n_pad-times longer spectrum along axis.
-
-    The Nyquist bin of an even-length transform is split in half between
-    the +N/2 and -N/2 slots so a Hermitian spectrum stays Hermitian.
-    """
-    fh = np.moveaxis(fh, axis, 0)
-    n = fh.shape[0]
-    big = np.zeros((n_pad * n,) + fh.shape[1:], dtype=complex)
-    if n_pad == 1:
-        big[:] = fh
-    else:
-        half = n // 2
-        if n % 2 == 0:
-            big[:half] = fh[:half]
-            big[half] = 0.5 * fh[half]
-            big[-half] = 0.5 * fh[half]
-            big[len(big) - half + 1:] = fh[half + 1:]
-        else:
-            big[:half + 1] = fh[:half + 1]
-            big[len(big) - half:] = fh[half + 1:]
-    return np.moveaxis(big, 0, axis)
-
-
 def zero_pad(s: SpectralState, n_pad: int) -> GriddedDensity:
     """Evaluate the trigonometric interpolant of f on an n_pad-times finer grid.
 
-    The spectrum is embedded into a larger zero-filled spectrum (Nyquist
-    bins split for realness) and inverse-transformed.  The result follows
-    the package grid convention, so the v direction gains one wrap node:
-    output shape (n_pad*nx, n_pad*nv + 1).  Values at the original nodes
-    are unchanged.
+    One axis at a time, the real spectrum is inverse-transformed at
+    n_pad times the length, which zero-fills the new modes; an even
+    length's Nyquist bin is halved, since the finer grid holds both its
+    +n/2 and -n/2 modes.  The result follows the package grid convention,
+    so the v direction gains one wrap node: output shape
+    (n_pad*nx, n_pad*nv + 1).  Values at the original nodes are unchanged,
+    and for n_pad == 1 they are the state's own values.
     """
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
-    fh = np.fft.fft2(s.values)
-    fh = _pad_spectrum_axis(fh, n_pad, 0)
-    fh = _pad_spectrum_axis(fh, n_pad, 1)
-    fine = np.fft.ifft2(fh) * (n_pad * n_pad)
-    resid = float(np.max(np.abs(fine.imag)))
-    fine = fine.real
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(fine)))):
-        raise AssertionError("zero-pad interpolant lost realness")
+    fine = s.values
+    if n_pad > 1:
+        for axis in (0, 1):
+            n = fine.shape[axis]
+            fh = np.fft.rfft(fine, axis=axis)
+            if n % 2 == 0:
+                np.moveaxis(fh, axis, 0)[n // 2] *= 0.5
+            fine = np.fft.irfft(fh, n_pad * n, axis=axis) * n_pad
     out = np.concatenate([fine, fine[:, :1]], axis=1)
     return GriddedDensity(s.domain, out)
 
 
 def field_energy(s: SpectralState, species: Species = ELECTRON) -> float:
-    """(1/2) integral of E^2 dx via Parseval."""
+    """(1/2) integral of E^2 dx (the node sum equals the mode sum by Parseval)."""
     e = poisson_fourier(s, species, warn_nonneutral=False)
-    e_hat = np.fft.fft(e) / s.nx
-    return float(0.5 * s.domain.length * np.sum(np.abs(e_hat) ** 2))
+    return float(0.5 * s.dx * np.sum(e * e))
 
 
 def kinetic_energy(s: SpectralState) -> float:

@@ -3,7 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 package code it checks: brute-force enumeration for the star discrepancy,
 the sequential Gray-code recurrence for Sobol, the plasma dispersion
-function for the Landau rate, dense linear algebra for the mass solve.
+function for the Landau rate, dense linear algebra for the mass solve,
+complex transforms and a hand-embedded Hermitian spectrum for the
+real-input spectral solver.
 """
 
 import numpy as np
@@ -187,3 +189,75 @@ def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
         xs[lo:hi] = sample_marginal_x(s, pairs[lo:hi, 0])
         vs[lo:hi] = sample_conditional_v_dense_reference(s, xs[lo:hi], pairs[lo:hi, 1])
     return xs, vs, np.asarray(s.g.bilinear_at(xs, vs))
+
+
+def _kappa_complex(n, d):
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=d)
+
+
+def _filter_profile_complex(n):
+    k = np.fft.fftfreq(n) * n
+    kmax = np.max(np.abs(k))
+    return np.exp(-36.0 * (np.abs(k) / kmax) ** 36)
+
+
+def spectral_step_order3_complex_reference(s, dt, species):
+    """One kick-first RUTH3 split step plus the exponential filter, with
+    every transform complex (full fft/ifft, the real part kept): the
+    field before each kick, the velocity shear, the free-streaming shear,
+    then the 2-D filter.  Returns the new values array."""
+    from vpqmc.core import RUTH3
+
+    f = s.values
+    kx = _kappa_complex(s.nx, s.dx)
+    kv = _kappa_complex(s.nv, s.dv)
+    v = s.v_nodes()
+    nonzero = kx != 0.0
+    for c, d in zip(RUTH3.drift, RUTH3.kick):
+        rho_hat = np.fft.fft(s.dv * np.sum(f, axis=1))
+        phi_hat = np.zeros_like(rho_hat)
+        phi_hat[nonzero] = species.q * rho_hat[nonzero] / kx[nonzero] ** 2
+        e = np.fft.ifft(-1j * kx * phi_hat).real
+        shift = species.q_over_m * e * (d * dt)
+        f = np.fft.ifft(np.fft.fft(f, axis=1) * np.exp(-1j * np.outer(shift, kv)),
+                        axis=1).real
+        phase = np.exp(-1j * np.outer(kx, v) * (c * dt))
+        f = np.fft.ifft(np.fft.fft(f, axis=0) * phase, axis=0).real
+    fh = np.fft.fft2(f)
+    fh *= np.outer(_filter_profile_complex(s.nx), _filter_profile_complex(s.nv))
+    return np.fft.ifft2(fh).real
+
+
+def _pad_spectrum_axis(fh, n_pad, axis):
+    """Embed an unshifted FFT into an n_pad-times longer spectrum along axis.
+
+    The Nyquist bin of an even-length transform is split in half between
+    the +N/2 and -N/2 slots so a Hermitian spectrum stays Hermitian.
+    """
+    fh = np.moveaxis(fh, axis, 0)
+    n = fh.shape[0]
+    big = np.zeros((n_pad * n,) + fh.shape[1:], dtype=complex)
+    if n_pad == 1:
+        big[:] = fh
+    else:
+        half = n // 2
+        if n % 2 == 0:
+            big[:half] = fh[:half]
+            big[half] = 0.5 * fh[half]
+            big[-half] = 0.5 * fh[half]
+            big[len(big) - half + 1:] = fh[half + 1:]
+        else:
+            big[:half + 1] = fh[:half + 1]
+            big[len(big) - half:] = fh[half + 1:]
+    return np.moveaxis(big, 0, axis)
+
+
+def zero_pad_complex_reference(values, n_pad):
+    """The trigonometric interpolant of a real (nx, nv) array on the
+    n_pad-times finer grid, by embedding its full 2-D spectrum into a
+    zero-filled one; with the wrap column, shape (n_pad*nx, n_pad*nv + 1)."""
+    fh = np.fft.fft2(values)
+    fh = _pad_spectrum_axis(fh, n_pad, 0)
+    fh = _pad_spectrum_axis(fh, n_pad, 1)
+    fine = (np.fft.ifft2(fh) * (n_pad * n_pad)).real
+    return np.concatenate([fine, fine[:, :1]], axis=1)

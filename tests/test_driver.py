@@ -59,6 +59,16 @@ def test_star_disc_cap_below_one_rejected(tmp_path, capsys, cap):
     assert not outdir.exists()
 
 
+def test_too_few_spline_cells_rejected(tmp_path, capsys):
+    # the cubic basis needs 4 cells: fewer is a usage error, caught before
+    # the echo or the CSV header is written
+    outdir = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "n_p=50", "n_f=3", "t_max=0.1",
+                     f"outdir={outdir}"]) == 2
+    assert "n_f must be >= 4" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_coupled_requires_t0():
     with pytest.raises(ValidationError, match="t0"):
         parse_config(None, ["solver=coupled"])
@@ -210,14 +220,13 @@ _VALUES = {
     "v_max": st.floats(0.5, 20.0),
     "nx": st.integers(2, 512),
     "nv": st.integers(2, 512),
-    "n_f": st.integers(2, 512),
+    "n_f": st.integers(4, 512),
     "n_p": st.integers(1, 10 ** 7),
     "dt": st.floats(1e-6, 1.0),
     "t_max": st.floats(20.0, 1e4),
     "t0": st.floats(1e-3, 19.0),
     "n_pad": st.integers(1, 64),
-    "integrator": st.sampled_from(["euler", "euler2", "seuler", "midpoint", "cn",
-                                   "ruth3"]),
+    "integrator": st.sampled_from(["euler", "euler2", "seuler", "midpoint", "ruth3"]),
     "seed": st.integers(0, 2 ** 63),
     "sobol_skip": st.integers(1, 2 ** 40),
     "sampling": st.sampled_from(["its", "uniform"]),
@@ -519,10 +528,27 @@ def test_cli_hk_variation_and_dump_info(tmp_path, capsys):
     assert info["kind"] == "grid" and info["t"] == 2.0
 
 
+def test_cli_hk_variation_of_final_dump_matches_last_row(tmp_path, capsys):
+    # the n_pad = 1 dump holds the state's own values, so the subcommand
+    # reproduces the run's last Hardy-Krause cell to the last digit
+    outdir = tmp_path / "run"
+    assert cli_main(["run", "scenario=landau", "solver=spectral", "nx=16", "nv=16",
+                     "dt=0.1", "t_max=0.3", "hk_period=1", f"outdir={outdir}"]) == 0
+    last = (outdir / "timeseries.csv").read_text().splitlines()[-1].split(",")
+    capsys.readouterr()
+    assert cli_main(["hk-variation", str(outdir / "final_state.grid")]) == 0
+    t, hk = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    assert (t, hk) == (last[CSV_HEADER.index("t")],
+                       last[CSV_HEADER.index("hk_variation")])
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main(["run", "dt=0"]) == 2
     assert cli_main(["discrepancy"]) == 2
+    assert cli_main(["run", "solver=pic", "integrator=cn",
+                     f"outdir={tmp_path / 'cn'}"]) == 2
+    assert not (tmp_path / "cn").exists()
     rc = cli_main(["hk-variation", str(tmp_path / "missing.bin")])
     assert rc == 1
     err = capsys.readouterr().err

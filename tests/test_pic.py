@@ -331,20 +331,6 @@ def test_flow_jacobian_volume_preserving(kind, expected):
         assert det == pytest.approx(expected, abs=1e-6)
 
 
-def test_flow_jacobian_crank_nicolson_trapezoidal_formula():
-    # the trapezoidal map is not volume-preserving; its determinant is
-    # (1 - dt^2/4 qm E'(x0)) / (1 - dt^2/4 qm E'(x1))
-    field = _smooth_frozen_field()
-    dt, qm = 0.1, -1.0
-    for x, v in ((0.2, 0.5), (2.5, -1.0), (4.0, 2.0)):
-        det = flow_jacobian_det(IntegratorKind.CRANK_NICOLSON, x, v, dt, field)
-        x1, _ = frozen_step(IntegratorKind.CRANK_NICOLSON, np.array([x]),
-                            np.array([v]), dt, field)
-        expect = ((1.0 - dt * dt / 4 * qm * field.dE(np.array([x]))[0])
-                  / (1.0 - dt * dt / 4 * qm * field.dE(x1)[0]))
-        assert det == pytest.approx(expect, abs=1e-6)
-
-
 def test_flow_jacobian_explicit_euler_formula():
     field = _smooth_frozen_field()
     dt = 0.1
@@ -389,7 +375,6 @@ def _landau_ensemble(n=2000):
 
 @pytest.mark.parametrize("kind", [IntegratorKind.SYMPLECTIC_EULER,
                                   IntegratorKind.IMPLICIT_MIDPOINT,
-                                  IntegratorKind.CRANK_NICOLSON,
                                   IntegratorKind.RUTH3])
 def test_volume_preserving_kinds_keep_likelihoods_bitwise(kind):
     e, dom = _landau_ensemble()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import fit_loglog_slope
-from vpqmc.core import InitialCondition, PhaseSpaceDomain, Species
+from oracles import (fit_loglog_slope, spectral_step_order3_complex_reference,
+                     zero_pad_complex_reference)
+from vpqmc.core import ELECTRON, InitialCondition, PhaseSpaceDomain, Species
 from vpqmc.densest import spline_mode_error
 from vpqmc.spectral import (NonNeutralPlasmaWarning, RUTH3, SpectralState,
                             SplitCoefficients, advect_x, apply_filter,
@@ -113,7 +115,7 @@ def test_gauss_law_consistency():
     q = -1.0
     e = poisson_fourier(s)
     kx = s.kappa_x()
-    de = np.fft.ifft(1j * kx * np.fft.fft(e)).real
+    de = np.fft.irfft(1j * kx * np.fft.rfft(e), s.nx)
     np.testing.assert_allclose(de, q * (charge_density(s) - 1.0), atol=1e-12)
 
 
@@ -147,9 +149,20 @@ def test_kick_preserves_spatial_density():
 
 def test_step_free_streaming_reduces_to_advect():
     s = state_from_initial_condition(LANDAU, DOM, 32, 32)
-    stepped = step_order3(s, 0.25, force_zero_field=True)
+    stepped = step_order3(s, 0.25, Species(q=0.0, m=1.0))
     drifted = apply_filter(advect_x(s, 0.25))
     np.testing.assert_allclose(stepped.values, drifted.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("nx,nv", [(32, 32), (17, 15)])
+def test_step_order3_matches_complex_reference(nx, nv):
+    s = state_from_initial_condition(LANDAU, DOM, nx, nv)
+    ref = s.values
+    for _ in range(200):
+        ref = spectral_step_order3_complex_reference(
+            SpectralState(DOM, ref), 0.05, ELECTRON)
+        s = step_order3(s, 0.05)
+    np.testing.assert_allclose(s.values, ref, rtol=0.0, atol=1e-12)
 
 
 def test_step_order3_self_convergence():
@@ -214,8 +227,20 @@ def test_zero_pad_identity():
     s = state_from_initial_condition(LANDAU, DOM, 16, 16)
     out = zero_pad(s, 1)
     assert out.values.shape == (16, 17)
-    np.testing.assert_allclose(out.values[:, :16], s.values, atol=1e-12)
-    np.testing.assert_allclose(out.values[:, 16], s.values[:, 0], atol=1e-12)
+    assert np.array_equal(out.values[:, :16], s.values)
+    assert np.array_equal(out.values[:, 16], s.values[:, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 40), nv=st.integers(2, 40),
+       n_pad=st.sampled_from([1, 2, 3, 8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_pad_matches_complex_reference(nx, nv, n_pad, seed):
+    values = np.random.default_rng(seed).standard_normal((nx, nv))
+    fine = zero_pad(SpectralState(DOM, values), n_pad)
+    ref = zero_pad_complex_reference(values, n_pad)
+    assert fine.values.shape == ref.shape == (n_pad * nx, n_pad * nv + 1)
+    np.testing.assert_allclose(fine.values, ref, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(values)))
 
 
 def test_zero_pad_single_mode():
