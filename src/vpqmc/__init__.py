@@ -18,8 +18,8 @@ from .sampling import (BilinearSampler, NewtonNoConvergence, ZeroConditional,
                        rosenblatt_sample, sample_conditional_v,
                        sample_gridded_density, sample_marginal_x,
                        uniform_sample)
-from .spectral import (RUTH3, SpectralState, SplitCoefficients, advect_x,
-                       hk_variation, kick_v, poisson_fourier, run_spectral,
+from .spectral import (RUTH3, SpectralState, SplitCoefficients, advance,
+                       advect_x, hk_variation, kick_v, poisson_fourier, run_spectral,
                        step_order3, zero_pad)
 from .pic import (FieldSolution, FixedPointDiverged, IntegratorKind,
                   SplinePoissonSolver, deposit_rhs, discrete_entropy,

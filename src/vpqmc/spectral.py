@@ -7,11 +7,14 @@ box).  Each split sub-step is an exact shear implemented as a phase
 multiplication in the transformed direction, so mass and the L2 norm are
 conserved to rounding.  Every transform is real-input (rfft/irfft), so the
 state is real by construction.  A smooth exponential filter applied once
-per full step keeps aliasing at bay.
+per full step keeps aliasing at bay.  ``advance`` is the one split-step
+implementation; ``advect_x``, ``kick_v`` and ``apply_filter`` apply its
+sub-flows one at a time, through the same phase and profile builders.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -85,12 +88,35 @@ def state_from_initial_condition(ic: InitialCondition, domain: PhaseSpaceDomain,
     return s
 
 
+def _shear(f: np.ndarray, factor: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply the real spectrum of f along ``axis`` by ``factor``."""
+    fh = np.fft.rfft(f, axis=axis)
+    fh *= factor
+    return np.fft.irfft(fh, f.shape[axis], axis=axis)
+
+
+def _drift_phase(s: SpectralState, tau: float) -> np.ndarray:
+    """exp(-i k_x v tau) on the (rfft bin along x, v node) grid."""
+    return np.exp(-1j * np.outer(s.kappa_x(), s.v_nodes()) * tau)
+
+
+def _kick_phase(s: SpectralState, shift: np.ndarray) -> np.ndarray:
+    """exp(-i shift(x) k_v) on the (x node, rfft bin along v) grid.
+
+    k_v is j times the first nonzero wavenumber, so row i holds the powers
+    z_i**j of z_i = exp(-i shift_i k_v[1]): one complex exp per x node and
+    a running product along v instead of one exp per entry.
+    """
+    z = np.exp(-1j * s.kappa_v()[1] * shift)
+    phase = np.empty((s.nx, s.nv // 2 + 1), dtype=complex)
+    phase[:, 0] = 1.0
+    phase[:, 1:] = z[:, None]
+    return np.cumprod(phase, axis=1, out=phase)
+
+
 def advect_x(s: SpectralState, dt: float) -> SpectralState:
     """Exact free-streaming shear f(x, v) <- f(x - v*dt, v)."""
-    fh = np.fft.rfft(s.values, axis=0)
-    phase = np.exp(-1j * np.outer(s.kappa_x(), s.v_nodes()) * dt)
-    out = np.fft.irfft(fh * phase, s.nx, axis=0)
-    return SpectralState(s.domain, out, s.t)
+    return SpectralState(s.domain, _shear(s.values, _drift_phase(s, dt), 0), s.t)
 
 
 def charge_density(s: SpectralState) -> np.ndarray:
@@ -130,41 +156,75 @@ def kick_v(s: SpectralState, dt: float, species: Species = ELECTRON,
     """
     if e_field is None:
         e_field = poisson_fourier(s, species)
-    fh = np.fft.rfft(s.values, axis=1)
     shift = species.q_over_m * np.asarray(e_field) * dt
-    phase = np.exp(-1j * np.outer(shift, s.kappa_v()))
-    out = np.fft.irfft(fh * phase, s.nv, axis=1)
-    return SpectralState(s.domain, out, s.t)
+    return SpectralState(s.domain, _shear(s.values, _kick_phase(s, shift), 1), s.t)
 
 
 def _filter_profile(n: int) -> np.ndarray:
-    # Hou-Li style smooth exponential filter exp(-36 (|k|/k_max)^36), with
-    # |k| = min(i, n - i) the integer wavenumber of transform bin i
-    i = np.arange(n)
-    k = np.minimum(i, n - i)
-    return np.exp(-36.0 * (k / k.max()) ** 36)
+    # Hou-Li style smooth exponential filter exp(-36 (|k|/k_max)^36) on the
+    # n//2 + 1 bins of an rfft of length n, whose integer wavenumber is k = i
+    k = np.arange(n // 2 + 1)
+    return np.exp(-36.0 * (k / k[-1]) ** 36)
 
 
 def apply_filter(s: SpectralState) -> SpectralState:
     """Smooth exponential anti-alias filter in both directions."""
-    fh = np.fft.rfft2(s.values)
-    fh *= np.outer(_filter_profile(s.nx), _filter_profile(s.nv)[:s.nv // 2 + 1])
-    return SpectralState(s.domain, np.fft.irfft2(fh, s.values.shape), s.t)
+    f = _shear(s.values, _filter_profile(s.nx)[:, None], 0)
+    return SpectralState(s.domain, _shear(f, _filter_profile(s.nv), 1), s.t)
+
+
+@functools.lru_cache(maxsize=8)
+def _drift_tables(domain: PhaseSpaceDomain, nx: int, nv: int,
+                  dt: float) -> tuple:
+    """The drift phases of one RUTH3 step, the x filter folded into the last.
+
+    Built by ``_drift_phase``, as ``advect_x`` builds its phase, and cached
+    read-only: a run reuses the same three tables on every step and call.
+    """
+    s = SpectralState(domain, np.empty((nx, nv)))
+    tables = [_drift_phase(s, c * dt) for c in RUTH3.drift]
+    tables[-1] *= _filter_profile(nx)[:, None]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
+def advance(s: SpectralState, dt: float, n_steps: int,
+            species: Species = ELECTRON) -> SpectralState:
+    """``n_steps`` composite kick-first RUTH3 split steps, each filtered.
+
+    The field is recomputed before every kick (kicks preserve the charge
+    density, so each sub-flow is exact).  The three drift phases come from
+    a cache keyed on (domain, nx, nv, dt), and the x factor of the filter
+    is folded into the last of them.  The v factor of a step's filter is
+    folded into the next step's first kick phase, and the one still
+    pending is applied by one v-axis transform pair before returning; it
+    is 1 at k_v = 0, so the charge density, and hence the field, does not
+    see it.  Each kick phase is built by recurrence along v (see
+    ``_kick_phase``).  The input state is not modified.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    drifts = _drift_tables(s.domain, s.nx, s.nv, dt)
+    filter_v = _filter_profile(s.nv)
+    f = s.values
+    for step in range(n_steps):
+        for i, (d, drift) in enumerate(zip(RUTH3.kick, drifts)):
+            now = SpectralState(s.domain, f)
+            shift = species.q_over_m * poisson_fourier(now, species) * (d * dt)
+            phase = _kick_phase(now, shift)
+            if i == 0 and step > 0:
+                phase *= filter_v
+            f = _shear(_shear(f, phase, 1), drift, 0)
+    return SpectralState(s.domain, _shear(f, filter_v, 1), s.t + n_steps * dt)
 
 
 def step_order3(s: SpectralState, dt: float,
                 species: Species = ELECTRON) -> SpectralState:
-    """One composite kick-first RUTH3 split step followed by the filter.
-
-    The field is recomputed before every kick (kicks preserve the charge
-    density, so each sub-flow is exact).
-    """
-    out = s
-    for c, d in zip(RUTH3.drift, RUTH3.kick):
-        out = advect_x(kick_v(out, d * dt, species), c * dt)
-    out = apply_filter(out)
-    out.t = s.t + dt
-    return out
+    """One composite kick-first RUTH3 split step followed by the filter:
+    ``advance(s, dt, 1, species)``, with its cached drift tables, folded
+    filter and kick phases built by recurrence."""
+    return advance(s, dt, 1, species)
 
 
 def hk_variation(s: SpectralState) -> float:
@@ -270,9 +330,11 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
             on_record(rec, state)
 
     emit()
-    for i in range(1, n_steps + 1):
-        state = step_order3(state, dt, species)
-        state.t = i * dt
-        if i % out_stride == 0 or i == n_steps:
-            emit()
+    done = 0
+    while done < n_steps:
+        stride = min(out_stride, n_steps - done)
+        state = advance(state, dt, stride, species)
+        done += stride
+        state.t = done * dt
+        emit()
     return records, state

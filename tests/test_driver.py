@@ -69,6 +69,27 @@ def test_too_few_spline_cells_rejected(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["solver=spectral", "nx=8", "nv=8", "dt=0.3", "t_max=1.0"], "t_max must be"),
+    (["dt=0.5", "t_max=0.2"], "t_max must be"),
+    (["solver=coupled", "dt=0.1", "t_max=1.0", "t0=0.25"], "t0 and t_max - t0"),
+])
+def test_partial_last_step_rejected(tmp_path, capsys, args, message):
+    # a run steps round(t_max / dt) times: it would stop short of t_max,
+    # or take no step at all, so the run is refused before writing
+    outdir = tmp_path / "run"
+    assert cli_main(["run", *args, f"outdir={outdir}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_whole_steps_within_rounding_accepted():
+    # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
+    assert parse_config(None, ["dt=0.1", "t_max=0.3"]).t_max == 0.3
+    assert parse_config(None, ["solver=coupled", "dt=0.1", "t_max=0.7",
+                               "t0=0.3"]).t0 == 0.3
+
+
 def test_coupled_requires_t0():
     with pytest.raises(ValidationError, match="t0"):
         parse_config(None, ["solver=coupled"])
@@ -222,9 +243,11 @@ _VALUES = {
     "nv": st.integers(2, 512),
     "n_f": st.integers(4, 512),
     "n_p": st.integers(1, 10 ** 7),
-    "dt": st.floats(1e-6, 1.0),
-    "t_max": st.floats(20.0, 1e4),
-    "t0": st.floats(1e-3, 19.0),
+    # t_max and t0 must be whole numbers of dt steps, also at the defaults
+    # (dt = 0.05, t_max = 50)
+    "dt": st.integers(1, 10 ** 6).map(lambda n: 1.0 / n),
+    "t_max": st.integers(20, 10 ** 4).map(float),
+    "t0": st.integers(1, 19).map(float),
     "n_pad": st.integers(1, 64),
     "integrator": st.sampled_from(["euler", "euler2", "seuler", "midpoint", "ruth3"]),
     "seed": st.integers(0, 2 ** 63),

@@ -7,7 +7,7 @@ from oracles import (fit_loglog_slope, spectral_step_order3_complex_reference,
 from vpqmc.core import ELECTRON, InitialCondition, PhaseSpaceDomain, Species
 from vpqmc.densest import spline_mode_error
 from vpqmc.spectral import (NonNeutralPlasmaWarning, RUTH3, SpectralState,
-                            SplitCoefficients, advect_x, apply_filter,
+                            SplitCoefficients, advance, advect_x, apply_filter,
                             charge_density, field_energy, hk_variation,
                             kick_v, kinetic_energy, poisson_fourier,
                             run_spectral, state_from_initial_condition,
@@ -154,15 +154,52 @@ def test_step_free_streaming_reduces_to_advect():
     np.testing.assert_allclose(stepped.values, drifted.values, atol=1e-13)
 
 
+def _complex_reference(s, dt, n_steps):
+    ref = s.values
+    for _ in range(n_steps):
+        ref = spectral_step_order3_complex_reference(
+            SpectralState(s.domain, ref), dt, ELECTRON)
+    return ref
+
+
 @pytest.mark.parametrize("nx,nv", [(32, 32), (17, 15)])
 def test_step_order3_matches_complex_reference(nx, nv):
-    s = state_from_initial_condition(LANDAU, DOM, nx, nv)
-    ref = s.values
+    # one fused advance and 200 single steps (each applying its pending v
+    # filter) against the complex-FFT step, and against each other
+    s0 = state_from_initial_condition(LANDAU, DOM, nx, nv)
+    ref = _complex_reference(s0, 0.05, 200)
+    fused = advance(s0, 0.05, 200)
+    s = s0
     for _ in range(200):
-        ref = spectral_step_order3_complex_reference(
-            SpectralState(DOM, ref), 0.05, ELECTRON)
         s = step_order3(s, 0.05)
+    np.testing.assert_allclose(fused.values, ref, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(s.values, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(fused.values, s.values, rtol=0.0, atol=1e-13)
+    assert fused.t == pytest.approx(s.t) == pytest.approx(10.0)
+
+
+def test_advance_cache_keeps_domains_apart():
+    # two domains on the same (nx, nv, dt) need different drift tables
+    other = PhaseSpaceDomain(0.0, 8 * np.pi, -8.0, 8.0)
+    states = [state_from_initial_condition(LANDAU, dom, 16, 16)
+              for dom in (DOM, other)]
+    refs = [_complex_reference(s, 0.1, 6) for s in states]
+    for _ in range(3):
+        states = [advance(s, 0.1, 2) for s in states]
+    for s, ref in zip(states, refs):
+        np.testing.assert_allclose(s.values, ref, rtol=0.0, atol=1e-12)
+
+
+def test_advance_returns_fresh_arrays():
+    s = state_from_initial_condition(LANDAU, DOM, 16, 16)
+    before = s.values.copy()
+    first = advance(s, 0.1, 1)
+    expect = first.values.copy()
+    first.values *= 3.0  # writing into a result must not reach the cache
+    np.testing.assert_array_equal(advance(s, 0.1, 1).values, expect)
+    np.testing.assert_array_equal(s.values, before)
+    with pytest.raises(ValueError):
+        advance(s, 0.1, 0)
 
 
 def test_step_order3_self_convergence():
@@ -178,16 +215,18 @@ def test_step_order3_self_convergence():
     assert slope == pytest.approx(3.0, abs=0.2)
 
 
-def test_state_stays_real_and_mass_constant():
+def test_l2_never_grows_and_mass_constant():
+    # kicks and drifts keep the L2 norm to rounding and the filter only
+    # damps, so no step may raise it
     s = state_from_initial_condition(LANDAU, DOM, 32, 32)
     m0 = total_mass(s)
+    l2 = np.linalg.norm(s.values)
     for _ in range(20):
         s = step_order3(s, 0.05)
+        l2_next = np.linalg.norm(s.values)
+        assert l2_next <= l2 * (1.0 + 1e-14)
+        l2 = l2_next
     assert total_mass(s) == pytest.approx(m0, rel=1e-12)
-    # realness is structural (arrays are float); check the transform residue
-    fh = np.fft.fft2(s.values)
-    back = np.fft.ifft2(fh)
-    assert np.max(np.abs(back.imag)) < 1e-10
 
 
 def test_subflows_preserve_l2():
@@ -315,6 +354,21 @@ def test_run_emits_expected_cadence():
     records, _ = run_spectral(LANDAU, DOM, 16, 16, 0.1, 1.0, out_stride=2)
     times = [r.t for r in records]
     np.testing.assert_allclose(times, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
+
+
+def test_run_output_stride_records_match_every_step_run():
+    fields = ("t", "field_energy", "kinetic_energy", "total_mass", "entropy")
+    every, end_every = run_spectral(LANDAU, DOM, 16, 16, 0.1, 2.2)
+    strided, end_strided = run_spectral(LANDAU, DOM, 16, 16, 0.1, 2.2,
+                                        out_stride=5)
+    # steps 0, 5, 10, 15, 20 and the partial last stride's step 22
+    assert len(strided) == 6
+    for got, want in zip(strided, every[::5] + every[-1:]):
+        for name in fields:
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-13, abs=1e-13)
+    np.testing.assert_allclose(end_strided.values, end_every.values,
+                               rtol=0.0, atol=1e-13)
 
 
 def test_run_hk_period_toggles_field():
