@@ -12,6 +12,7 @@ this grid, which in the periodic direction reduces to the plain node sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,6 +99,22 @@ RUTH3 = SplitCoefficients(drift=(2.0 / 3.0, -2.0 / 3.0, 1.0),
 #: Single electron species in normalized units; the neutralizing ion
 #: background is a fixed unit density inside the field solvers.
 ELECTRON = Species(q=-1.0, m=1.0)
+
+
+def whole_steps(span: float, dt: float) -> int:
+    """The number of dt steps that make up ``span``.
+
+    Raises ValueError unless span / dt is a whole number n >= 1 to a
+    relative 1e-9 (0.3 / 0.1 is 2.9999999999999996), so that a run never
+    stops short of its end time or labels a state with a time it has not
+    reached.
+    """
+    n = span / dt if dt > 0 else math.nan
+    steps = round(n) if math.isfinite(n) else 0
+    if steps < 1 or abs(n - steps) > 1e-9 * n:
+        raise ValueError(f"{span!r} is not a whole number (>= 1) of "
+                         f"dt = {dt!r} steps")
+    return steps
 
 
 @dataclass(frozen=True)

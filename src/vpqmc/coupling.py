@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from . import lowdisc, pic, sampling, spectral
 from .core import (DiagnosticsRecord, ELECTRON, InitialCondition,
-                   ParticleEnsemble, PhaseSpaceDomain, Species)
+                   ParticleEnsemble, PhaseSpaceDomain, Species, whole_steps)
 from .lowdisc import SequenceKind
 
 
@@ -61,13 +61,17 @@ def run_pic(ensemble: ParticleEnsemble,
             on_record=None) -> List[DiagnosticsRecord]:
     """PIC time loop with diagnostics every ``out_stride`` steps.
 
-    The optional star-discrepancy probe runs on every ``star_disc_period``-th
-    emitted record (it is quadratic in the windowed subset size, hence
-    throttled separately from the cheap moment diagnostics).
+    ``t_max - t_start`` must be a whole number (>= 1) of ``dt`` steps
+    (``core.whole_steps``), else ValueError before the first record.  The
+    optional star-discrepancy probe runs on every ``star_disc_period``-th
+    emitted record.  Its exact sweep costs one pass over the distinct v of
+    the windowed subset (at most ``star_disc_cap`` markers) per distinct x,
+    about seven numpy calls each, so it is quadratic in the subset size and
+    throttled separately from the cheap moment diagnostics.
     """
     fields = pic.SelfConsistentField(solver, species)
     records: List[DiagnosticsRecord] = []
-    n_steps = int(round((t_max - t_start) / dt))
+    n_steps = whole_steps(t_max - t_start, dt)
 
     def emit(t: float):
         fld = fields(ensemble, t=t)
@@ -115,11 +119,15 @@ def run_coupled(ic: InitialCondition, domain: PhaseSpaceDomain,
                 on_pic_record=None) -> CoupledResult:
     """Spectral segment on [0, t0], handoff, PIC segment on [t0, t_max].
 
-    Both segments share the time discretization; the merged rows carry a
-    segment marker so the switch is visible in the output.
+    Both segments share the time discretization, so ``t0`` and
+    ``t_max - t0`` must each be a whole number (>= 1) of ``dt`` steps;
+    otherwise ValueError before any record is emitted.  The merged rows
+    carry a segment marker so the switch is visible in the output.
     """
     if not cfg.t0 < t_max:
         raise ValueError("handoff time t0 must precede t_max")
+    whole_steps(cfg.t0, dt)
+    whole_steps(t_max - cfg.t0, dt)
     spec_records, state = spectral.run_spectral(
         ic, domain, nx, nv, dt, cfg.t0, species=species,
         out_stride=out_stride, hk_period=hk_period,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import coupling, densest, lowdisc, pic, sampling, spectral
 from .core import (DiagnosticsRecord, GriddedDensity, InitialCondition,
-                   ParticleEnsemble, PhaseSpaceDomain)
+                   ParticleEnsemble, PhaseSpaceDomain, whole_steps)
 
 
 class ParseError(ValueError):
@@ -212,12 +212,6 @@ def parse_config(path: Optional[str] = None,
     return cfg
 
 
-def _whole_steps(span: float, dt: float) -> bool:
-    """True when span is n >= 1 steps of dt, to a relative 1e-9."""
-    n = span / dt
-    return round(n) >= 1 and abs(n - round(n)) <= 1e-9 * n
-
-
 def _validate(cfg: RunConfig, explicit) -> None:
     """Check cfg; ``explicit`` holds the keys set in the file or overrides,
     which must all be keys the run reads."""
@@ -228,8 +222,11 @@ def _validate(cfg: RunConfig, explicit) -> None:
         problems.append("dt must be > 0")
     if not cfg.t_max > 0:
         problems.append("t_max must be > 0")
-    elif cfg.dt > 0 and not _whole_steps(cfg.t_max, cfg.dt):
-        problems.append("t_max must be a whole number (>= 1) of dt steps")
+    elif cfg.dt > 0:
+        try:
+            whole_steps(cfg.t_max, cfg.dt)
+        except ValueError:
+            problems.append("t_max must be a whole number (>= 1) of dt steps")
     if not cfg.k > 0:
         problems.append("k must be > 0")
     if not cfg.sigma_b > 0:
@@ -244,10 +241,13 @@ def _validate(cfg: RunConfig, explicit) -> None:
             problems.append("coupled runs require t0")
         elif not (0 < cfg.t0 < cfg.t_max):
             problems.append("t0 must lie in (0, t_max)")
-        elif cfg.dt > 0 and not (_whole_steps(cfg.t0, cfg.dt)
-                                 and _whole_steps(cfg.t_max - cfg.t0, cfg.dt)):
-            problems.append("t0 and t_max - t0 must be whole numbers "
-                            "(>= 1) of dt steps")
+        elif cfg.dt > 0:
+            try:
+                whole_steps(cfg.t0, cfg.dt)
+                whole_steps(cfg.t_max - cfg.t0, cfg.dt)
+            except ValueError:
+                problems.append("t0 and t_max - t0 must be whole numbers "
+                                "(>= 1) of dt steps")
     if cfg.integrator not in {k.value for k in pic.IntegratorKind}:
         problems.append(f"integrator '{cfg.integrator}' unknown")
     if cfg.sequence not in _SEQUENCE_READS:

@@ -102,8 +102,19 @@ def star_discrepancy(points: np.ndarray) -> float:
 
         D* = max over corners of max(closed/n - u*w, u*w - open/n).
 
-    Exact but quadratic: O(n^2) corner evaluations organized as one
-    cumulative pass per distinct u (practical up to n of a few thousand).
+    Exact but quadratic: one pass over the m distinct w per distinct u,
+    O(n*m) corner evaluations in all (practical up to n of a few thousand).
+    The sweep visits u in ascending order and keeps one running count per
+    w rank, ``cnt[j+1]`` = number of points already passed with y <= w_j,
+    beside its fractions ``frac = cnt/n``.  For each u it takes the open
+    criterion from ``frac[:-1]`` (the points with x < u), adds the points
+    with x == u by one suffix increment of ``cnt`` per point (a bincount
+    and cumsum for a group of tied x), and takes the closed criterion from
+    ``frac[1:]``: about seven numpy calls over at most m + 1 elements per
+    u, into preallocated buffers.  The counts are whole numbers held
+    exactly in float64, so every corner value is ``u*w_j``, ``count/n``
+    and one subtraction, as in a direct evaluation; only the order of the
+    max reductions is free, and the result does not depend on it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -119,28 +130,39 @@ def star_discrepancy(points: np.ndarray) -> float:
     m = wcands.size
 
     order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    yrank = np.searchsorted(wcands, ys[order])
+    # The points with x == ucands[i] are order[ends[i-1]:ends[i]]; their
+    # slots in cnt are their w rank plus one (read singly from the list).
+    ends = np.searchsorted(xs[order], ucands, side="right").tolist()
+    slot = np.searchsorted(wcands, ys[order]) + 1
+    slots = slot.tolist()
 
-    hist = np.zeros(m, dtype=np.int64)
+    cnt = np.zeros(m + 1)
+    frac = np.zeros(m + 1)
+    open_frac = frac[:-1]
+    closed_frac = frac[1:]
+    area = np.empty(m)
+    # Row 0 holds u*w_j - open/n and row 1 closed/n - u*w_j, so that one
+    # reduction takes the max of both criteria.
+    crit = np.empty((2, m))
+    over, under = crit
     best = 0.0
     lo = 0
-    for u in ucands:
-        hi_strict = np.searchsorted(xs_sorted, u, side="left")
-        hi_closed = np.searchsorted(xs_sorted, u, side="right")
-        # points with x < u
-        np.add.at(hist, yrank[lo:hi_strict], 1)
-        cum = np.cumsum(hist)
-        # open count with y < w_j is the cumulative up to rank j-1
-        open_cnt = np.concatenate(([0], cum[:-1]))
-        area = u * wcands
-        over = np.max(area - open_cnt / n)
-        # add points with x == u for the closed criterion
-        np.add.at(hist, yrank[hi_strict:hi_closed], 1)
-        closed_cnt = np.cumsum(hist)
-        under = np.max(closed_cnt / n - area)
-        best = max(best, over, under)
-        lo = hi_closed
+    for u, hi in zip(ucands.tolist(), ends):
+        np.multiply(u, wcands, out=area)
+        np.subtract(area, open_frac, out=over)
+        if hi > lo:
+            if hi - lo == 1:
+                r = slots[lo]
+                cnt[r:] += 1.0
+            else:
+                group = slot[lo:hi]
+                r = int(group.min())
+                cnt[r:] += np.cumsum(np.bincount(group - r,
+                                                 minlength=m + 1 - r))
+            np.divide(cnt[r:], n, out=frac[r:])
+        np.subtract(closed_frac, area, out=under)
+        best = max(best, np.maximum.reduce(crit, axis=None))
+        lo = hi
     return float(best)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 # RUTH3 and SplitCoefficients are also re-exported from here
 from .core import (DiagnosticsRecord, ELECTRON, GriddedDensity,
                    InitialCondition, PhaseSpaceDomain, RUTH3, Species,
-                   SplitCoefficients, eval_initial_f)
+                   SplitCoefficients, eval_initial_f, whole_steps)
 
 
 class NonNeutralPlasmaWarning(UserWarning):
@@ -313,13 +313,15 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
                  on_record: Optional[Callable[[DiagnosticsRecord], None]] = None):
     """Step the spectral solver from the initial condition at t = 0 to t_max.
 
+    ``t_max`` must be a whole number (>= 1) of ``dt`` steps
+    (``core.whole_steps``), else ValueError before the first record.
     Diagnostics are emitted at t = 0 and then every ``out_stride`` steps
     (the Hardy-Krause variation on every ``hk_period``-th record when > 0).
     ``on_record(record, state)`` is invoked per emission, e.g. for periodic
     dumps.  Returns (records, final_state).
     """
     state = state_from_initial_condition(ic, domain, nx, nv)
-    n_steps = int(round(t_max / dt))
+    n_steps = whole_steps(t_max, dt)
     records = []
 
     def emit():

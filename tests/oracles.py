@@ -1,11 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately implemented by a different route than the
-package code it checks: brute-force enumeration for the star discrepancy,
-the sequential Gray-code recurrence for Sobol, the plasma dispersion
-function for the Landau rate, dense linear algebra for the mass solve,
-complex transforms and a hand-embedded Hermitian spectrum for the
-real-input spectral solver.
+package code it checks: brute-force enumeration and a histogram-and-cumsum
+sweep for the star discrepancy, the sequential Gray-code recurrence for
+Sobol, the plasma dispersion function for the Landau rate, dense linear
+algebra for the mass solve, complex transforms and a hand-embedded
+Hermitian spectrum for the real-input spectral solver.
 """
 
 import numpy as np
@@ -26,6 +26,45 @@ def brute_force_star_discrepancy(points):
             area = u * w
             best = max(best, closed / n - area, area - opened / n)
     return best
+
+
+def star_discrepancy_histogram_sweep(points):
+    """O(n^2) reference D*: per distinct u, a histogram of w ranks and two
+    full cumulative sums.  Every corner value is the same floating-point
+    expression as in the package kernel (u*w_j, count/n, one subtraction),
+    so the two must agree bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    xs = pts[:, 0]
+    ys = pts[:, 1]
+    ucands = np.unique(np.append(xs, 1.0))
+    wcands = np.unique(np.append(ys, 1.0))
+    m = wcands.size
+
+    order = np.argsort(xs, kind="stable")
+    xs_sorted = xs[order]
+    yrank = np.searchsorted(wcands, ys[order])
+
+    hist = np.zeros(m, dtype=np.int64)
+    best = 0.0
+    lo = 0
+    for u in ucands:
+        hi_strict = np.searchsorted(xs_sorted, u, side="left")
+        hi_closed = np.searchsorted(xs_sorted, u, side="right")
+        # points with x < u
+        np.add.at(hist, yrank[lo:hi_strict], 1)
+        cum = np.cumsum(hist)
+        # open count with y < w_j is the cumulative up to rank j-1
+        open_cnt = np.concatenate(([0], cum[:-1]))
+        area = u * wcands
+        over = np.max(area - open_cnt / n)
+        # add points with x == u for the closed criterion
+        np.add.at(hist, yrank[hi_strict:hi_closed], 1)
+        closed_cnt = np.cumsum(hist)
+        under = np.max(closed_cnt / n - area)
+        best = max(best, over, under)
+        lo = hi_closed
+    return float(best)
 
 
 def sobol_pairs_sequential(skip, n):

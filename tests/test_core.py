@@ -4,7 +4,8 @@ from scipy.integrate import quad
 
 from vpqmc.core import (AllZeroDensity, GriddedDensity, InitialCondition,
                         ParticleEnsemble, PhaseSpaceDomain, SQRT_2PI,
-                        eval_initial_f, normalize_to_sampling_density, weight)
+                        eval_initial_f, normalize_to_sampling_density, weight,
+                        whole_steps)
 
 LANDAU = InitialCondition(epsilon=0.5, k=0.5)
 BUMP = InitialCondition(epsilon=1e-3, k=0.3, n_b=0.1, sigma_b=0.3, v_b=4.5)
@@ -64,6 +65,17 @@ def test_invalid_parameters_rejected():
         InitialCondition(epsilon=0.1, k=0.5, n_b=1.0)
     with pytest.raises(ValueError):
         PhaseSpaceDomain(0.0, 0.0, -1.0, 1.0)
+
+
+def test_whole_steps():
+    assert whole_steps(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
+    assert whole_steps(50.0, 0.05) == 1000
+    assert whole_steps(0.1, 0.1) == 1
+    for span, dt in [(0.25, 0.1), (0.2, 0.5), (0.0, 0.1), (-0.3, 0.1),
+                     (1.0, 0.0), (1.0, -0.1), (float("inf"), 0.1),
+                     (float("nan"), 0.1), (10.0, 1e-320)]:
+        with pytest.raises(ValueError, match="whole number"):
+            whole_steps(span, dt)
 
 
 # --- normalize_to_sampling_density -----------------------------------------

@@ -152,6 +152,35 @@ def test_run_coupled_requires_t0_before_tmax():
         run_coupled(MAXWELL, DOM, 16, 16, 0.1, 2.0, cfg)
 
 
+def test_partial_step_rejected_before_any_record():
+    # t0 = 0.25 is 2.5 steps of 0.1: rounding would hand off the t = 0.2
+    # state labelled 0.25 and end the PIC segment short of t_max
+    rows = []
+    cfg = HandoffConfig(t0=0.25, n_p=200, n_pad=2, sequence=Sobol(skip=1),
+                        n_f=8)
+    with pytest.raises(ValueError, match="whole number"):
+        run_coupled(MAXWELL, DOM, 16, 16, 0.1, 0.5, cfg,
+                    on_spectral_record=lambda r, s: rows.append(r),
+                    on_pic_record=lambda r, e: rows.append(r))
+    assert rows == []
+    with pytest.raises(ValueError, match="whole number"):
+        spectral.run_spectral(MAXWELL, DOM, 16, 16, 0.1, 0.25,
+                              on_record=lambda r, s: rows.append(r))
+    e = handoff(_maxwell_state(16, 16), cfg)
+    solver = pic.SplinePoissonSolver.build(0.0, DOM.length, 8)
+    with pytest.raises(ValueError, match="whole number"):
+        run_pic(e, solver, pic.IntegratorKind.RUTH3, dt=0.1, t_start=0.25,
+                t_max=0.5, on_record=lambda r, e: rows.append(r))
+    assert rows == []
+    # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
+    cfg = HandoffConfig(t0=0.3, n_p=200, n_pad=2, sequence=Sobol(skip=1),
+                        n_f=8)
+    result = run_coupled(MAXWELL, DOM, 16, 16, 0.1, 0.5, cfg)
+    assert [seg for seg, _ in result.rows] == ["spectral"] * 4 + ["pic"] * 3
+    assert [round(r.t, 10) for _, r in result.rows] == [
+        0.0, 0.1, 0.2, 0.3, 0.3, 0.4, 0.5]
+
+
 def test_field_solvers_agree_on_smooth_density():
     # the Fourier solve and the spline weak solve must produce the same
     # field for the same charge fluctuation, otherwise the handoff cannot

@@ -73,6 +73,7 @@ def test_too_few_spline_cells_rejected(tmp_path, capsys):
     (["solver=spectral", "nx=8", "nv=8", "dt=0.3", "t_max=1.0"], "t_max must be"),
     (["dt=0.5", "t_max=0.2"], "t_max must be"),
     (["solver=coupled", "dt=0.1", "t_max=1.0", "t0=0.25"], "t0 and t_max - t0"),
+    (["dt=0.1", "t_max=inf"], "t_max must be"),
 ])
 def test_partial_last_step_rejected(tmp_path, capsys, args, message):
     # a run steps round(t_max / dt) times: it would stop short of t_max,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_star_discrepancy, fit_loglog_slope,
-                     sobol_pairs_sequential)
+                     sobol_pairs_sequential, star_discrepancy_histogram_sweep)
 from vpqmc.core import ParticleEnsemble
 from vpqmc.lowdisc import (EmptyPointSet, PseudoRandom, Sobol, generate_pairs,
                            star_discrepancy, star_discrepancy_in_window)
@@ -69,10 +69,33 @@ def test_matches_brute_force_on_random_sets():
         pts = rng.random((n, 2))
         assert star_discrepancy(pts) == pytest.approx(
             brute_force_star_discrepancy(pts), abs=1e-14)
-    # duplicated coordinates and ties
-    pts = np.array([[0.25, 0.5], [0.25, 0.5], [0.25, 0.75], [0.8, 0.5]])
-    assert star_discrepancy(pts) == pytest.approx(
-        brute_force_star_discrepancy(pts), abs=1e-14)
+    # duplicated coordinates and ties; a 1/8 lattice; every point three times
+    tied = [np.array([[0.25, 0.5], [0.25, 0.5], [0.25, 0.75], [0.8, 0.5]]),
+            np.floor(rng.random((30, 2)) * 8) / 8,
+            np.repeat(rng.random((12, 2)), 3, axis=0)]
+    for pts in tied:
+        assert star_discrepancy(pts) == pytest.approx(
+            brute_force_star_discrepancy(pts), abs=1e-14)
+
+
+_RNG = np.random.default_rng(9)
+_EDGES = np.array([[1.0, 0.3], [0.2, 1.0], [0.0, 0.0], [1.0, 1.0],
+                   [0.0, 0.7], [0.4, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_BITWISE_CASES = {
+    "sobol_4096": generate_pairs(Sobol(skip=1), 4096),
+    "pcg64_3980": generate_pairs(PseudoRandom(seed=0), 3980),
+    "lattice_64": np.floor(_RNG.random((3000, 2)) * 64) / 64,
+    "lattice_64_x_only": np.column_stack(
+        [np.floor(_RNG.random(3000) * 64) / 64, _RNG.random(3000)]),
+    "edges": np.vstack([_RNG.random((300, 2)), _EDGES]),
+    "each_three_times": np.repeat(_RNG.random((700, 2)), 3, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BITWISE_CASES))
+def test_matches_histogram_sweep_bitwise(name):
+    pts = _BITWISE_CASES[name]
+    assert star_discrepancy(pts) == star_discrepancy_histogram_sweep(pts)
 
 
 def test_permutation_invariance_and_range():
