@@ -9,8 +9,7 @@ estimation, and the spectral-to-PIC handoff.
 
 from .core import (AllZeroDensity, DiagnosticsRecord, ELECTRON, GriddedDensity,
                    InitialCondition, ParticleEnsemble, PhaseSpaceDomain,
-                   Species, eval_initial_f, normalize_to_sampling_density,
-                   weight)
+                   Species, eval_initial_f, normalize_to_sampling_density)
 from .lowdisc import (EmptyPointSet, PseudoRandom, Sobol, generate_pairs,
                       star_discrepancy, star_discrepancy_in_window)
 from .sampling import (BilinearSampler, NewtonNoConvergence, ZeroConditional,
@@ -23,9 +22,9 @@ from .spectral import (RUTH3, SpectralState, SplitCoefficients, advance,
                        step_order3, zero_pad)
 from .pic import (FieldSolution, FixedPointDiverged, IntegratorKind,
                   SplinePoissonSolver, deposit_rhs, discrete_entropy,
-                  eval_E, flow_jacobian_det, push, solve_poisson_fem)
+                  eval_E, push, solve_poisson_fem)
 from .densest import (LinearSplineBasis2D, SingularSystem, bilinear_ridge_fit,
-                      osde_linear, spline_mode_error)
+                      osde_linear)
 from .coupling import HandoffConfig, handoff, run_coupled, run_pic
 from .driver import RunConfig, cli_main, parse_config
 

@@ -53,10 +53,6 @@ class PhaseSpaceDomain:
     def area(self) -> float:
         return self.length * self.v_span
 
-    def wrap_x(self, x):
-        """Map positions into [x_min, x_max) by periodicity."""
-        return self.x_min + np.mod(np.asarray(x, dtype=float) - self.x_min, self.length)
-
 
 @dataclass(frozen=True)
 class Species:
@@ -334,14 +330,6 @@ class ParticleEnsemble:
     def copy(self) -> "ParticleEnsemble":
         return ParticleEnsemble(self.x.copy(), self.v.copy(),
                                 self.f_like.copy(), self.g_like.copy())
-
-
-def weight(ensemble: ParticleEnsemble, k: int) -> float:
-    """Weight w_k = f_like[k] / g_like[k] of marker k; constant under
-    volume-preserving pushes."""
-    if not 0 <= k < ensemble.n_p:
-        raise IndexError(f"marker index {k} out of range")
-    return float(ensemble.f_like[k] / ensemble.g_like[k])
 
 
 @dataclass(frozen=True)

@@ -71,31 +71,12 @@ class LinearSplineBasis2D:
         upper[0] = 0.0
         return self.dv * np.vstack([upper, diag])
 
-    def mass_v_dense(self) -> np.ndarray:
-        ab = self.mass_v_banded()
-        m = np.diag(ab[1])
-        off = np.diag(ab[0, 1:], k=1)
-        return m + off + off.T
-
-    def mass_x_dense(self) -> np.ndarray:
-        return scipy.linalg.circulant(self.mass_x_row()).T
-
-    def apply_mass(self, coeffs: np.ndarray) -> np.ndarray:
-        """(M_x kron M_v) @ coeffs for an (nx, nv) coefficient array."""
-        out = np.fft.ifft(np.fft.fft(coeffs, axis=0)
-                          * self.mass_x_eigs()[:, None], axis=0).real
-        return out @ self.mass_v_dense().T
-
     def solve_mass(self, moments: np.ndarray) -> np.ndarray:
         """(M_x kron M_v)^{-1} @ moments: FFT in x, banded Cholesky in v."""
         tmp = np.fft.ifft(np.fft.fft(moments, axis=0)
                           / self.mass_x_eigs()[:, None], axis=0).real
         sol = scipy.linalg.solveh_banded(self.mass_v_banded(), tmp.T)
         return sol.T
-
-    def cic_indices(self, x: np.ndarray, v: np.ndarray):
-        """Cloud-in-cell node indices and bilinear weights for each marker."""
-        return bilinear_stencil(self.domain, self.nx, self.nv, x, v)
 
 
 def cic_moments(basis: LinearSplineBasis2D, x: np.ndarray, v: np.ndarray,
@@ -104,7 +85,7 @@ def cic_moments(basis: LinearSplineBasis2D, x: np.ndarray, v: np.ndarray,
     n = np.asarray(x).shape[0]
     omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
     flat = np.zeros(basis.nx * basis.nv)
-    nodes, wgts = basis.cic_indices(x, v)
+    nodes, wgts = bilinear_stencil(basis.domain, basis.nx, basis.nv, x, v)
     for (i, j), w in zip(nodes, wgts):
         flat += np.bincount(i * basis.nv + j, weights=omega * w,
                             minlength=flat.size)
@@ -127,11 +108,6 @@ def osde_linear(ensemble: ParticleEnsemble, basis: LinearSplineBasis2D,
     return GriddedDensity(basis.domain, coeffs)
 
 
-def l2_norm(basis: LinearSplineBasis2D, coeffs: np.ndarray) -> float:
-    """L2 norm of the spline function with the given coefficients."""
-    return float(np.sqrt(np.sum(coeffs * basis.apply_mass(coeffs))))
-
-
 def bilinear_ridge_fit(x, v, values, basis: LinearSplineBasis2D,
                        lam: Optional[float] = None) -> GriddedDensity:
     """Least-squares bilinear fit of point samples with L2 regularization.
@@ -151,7 +127,7 @@ def bilinear_ridge_fit(x, v, values, basis: LinearSplineBasis2D,
     values = np.asarray(values, dtype=float)
     n_s = x.shape[0]
     n_dof = basis.nx * basis.nv
-    nodes, wgts = basis.cic_indices(x, v)
+    nodes, wgts = bilinear_stencil(basis.domain, basis.nx, basis.nv, x, v)
     rows = np.concatenate([np.arange(n_s)] * 4)
     cols = np.concatenate([i * basis.nv + j for (i, j) in nodes])
     data = np.concatenate(list(wgts))
@@ -178,13 +154,3 @@ def bilinear_ridge_fit(x, v, values, basis: LinearSplineBasis2D,
         raise np.linalg.LinAlgError(
             f"normal-equation residual {resid:.3e} exceeds tolerance")
     return GriddedDensity(basis.domain, coeffs.reshape(basis.nx, basis.nv))
-
-
-def spline_mode_error(k: float, h: float, m: int) -> float:
-    """Relative amplitude error |1 - sinc(kh/2)^(m+1)| of the k-th Fourier
-    mode after re-expanding in order-m B-splines on a grid of step h."""
-    if m < 0:
-        raise ValueError("spline order must be >= 0")
-    z = 0.5 * k * h
-    sinc = np.sinc(z / np.pi)  # numpy sinc is the normalized variant
-    return float(abs(1.0 - sinc ** (m + 1)))

@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -121,13 +122,16 @@ _READS = {
     "coupled": _EVERY_RUN | {"nx", "nv", "n_f", "n_p", "t0", "n_pad",
                              "integrator", "sequence", "hk_period"},
 }
-# the key that picks the points of each sequence
+# the key that picks the points of each sequence; `vpqmc sample` reads
+# them too, and `vpqmc reconstruct` reads lam only by mode=interp
 _SEQUENCE_READS = {"sobol": {"sobol_skip"}, "pseudorandom": {"seed"}}
-# the least value of each integer key; the subcommands check the arguments
-# that stand for these keys against the same bounds
+_MODE_READS = {"osde": set(), "interp": {"lam"}}
+# the least value of each numeric key of a run or a subcommand (cap is
+# discrepancy's star_disc_cap, n is sample's n_p)
 _LEAST = {"nx": 2, "nv": 2, "n_f": 4, "n_p": 1, "n_pad": 1, "output_stride": 1,
           "sobol_skip": 1, "seed": 0, "dump_stride": 0, "star_disc_period": 0,
           "star_disc_cap": 1, "hk_period": 0}
+_LEAST.update(cap=_LEAST["star_disc_cap"], n=_LEAST["n_p"], lam=0)
 
 
 def _reads(cfg: RunConfig) -> frozenset:
@@ -138,18 +142,20 @@ def _reads(cfg: RunConfig) -> frozenset:
     return reads
 
 
-def _too_small(values: dict, names: Optional[dict] = None) -> List[str]:
-    """A message for each key in ``values`` below its least value;
-    ``names`` maps a key to the argument name that stands for it."""
-    names = names or {}
-    return [f"{names.get(key, key)} must be >= {least}" for key, least in _LEAST.items()
-            if key in values and values[key] < least]
+def _too_small(values: dict) -> List[str]:
+    """A message for each key in ``values`` below its least value; None
+    (a value the program picks, as for lam) is not checked."""
+    return [f"{key} must be >= {least}" for key, least in _LEAST.items()
+            if values.get(key) is not None and not values[key] >= least]
 
 
-def _check_least(values: dict, names: Optional[dict] = None) -> None:
-    problems = _too_small(values, names)
-    if problems:
-        raise ValidationError("; ".join(problems))
+def _sobol_overrun(values: dict, n_key: str) -> List[str]:
+    """A message if values[n_key] Sobol points after the first sobol_skip
+    run past the points of the construction."""
+    if values["sequence"] == "sobol" and (values["sobol_skip"] + values[n_key]
+                                          > lowdisc.SOBOL_POINTS):
+        return [f"sobol_skip + {n_key} must be <= {lowdisc.SOBOL_POINTS}"]
+    return []
 
 
 def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
@@ -157,8 +163,9 @@ def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
         parts = tuple(float(p) for p in text.split(","))
     except ValueError:
         parts = ()
-    if len(parts) != 4:
-        raise ParseError(f"{key} {text!r} needs four comma-separated numbers")
+    if len(parts) != 4 or not (parts[0] < parts[1] and parts[2] < parts[3]):
+        raise ParseError(f"{key} {text!r} needs four numbers x0,x1,v0,v1 with "
+                         "x0 < x1 and v0 < v1")
     return parts  # type: ignore[return-value]
 
 
@@ -172,6 +179,8 @@ def _key_value(token: str, allowed: dict, where: str):
         raise ParseError(f"{where}: unknown key '{key}'")
     try:
         return key, allowed[key](value)
+    except ParseError:  # a value parser's own message
+        raise
     except ValueError:
         raise ParseError(f"{where}: key '{key}': cannot parse {value!r} "
                          f"as {allowed[key].__name__}")
@@ -236,6 +245,9 @@ def _validate(cfg: RunConfig, explicit) -> None:
     if not cfg.v_max > cfg.v_min:
         problems.append("v_max must exceed v_min")
     problems += _too_small(vars(cfg))
+    reads = _reads(cfg)
+    if "sobol_skip" in reads:
+        problems += _sobol_overrun(vars(cfg), "n_p")
     if cfg.solver == "coupled":
         if cfg.t0 is None:
             problems.append("coupled runs require t0")
@@ -254,7 +266,6 @@ def _validate(cfg: RunConfig, explicit) -> None:
         problems.append(f"sequence '{cfg.sequence}' not in sobol|pseudorandom")
     if cfg.sampling not in ("its", "uniform"):
         problems.append(f"sampling '{cfg.sampling}' not in its|uniform")
-    reads = _reads(cfg)
     unread = [f.name for f in dataclass_fields(RunConfig)
               if f.name in explicit and f.name not in reads]
     if unread:
@@ -442,28 +453,7 @@ def _run(cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 # CLI
 
-_USAGE = """\
-usage: vpqmc <subcommand> [arguments]
-
-subcommands:
-  run [--config FILE] [key=value ...]       execute a configured run
-  sample DUMP OUT n=N [sequence=...] [seed=N] [sobol_skip=N]
-                                            draw markers from a grid dump
-  reconstruct DUMP OUT mode=osde|interp nx=N nv=N [lam=X]
-                                            grid estimate from a particle dump
-  discrepancy DUMP [window=x0,x1,v0,v1] [cap=N]
-                                            star discrepancy of a particle dump
-  hk-variation DUMP                         Hardy-Krause variation of a grid dump
-  dump-info DUMP                            print the sidecar of a dump
-exit status: 0 ok, 1 runtime error, 2 usage error
-"""
-
-
-def _error_line(exc: Exception) -> str:
-    return "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)})
-
-
-def _cmd_run(args: List[str]) -> int:
+def _cmd_run(args: List[str]) -> None:
     config_path = None
     rest = []
     it = iter(args)
@@ -474,115 +464,135 @@ def _cmd_run(args: List[str]) -> int:
                 raise ParseError("--config requires a path")
         else:
             rest.append(a)
-    cfg = parse_config(config_path, rest)
-    outdir = _run(cfg)
+    outdir = _run(parse_config(config_path, rest))
     print(f"run complete: {outdir/'timeseries.csv'}")
-    return 0
 
 
-def _cmd_sample(args: List[str]) -> int:
-    if len(args) < 2:
-        raise ParseError("sample needs DUMP and OUT paths")
-    src, dst, *rest = args
-    allowed = {"n": int, "sequence": str, "seed": int, "sobol_skip": int}
-    kv = dict(_key_value(token, allowed, "argument") for token in rest)
-    n = kv.pop("n", 0)
-    if n < 1:
-        raise ParseError("sample requires n >= 1")
-    _check_least(kv)
-    # as in _validate, a key the chosen sequence never reads is an error
-    cfg = RunConfig(**kv)
-    if cfg.sequence not in _SEQUENCE_READS:
-        raise ValidationError(f"sequence '{cfg.sequence}' not in sobol|pseudorandom")
-    unread = [key for key in kv
-              if key != "sequence" and key not in _SEQUENCE_READS[cfg.sequence]]
-    if unread:
-        raise ValidationError(f"{', '.join(unread)} not read by sequence={cfg.sequence}")
-    result = read_dump(src)
-    if result[0] != "grid":
-        raise FormatError("sample expects a grid dump")
-    _, density, t = result
-    ensemble = sampling.sample_gridded_density(density, cfg.sequence_kind(), n)
-    write_particle_dump(dst, ensemble, density.domain, t)
-    print(f"sampled {n} markers -> {dst}")
-    return 0
+def _cmd_sample(grid, out, n, sequence, seed, sobol_skip) -> None:
+    density, t = grid
+    kind = (lowdisc.Sobol(skip=sobol_skip) if sequence == "sobol"
+            else lowdisc.PseudoRandom(seed=seed))
+    ensemble = sampling.sample_gridded_density(density, kind, n)
+    write_particle_dump(out, ensemble, density.domain, t)
+    print(f"sampled {n} markers -> {out}")
 
 
-def _cmd_reconstruct(args: List[str]) -> int:
-    if len(args) < 2:
-        raise ParseError("reconstruct needs DUMP and OUT paths")
-    src, dst, *rest = args
-    allowed = {"mode": str, "nx": int, "nv": int, "lam": float}
-    kv = dict(_key_value(token, allowed, "argument") for token in rest)
-    mode = kv.get("mode", "osde")
-    if mode not in ("osde", "interp"):
-        raise ParseError("mode must be osde or interp")
-    _check_least(kv)
-    result = read_dump(src)
-    if result[0] != "particles":
-        raise FormatError("reconstruct expects a particle dump")
-    _, ensemble, domain, t = result
-    basis = densest.LinearSplineBasis2D(domain, kv.get("nx", 64), kv.get("nv", 64))
+def _cmd_reconstruct(particles, out, mode, nx, nv, lam) -> None:
+    ensemble, domain, t = particles
+    basis = densest.LinearSplineBasis2D(domain, nx, nv)
     if mode == "osde":
-        out = densest.osde_linear(ensemble, basis, use_weights=True)
+        est = densest.osde_linear(ensemble, basis, use_weights=True)
     else:
-        out = densest.bilinear_ridge_fit(ensemble.x, ensemble.v, ensemble.f_like,
-                                         basis, lam=kv.get("lam"))
-    write_grid_dump(dst, out, t)
-    print(f"reconstructed ({mode}) -> {dst}")
-    return 0
+        est = densest.bilinear_ridge_fit(ensemble.x, ensemble.v, ensemble.f_like,
+                                         basis, lam=lam)
+    write_grid_dump(out, est, t)
+    print(f"reconstructed ({mode}) -> {out}")
 
 
-def _cmd_discrepancy(args: List[str]) -> int:
-    if len(args) < 1:
-        raise ParseError("discrepancy needs a particle dump")
-    src, *rest = args
-    kv = dict(_key_value(token, {"window": str, "cap": int}, "argument")
-              for token in rest)
-    window = _parse_window("window", kv.get("window", "0,2,-1,1"))
-    cap = kv.get("cap", RunConfig.star_disc_cap)
-    _check_least({"star_disc_cap": cap}, {"star_disc_cap": "cap"})
-    result = read_dump(src)
-    if result[0] != "particles":
-        raise FormatError("discrepancy expects a particle dump")
-    _, ensemble, domain, t = result
+def _cmd_discrepancy(particles, window, cap) -> None:
+    ensemble, _, t = particles
     res = lowdisc.star_discrepancy_in_window(ensemble, window, cap=cap)
-    print("t,n_in_window,d_star")
-    print(f"{_fmt(t)},{res.n_in_window},{_fmt(res.d_star)}")
-    return 0
+    print(f"t,n_in_window,d_star\n{_fmt(t)},{res.n_in_window},{_fmt(res.d_star)}")
 
 
-def _cmd_hk(args: List[str]) -> int:
-    if len(args) != 1:
-        raise ParseError("hk-variation needs a grid dump")
-    result = read_dump(args[0])
-    if result[0] != "grid":
-        raise FormatError("hk-variation expects a grid dump")
-    _, density, t = result
-    state = _spectral_state_from_grid(density, t)
-    print("t,hk_variation")
-    print(f"{_fmt(t)},{_fmt(spectral.hk_variation(state))}")
-    return 0
+def _cmd_hk(grid) -> None:
+    state = _spectral_state_from_grid(*grid)
+    print(f"t,hk_variation\n{_fmt(state.t)},{_fmt(spectral.hk_variation(state))}")
 
 
-def _cmd_dump_info(args: List[str]) -> int:
-    if len(args) != 1:
-        raise ParseError("dump-info needs a dump path")
-    sidecar = _sidecar_path(args[0])
+def _cmd_dump_info(path) -> None:
+    sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FormatError(f"missing sidecar {sidecar}")
     print(sidecar.read_text().strip())
-    return 0
+
+
+_DUMP_KINDS = {"GRID_DUMP": "grid", "PARTICLE_DUMP": "particles"}
+
+
+class _Subcommand(NamedTuple):
+    """A subcommand's positional ``args`` (dumps of ``_DUMP_KINDS``, or
+    paths), its keys as key -> (parser, usage name, default), the
+    ``variant`` key whose value picks the keys read (value -> the keys
+    only it reads), and a ``check`` of the values beyond ``_LEAST``.  A
+    ``raw`` subcommand's handler takes its argument list unparsed."""
+
+    summary: str
+    handler: Callable
+    args: Tuple[str, ...] = ()
+    keys: Dict[str, tuple] = {}
+    variant: Optional[Tuple[str, dict]] = None
+    check: Optional[Callable[[dict], List[str]]] = None
+    raw: Optional[str] = None
 
 
 _SUBCOMMANDS = {
-    "run": _cmd_run,
-    "sample": _cmd_sample,
-    "reconstruct": _cmd_reconstruct,
-    "discrepancy": _cmd_discrepancy,
-    "hk-variation": _cmd_hk,
-    "dump-info": _cmd_dump_info,
+    "run": _Subcommand("execute a configured run", _cmd_run,
+                       raw="[--config FILE] [key=value ...]"),
+    "sample": _Subcommand(
+        "draw markers from a grid dump", _cmd_sample, ("GRID_DUMP", "OUT"),
+        {"n": (int, "N", 0),  # no default: 0 fails the bound of n
+         "sequence": (str, "|".join(_SEQUENCE_READS), RunConfig.sequence),
+         "seed": (int, "N", RunConfig.seed),
+         "sobol_skip": (int, "N", RunConfig.sobol_skip)},
+        ("sequence", _SEQUENCE_READS), partial(_sobol_overrun, n_key="n")),
+    "reconstruct": _Subcommand(
+        "grid estimate from a particle dump", _cmd_reconstruct, ("PARTICLE_DUMP", "OUT"),
+        {"mode": (str, "|".join(_MODE_READS), "osde"), "nx": (int, "N", 64),
+         "nv": (int, "N", 64), "lam": (float, "X", None)},
+        ("mode", _MODE_READS)),
+    "discrepancy": _Subcommand(
+        "star discrepancy of a particle dump", _cmd_discrepancy, ("PARTICLE_DUMP",),
+        {"window": (partial(_parse_window, "window"), "x0,x1,v0,v1", RunConfig().window()),
+         "cap": (int, "N", RunConfig.star_disc_cap)}),
+    "hk-variation": _Subcommand("Hardy-Krause variation of a grid dump", _cmd_hk,
+                                ("GRID_DUMP",)),
+    "dump-info": _Subcommand("print the sidecar of a dump", _cmd_dump_info, ("DUMP",)),
 }
+
+_USAGE = "usage: vpqmc <subcommand> [arguments]\n\nsubcommands:\n"
+for _name, _sub in _SUBCOMMANDS.items():
+    # a key whose default fails its bound is one the user must give
+    _words = [_sub.raw] if _sub.raw else list(_sub.args) + [
+        f"{key}={usage}" if _too_small({key: default}) else f"[{key}={usage}]"
+        for key, (_, usage, default) in _sub.keys.items()]
+    _head = "  " + " ".join([_name, *_words])
+    _USAGE += f"{_head:<44}" if len(_head) < 44 else f"{_head}\n{'':44}"
+    _USAGE += _sub.summary + "\n"
+_USAGE += "exit status: 0 ok, 1 runtime error, 2 usage error\n"
+
+
+def _dispatch(name: str, sub: _Subcommand, argv: List[str]) -> None:
+    """Check argv against the table, then call the handler with the dumps
+    read (without their kind) or paths, and every key by name."""
+    if sub.raw:
+        return sub.handler(argv)
+    if len(argv) < len(sub.args):
+        raise ParseError(f"{name} needs {' '.join(sub.args)}")
+    parsers = {key: parse for key, (parse, _, _) in sub.keys.items()}
+    given = dict(_key_value(token, parsers, "argument") for token in argv[len(sub.args):])
+    values = {key: default for key, (_, _, default) in sub.keys.items()} | given
+    problems = _too_small(values)
+    if sub.variant:
+        key, reads = sub.variant
+        choice = values[key]
+        if choice not in reads:
+            raise ValidationError(f"{key} '{choice}' not in {'|'.join(reads)}")
+        unread = [k for k in given if k in set().union(*reads.values()) - reads[choice]]
+        if unread:
+            problems.append(f"{', '.join(unread)} not read by {key}={choice}")
+    if sub.check:
+        problems += sub.check(values)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    inputs = list(argv[:len(sub.args)])
+    for i, kind in enumerate(map(_DUMP_KINDS.get, sub.args)):
+        if kind is not None:
+            found, *dump = read_dump(inputs[i])
+            if found != kind:
+                raise FormatError(f"{name} expects a {kind} dump")
+            inputs[i] = dump
+    sub.handler(*inputs, **values)
 
 
 def cli_main(argv: List[str]) -> int:
@@ -591,19 +601,17 @@ def cli_main(argv: List[str]) -> int:
         print(_USAGE, end="")
         return 0 if argv else 2
     name, *rest = argv
-    handler = _SUBCOMMANDS.get(name)
-    if handler is None:
-        print(_USAGE, end="", file=sys.stderr)
-        print(_error_line(ParseError(f"unknown subcommand '{name}'")), file=sys.stderr)
-        return 2
     try:
-        return handler(rest)
-    except (ParseError, ValidationError) as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failures: I/O, numerics, format
-        print(_error_line(exc), file=sys.stderr)
-        return 1
+        if name not in _SUBCOMMANDS:
+            print(_USAGE, end="", file=sys.stderr)
+            raise ParseError(f"unknown subcommand '{name}'")
+        _dispatch(name, _SUBCOMMANDS[name], rest)
+        return 0
+    except Exception as exc:
+        print("error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        # usage errors exit 2; runtime failures (I/O, numerics, format) 1
+        return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
 
 
 def main() -> None:

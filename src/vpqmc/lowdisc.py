@@ -44,6 +44,8 @@ class Sobol:
 SequenceKind = Union[PseudoRandom, Sobol]
 
 _SOBOL_BITS = 32
+#: The points of the construction: n points after ``skip`` need skip + n <= SOBOL_POINTS.
+SOBOL_POINTS = 2 ** _SOBOL_BITS
 
 # Direction-number integers m_k for dimension 2, primitive polynomial
 # x + 1 (degree 1, Joe-Kuo initialization m_1 = 1, recurrence
@@ -84,7 +86,7 @@ def generate_pairs(kind: SequenceKind, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(kind, Sobol):
-        if kind.skip + n > 2 ** _SOBOL_BITS:
+        if kind.skip + n > SOBOL_POINTS:
             raise ValueError("Sobol index range exceeds the 32-bit construction")
         return _sobol_pairs(kind.skip, n)
     if isinstance(kind, PseudoRandom):

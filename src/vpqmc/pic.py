@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -182,19 +182,6 @@ class FieldSolution(NamedTuple):
         return eval_dE(self, x)
 
 
-class AnalyticField(NamedTuple):
-    """Frozen analytic field for harness tests and Jacobian probes."""
-
-    e_fn: Callable
-    de_fn: Callable
-
-    def E(self, x):
-        return self.e_fn(np.asarray(x, dtype=float))
-
-    def dE(self, x):
-        return self.de_fn(np.asarray(x, dtype=float))
-
-
 def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
                 species: Species = ELECTRON,
                 stencil: Optional[SplineStencil] = None) -> np.ndarray:
@@ -222,14 +209,10 @@ def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray,
     return FieldSolution(coeffs=coeffs, solver=solver, t=t)
 
 
-def _spline_eval(field: FieldSolution, x, order: int, scale: float = 1.0) -> np.ndarray:
+def _spline_eval(field: FieldSolution, x, order: int, scale: float) -> np.ndarray:
     """The order-th u-derivative of the spline scale * coeffs at x."""
     stencil = _stencil_at(field.stencil, field.solver, x)
     return stencil.evaluate(scale * field.coeffs, order)
-
-
-def eval_phi(field: FieldSolution, x):
-    return _spline_eval(field, x, 0)
 
 
 def eval_E(field: FieldSolution, x):
@@ -279,16 +262,6 @@ class SelfConsistentField:
         return self._field._replace(t=t)
 
 
-class FrozenField:
-    """Field machinery that ignores the ensemble (external prescribed field)."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def __call__(self, ensemble=None, t: float = 0.0):
-        return self.field
-
-
 def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
     """Rebind x to ``x_min + np.mod(x - x_min, length)``, running the
     modulo only where it changes something: on ``[0, length)`` it returns
@@ -308,10 +281,11 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
     :class:`SelfConsistentField` reuses a field for the same array objects.
 
     ``fields`` is the field machinery: a callable mapping the current
-    ensemble to a field object with E(x) and dE(x) (use
-    :class:`SelfConsistentField` for production, :class:`FrozenField` for
-    harness tests).  The implicit midpoint kind iterates the collective
-    particle-field fixed point to 1e-12 in the max norm of position increments.
+    ensemble to a field object with E(x) and dE(x).  Positions wrap into
+    the period of a :class:`SelfConsistentField`'s solver; field machinery
+    without a solver leaves them unwrapped.  The implicit midpoint kind
+    iterates the particle-field fixed point to 1e-12 in the max norm of
+    position increments.
 
     Likelihood bookkeeping: the volume-preserving kinds leave f_like and
     g_like untouched; ExplicitEuler divides g_like by the one-step flow
@@ -388,67 +362,6 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# frozen-field single-particle maps (Jacobian probes, harness tests)
-
-def frozen_step(kind: IntegratorKind, x, v, dt: float, field,
-                species: Species = ELECTRON):
-    """One step of ``kind`` for independent particles (1-D arrays x, v) in
-    a frozen field.
-
-    Runs :func:`push` on a unit-likelihood ensemble without wrapping, so
-    the Jacobian probes measure the production integrators.
-    """
-    x = np.asarray(x, dtype=float)
-    ensemble = ParticleEnsemble(x, np.asarray(v, dtype=float),
-                                np.ones_like(x), np.ones_like(x))
-    push(kind, ensemble, FrozenField(field), dt, species)
-    return ensemble.x, ensemble.v
-
-
-def adjoint_euler_step(x, v, dt: float, field, species: Species = ELECTRON):
-    """The adjoint (implicit) Euler map: x' = x + dt v', v' = v + dt (q/m) E(x')."""
-    qm = species.q_over_m
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    v_new = np.array(v, dtype=float, copy=True)
-    for it in range(_FIXED_POINT_CAP):
-        x_new = x + dt * v_new
-        v_next = v + dt * qm * field.E(x_new)
-        resid = float(np.max(np.abs(v_next - v_new)))
-        v_new = v_next
-        if resid <= 1e-14 * max(1.0, float(np.max(np.abs(v_new)))):
-            break
-    else:
-        raise FixedPointDiverged("adjoint Euler fixed point stalled",
-                                 _FIXED_POINT_CAP, resid)
-    return x + dt * v_new, v_new
-
-
-def map_jacobian_det(step_map, x: float, v: float, h_x: float, h_v: float) -> float:
-    """Central finite-difference determinant of a 2-D one-step map."""
-    xp, vp = step_map(np.array([x + h_x, x - h_x, x, x]),
-                      np.array([v, v, v + h_v, v - h_v]))
-    dxdx = (xp[0] - xp[1]) / (2 * h_x)
-    dvdx = (vp[0] - vp[1]) / (2 * h_x)
-    dxdv = (xp[2] - xp[3]) / (2 * h_v)
-    dvdv = (vp[2] - vp[3]) / (2 * h_v)
-    return float(dxdx * dvdv - dxdv * dvdx)
-
-
-def flow_jacobian_det(kind: IntegratorKind, x: float, v: float, dt: float,
-                      field, species: Species = ELECTRON) -> float:
-    """Numerical Jacobian determinant of one frozen-field step at (x, v).
-
-    Central differences with h = 1e-5 * scale per coordinate.
-    """
-    h_x = 1e-5 * max(1.0, abs(x))
-    h_v = 1e-5 * max(1.0, abs(v))
-    return map_jacobian_det(
-        lambda xs, vs: frozen_step(kind, xs, vs, dt, field, species),
-        x, v, h_x, h_v)
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo estimators
 
 def kinetic_energy(ensemble: ParticleEnsemble) -> float:
@@ -459,10 +372,6 @@ def kinetic_energy(ensemble: ParticleEnsemble) -> float:
 def total_mass(ensemble: ParticleEnsemble) -> float:
     """M = (1/n_p) sum f_k/g_k."""
     return float(np.mean(ensemble.weights()))
-
-
-def momentum(ensemble: ParticleEnsemble) -> float:
-    return float(np.mean(ensemble.v * ensemble.weights()))
 
 
 class EntropyEstimate(NamedTuple):

@@ -9,9 +9,10 @@ Two routes to a marker ensemble:
 * :class:`BilinearSampler` performs the exact dimension-by-dimension
   inversion (marginal CDF in x, then the conditional CDF in v given x)
   of an arbitrary bilinear gridded density; each one-cell CDF piece is a
-  monotone quadratic with a closed-form root.  The forward map
-  :func:`forward_cdf` is the inverse's test companion: its Jacobian
-  determinant equals the density itself.
+  monotone quadratic with a closed-form root.  The forward Rosenblatt
+  map :func:`forward_cdf` verifies the inverse: it sends the samples
+  back to their uniform pairs, and its Jacobian determinant equals the
+  density itself.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def _cell_cdf(a, b, s, h):
     return h * (s * a + 0.5 * s * s * (b - a))
 
 
+def _checked_pairs(pairs) -> np.ndarray:
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
+        raise ValueError("pairs must be a nonempty (n, 2) array")
+    return pairs
+
+
 @dataclass(frozen=True)
 class BilinearSampler:
     """Exact inverse-transform sampler for a bilinear gridded density.
@@ -100,16 +108,6 @@ class BilinearSampler:
         cum_cols = np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)],
                                   axis=1)
         return cls(g=g, marginal_x_nodes=gx, cum_x=cum_x, cum_cols=cum_cols)
-
-    def _x_cell_clamped(self, x):
-        # CDF-side lookup: x_max belongs to the last cell (coordinate 1),
-        # not to the wrapped first cell
-        dom = self.g.domain
-        tx = np.clip((np.asarray(x, dtype=float) - dom.x_min) / self.g.dx,
-                     0.0, float(self.g.nx))
-        ix = np.minimum(np.floor(tx).astype(np.int64), self.g.nx - 1)
-        fx = tx - ix
-        return ix, fx
 
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
@@ -206,9 +204,7 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     by callers that sample a different target density, e.g. the
     spectral handoff.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-        raise ValueError("pairs must be a nonempty (n, 2) array")
+    pairs = _checked_pairs(pairs)
     x = sample_marginal_x(s, pairs[:, 0])
     v = sample_conditional_v(s, x, pairs[:, 1])
     g_like = np.asarray(s.g.bilinear_at(x, v))
@@ -241,7 +237,8 @@ def forward_cdf(s: BilinearSampler, x, v):
     scalar = x.ndim == 0 and v.ndim == 0
     x, v = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(v))
     g = s.g
-    ix, fx = s._x_cell_clamped(x)
+    # x on a bounded grid of nx + 1 nodes: x_max is in the last cell, not the first
+    ix, fx = bounded_cell(x, g.domain.x_min, g.dx, g.nx + 1)
     ixp = (ix + 1) % g.nx
     a = s.marginal_x_nodes[ix]
     b = s.marginal_x_nodes[ixp]
@@ -332,9 +329,7 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     the product of the two 1-D densities actually sampled from, so
     f_like/g_like stays meaningful after truncation.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-        raise ValueError("pairs must be a nonempty (n, 2) array")
+    pairs = _checked_pairs(pairs)
     if abs(domain.length - ic.length) > 1e-9 * ic.length:
         raise ValueError("domain length must equal one perturbation period 2*pi/k")
 
@@ -374,9 +369,7 @@ def uniform_sample(ic: InitialCondition, pairs: np.ndarray,
                    domain: PhaseSpaceDomain) -> ParticleEnsemble:
     """Markers uniform on the phase-space box; g_like = 1/area, f_like from
     the initial condition.  Used by the discrepancy-tracking experiments."""
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-        raise ValueError("pairs must be a nonempty (n, 2) array")
+    pairs = _checked_pairs(pairs)
     x = domain.x_min + pairs[:, 0] * domain.length
     v = domain.v_min + pairs[:, 1] * domain.v_span
     g_like = np.full(pairs.shape[0], 1.0 / domain.area)

@@ -9,17 +9,19 @@ parameter choices are justified inline.
 import numpy as np
 import pytest
 
+from harness import (AnalyticField, LinearSplineBasis2D, adjoint_euler_step,
+                     flow_jacobian_det, frozen_step, l2_norm, map_jacobian_det,
+                     spline_mode_error)
 from oracles import fit_loglog_slope, landau_root
 from vpqmc.core import (GriddedDensity, InitialCondition, PhaseSpaceDomain,
                         normalize_to_sampling_density)
 from vpqmc import pic, spectral
 from vpqmc.coupling import HandoffConfig, run_coupled
-from vpqmc.densest import LinearSplineBasis2D, l2_norm, osde_linear, spline_mode_error
+from vpqmc.densest import osde_linear
 from vpqmc.lowdisc import (PseudoRandom, Sobol, generate_pairs,
                            star_discrepancy_in_window)
-from vpqmc.pic import (AnalyticField, IntegratorKind, SelfConsistentField,
-                       SplinePoissonSolver, adjoint_euler_step,
-                       flow_jacobian_det, frozen_step, map_jacobian_det, push)
+from vpqmc.pic import (IntegratorKind, SelfConsistentField, SplinePoissonSolver,
+                       push)
 from vpqmc.sampling import (build_sampler, forward_cdf, rosenblatt_sample,
                             uniform_sample, its_tensor_product)
 

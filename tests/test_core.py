@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from harness import weight
 from vpqmc.core import (AllZeroDensity, GriddedDensity, InitialCondition,
                         ParticleEnsemble, PhaseSpaceDomain, SQRT_2PI,
-                        eval_initial_f, normalize_to_sampling_density, weight,
+                        eval_initial_f, normalize_to_sampling_density,
                         whole_steps)
 
 LANDAU = InitialCondition(epsilon=0.5, k=0.5)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from harness import LinearSplineBasis2D, l2_norm, spline_mode_error
 from vpqmc.core import (GriddedDensity, ParticleEnsemble, PhaseSpaceDomain,
                         normalize_to_sampling_density)
-from vpqmc.densest import (LinearSplineBasis2D, SingularSystem,
-                           bilinear_ridge_fit, cic_moments, l2_norm,
-                           osde_linear, spline_mode_error)
+from vpqmc.densest import (SingularSystem, bilinear_ridge_fit, cic_moments,
+                           osde_linear)
 from vpqmc.lowdisc import PseudoRandom, Sobol, generate_pairs
 from vpqmc.sampling import build_sampler, rosenblatt_sample
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harness import wrap_x
 from vpqmc.core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.core import DiagnosticsRecord
 from vpqmc import driver, pic
@@ -252,13 +253,16 @@ _VALUES = {
     "n_pad": st.integers(1, 64),
     "integrator": st.sampled_from(["euler", "euler2", "seuler", "midpoint", "ruth3"]),
     "seed": st.integers(0, 2 ** 63),
-    "sobol_skip": st.integers(1, 2 ** 40),
+    # sobol_skip + n_p must stay within the 2**32 points of the Sobol construction
+    "sobol_skip": st.integers(1, 2 ** 32 - 10 ** 7),
     "sampling": st.sampled_from(["its", "uniform"]),
     "output_stride": st.integers(1, 1000),
     "dump_stride": st.integers(0, 1000),
     "star_disc_period": st.integers(0, 1000),
-    "star_disc_window": st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4).map(
-        lambda xs: ",".join(map(repr, xs))),
+    # two increasing pairs: a window must have positive extent
+    "star_disc_window": st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2, unique=True).map(sorted),
+        min_size=2, max_size=2).map(lambda xs: ",".join(map(repr, xs[0] + xs[1]))),
     "star_disc_cap": st.integers(1, 10 ** 6),
     "hk_period": st.integers(0, 1000),
     "outdir": st.text("abz09_-./", min_size=1, max_size=20),
@@ -314,7 +318,7 @@ def test_particle_dump_round_trip(tmp_path_factory, n_p, x_min, length, v_min,
                                   v_span, t, seed):
     rng = np.random.default_rng(seed)
     dom = PhaseSpaceDomain(x_min, x_min + length, v_min, v_min + v_span)
-    e = ParticleEnsemble(x=dom.wrap_x(rng.uniform(x_min, x_min + length, n_p)),
+    e = ParticleEnsemble(x=wrap_x(dom, rng.uniform(x_min, x_min + length, n_p)),
                          v=rng.uniform(dom.v_min, dom.v_max, n_p),
                          f_like=rng.standard_normal(n_p),  # signed, as after a handoff
                          g_like=rng.random(n_p) + 0.5)
@@ -489,6 +493,46 @@ def test_cli_reconstruct_bounds_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,problem", [
+    (["mode=osde", "lam=0.1"], "lam not read by mode=osde"),
+    (["lam=0.1"], "lam not read by mode=osde"),
+    (["mode=interp", "lam=-1"], "lam must be >= 0"),
+    (["mode=interp", "lam=nan"], "lam must be >= 0"),
+    (["mode=spline"], "mode 'spline' not in osde|interp"),
+])
+def test_cli_reconstruct_lam_rules_are_usage_errors(tmp_path, capsys, args, problem):
+    # lam is read only by mode=interp, and never below 0
+    out = tmp_path / "out.bin"
+    assert cli_main(["reconstruct", str(_particle_dump(tmp_path / "p.dump")), str(out),
+                     *args]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solver=pic", "n_p=10", "sobol_skip=4294967287"],
+    ["solver=coupled", "t0=0.1", "n_p=10", "sobol_skip=4294967295"],
+])
+def test_run_beyond_the_sobol_points_is_usage_error(tmp_path, capsys, args):
+    outdir = tmp_path / "run"
+    assert cli_main(["run", *args, "dt=0.1", "t_max=0.2", f"outdir={outdir}"]) == 2
+    assert "sobol_skip + n_p must be <= 4294967296" in capsys.readouterr().err
+    assert not outdir.exists()
+    # the last index of the construction is still a valid point
+    assert parse_config(None, ["solver=pic", "n_p=10", "sobol_skip=4294967286"])
+
+
+def test_cli_sample_beyond_the_sobol_points_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "g.bin"
+    write_grid_dump(src, GriddedDensity(PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0),
+                                        np.ones((8, 8))), t=0.0)
+    out = tmp_path / "out.bin"
+    assert cli_main(["sample", str(src), str(out), "n=5", "sobol_skip=4294967295"]) == 2
+    assert "sobol_skip + n must be <= 4294967296" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["sample", str(src), str(out), "n=5", "sobol_skip=4294967291"]) == 0
+
+
 def test_cli_discrepancy_cap_below_one_is_usage_error(tmp_path, capsys):
     assert cli_main(["discrepancy", str(_particle_dump(tmp_path / "p.dump")),
                      "cap=0"]) == 2
@@ -582,7 +626,14 @@ def test_cli_usage_errors(tmp_path, capsys):
 def test_cli_bad_window_is_usage_error(tmp_path, capsys):
     dump = _particle_dump(tmp_path / "p.dump")
     assert cli_main(["discrepancy", str(dump), "window=a,b,c,d"]) == 2
+    # a window needs x1 > x0 and v1 > v0
+    assert cli_main(["discrepancy", str(dump), "window=0,0,-1,1"]) == 2
+    assert cli_main(["discrepancy", str(dump), "window=2,0,-1,1"]) == 2
+    assert cli_main(["discrepancy", str(dump), "window=0,2,1,1"]) == 2
     outdir = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "star_disc_period=1", "star_disc_window=1,1,-1,1",
+                     "n_p=50", "dt=0.1", "t_max=0.1", f"outdir={outdir}"]) == 2
+    assert not outdir.exists()
     assert cli_main(["run", "solver=pic", "star_disc_window=a,b,c,d",
                      f"outdir={outdir}"]) == 2
     assert not outdir.exists()  # rejected before anything is written

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import oracles
+from harness import (AnalyticField, FrozenField, adjoint_euler_step, eval_phi,
+                     flow_jacobian_det, frozen_step, map_jacobian_det, momentum)
 from vpqmc.core import (InitialCondition, ParticleEnsemble, PhaseSpaceDomain,
                         Species)
 from vpqmc import pic
-from vpqmc.pic import (AnalyticField, FixedPointDiverged, FrozenField,
-                       IntegratorKind, SelfConsistentField,
-                       SplinePoissonSolver, adjoint_euler_step, deposit_rhs,
-                       discrete_entropy, field_energy, flow_jacobian_det,
-                       frozen_step, kinetic_energy, momentum, push,
-                       solve_poisson_fem, total_mass)
+from vpqmc.pic import (FixedPointDiverged, IntegratorKind, SelfConsistentField,
+                       SplinePoissonSolver, deposit_rhs, discrete_entropy,
+                       field_energy, kinetic_energy, push, solve_poisson_fem,
+                       total_mass)
 from vpqmc.lowdisc import Sobol, generate_pairs
 from vpqmc.sampling import its_tensor_product
 
@@ -118,7 +118,7 @@ def test_stencil_path_matches_textbook_oracle(x_min):
     c = field.coeffs
     ref = [oracles.spline_eval_reference(c, x, x_min, dx, 16, order) for order in (0, 1, 2)]
     atol = _oracle_atol(4 * 5 * np.max(np.abs(c)))
-    np.testing.assert_allclose(pic.eval_phi(field, x), ref[0], rtol=0, atol=atol)
+    np.testing.assert_allclose(eval_phi(field, x), ref[0], rtol=0, atol=atol)
     np.testing.assert_allclose(pic.eval_E(field, x), -ref[1] / dx, rtol=0, atol=atol / dx)
     np.testing.assert_allclose(pic.eval_dE(field, x), -ref[2] / dx ** 2, rtol=0,
                                atol=atol / dx ** 2)
@@ -129,7 +129,7 @@ def test_deposited_stencil_matches_one_off_stencil_bitwise(x_min):
     # the stencil the field was deposited from, and a one-off stencil
     _, e, field = _edge_field(x_min)
     assert field.stencil.x is e.x
-    for ev in (pic.eval_phi, pic.eval_E, pic.eval_dE):
+    for ev in (eval_phi, pic.eval_E, pic.eval_dE):
         np.testing.assert_array_equal(ev(field, e.x), ev(field, e.x.copy()))
 
 
@@ -140,7 +140,7 @@ def test_stencil_path_with_no_markers():
                                   np.full(solver.n_f, -solver.dx))
     field = SelfConsistentField(solver, QPLUS)(e)
     np.testing.assert_array_equal(field.coeffs, 0.0)
-    for ev in (pic.eval_phi, pic.eval_E, pic.eval_dE):
+    for ev in (eval_phi, pic.eval_E, pic.eval_dE):
         assert ev(field, e.x).shape == (0,)
 
 
@@ -345,10 +345,10 @@ def test_adjoint_half_step_det_inverts_explicit():
     dt = 0.2
     x, v = 1.3, 0.7
     x_half, v_half = adjoint_euler_step(x, v, dt / 2, field)
-    det_adj = pic.map_jacobian_det(
+    det_adj = map_jacobian_det(
         lambda xs, vs: adjoint_euler_step(xs, vs, dt / 2, field),
         x, v, 1e-5, 1e-5)
-    det_exp = pic.map_jacobian_det(
+    det_exp = map_jacobian_det(
         lambda xs, vs: frozen_step(IntegratorKind.EXPLICIT_EULER, xs, vs,
                                    dt / 2, field),
         float(x_half), float(v_half), 1e-5, 1e-5)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harness import spline_mode_error
 from oracles import (fit_loglog_slope, spectral_step_order3_complex_reference,
                      zero_pad_complex_reference)
 from vpqmc.core import ELECTRON, InitialCondition, PhaseSpaceDomain, Species
-from vpqmc.densest import spline_mode_error
 from vpqmc.spectral import (NonNeutralPlasmaWarning, RUTH3, SpectralState,
                             SplitCoefficients, advance, advect_x, apply_filter,
                             charge_density, field_energy, hk_variation,
