@@ -7,9 +7,9 @@ bilinear Rosenblatt inverse-transform sampling, spline density
 estimation, and the spectral-to-PIC handoff.
 """
 
-from .core import (AllZeroDensity, DiagnosticsRecord, ELECTRON, GriddedDensity,
+from .core import (AllZeroDensity, DiagnosticsRecord, GriddedDensity,
                    InitialCondition, ParticleEnsemble, PhaseSpaceDomain,
-                   Species, eval_initial_f, normalize_to_sampling_density)
+                   eval_initial_f, normalize_to_sampling_density)
 from .lowdisc import (EmptyPointSet, PseudoRandom, Sobol, generate_pairs,
                       star_discrepancy, star_discrepancy_in_window)
 from .sampling import (BilinearSampler, NewtonNoConvergence, ZeroConditional,
@@ -17,9 +17,9 @@ from .sampling import (BilinearSampler, NewtonNoConvergence, ZeroConditional,
                        rosenblatt_sample, sample_conditional_v,
                        sample_gridded_density, sample_marginal_x,
                        uniform_sample)
-from .spectral import (RUTH3, SpectralState, SplitCoefficients, advance,
-                       advect_x, hk_variation, kick_v, poisson_fourier, run_spectral,
-                       step_order3, zero_pad)
+from .spectral import (RUTH3, SpectralState, advance, advect_x, hk_variation,
+                       kick_v, poisson_fourier, run_spectral, step_order3,
+                       zero_pad)
 from .pic import (FieldSolution, FixedPointDiverged, IntegratorKind,
                   SplinePoissonSolver, deposit_rhs, discrete_entropy,
                   eval_E, push, solve_poisson_fem)

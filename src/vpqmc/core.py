@@ -13,8 +13,8 @@ this grid, which in the periodic direction reduces to the plain node sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,35 +54,11 @@ class PhaseSpaceDomain:
         return self.length * self.v_span
 
 
-@dataclass(frozen=True)
-class Species:
-    """Charge and mass in normalized units."""
-
-    q: float
-    m: float
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("mass must be positive")
-
-    @property
-    def q_over_m(self) -> float:
-        return self.q / self.m
-
-
-@dataclass(frozen=True)
-class SplitCoefficients:
-    """Drift/kick fractions of one composite split step (each sums to 1)."""
+class SplitCoefficients(NamedTuple):
+    """Drift/kick fractions of one composite split step."""
 
     drift: tuple
     kick: tuple
-
-    def __post_init__(self):
-        if len(self.drift) != len(self.kick):
-            raise ValueError("drift and kick stage counts differ")
-        for name, fr in (("drift", self.drift), ("kick", self.kick)):
-            if abs(sum(fr) - 1.0) > 1e-12:
-                raise ValueError(f"{name} fractions must sum to 1")
 
 
 #: Third-order symplectic Runge-Kutta (Ruth) fractions, applied kick-first
@@ -92,9 +68,11 @@ RUTH3 = SplitCoefficients(drift=(2.0 / 3.0, -2.0 / 3.0, 1.0),
                           kick=(7.0 / 24.0, 3.0 / 4.0, -1.0 / 24.0))
 
 
-#: Single electron species in normalized units; the neutralizing ion
-#: background is a fixed unit density inside the field solvers.
-ELECTRON = Species(q=-1.0, m=1.0)
+#: Charge and charge-to-mass ratio of the electrons in normalized units
+#: (q = -1, m = 1); the neutralizing ion background is a fixed unit
+#: density inside the field solvers.
+Q = -1.0
+Q_OVER_M = -1.0
 
 
 def whole_steps(span: float, dt: float) -> int:
@@ -157,7 +135,7 @@ class InitialCondition:
 def eval_initial_f(ic: InitialCondition, x, v):
     """Evaluate the initial phase-space density at (x, v).
 
-    Vectorized over numpy inputs; x is taken as-is (the cosine makes the
+    Takes and returns arrays; x is taken as-is (the cosine makes the
     expression L-periodic), v supports the full real line.
     """
     x = np.asarray(x, dtype=float)
@@ -166,10 +144,7 @@ def eval_initial_f(ic: InitialCondition, x, v):
     bump = 0.0
     if ic.n_b != 0.0:
         bump = (ic.n_b / ic.sigma_b) * np.exp(-0.5 * ((v - ic.v_b) / ic.sigma_b) ** 2)
-    out = (1.0 - ic.epsilon * np.cos(ic.k * x)) / SQRT_2PI * (bulk + bump)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return (1.0 - ic.epsilon * np.cos(ic.k * x)) / SQRT_2PI * (bulk + bump)
 
 
 def initial_x_density(ic: InitialCondition, x):
@@ -252,12 +227,6 @@ class GriddedDensity:
     def dv(self) -> float:
         return self.domain.v_span / (self.nv - 1)
 
-    def x_nodes(self) -> np.ndarray:
-        return self.domain.x_min + self.dx * np.arange(self.nx)
-
-    def v_nodes(self) -> np.ndarray:
-        return self.domain.v_min + self.dv * np.arange(self.nv)
-
     def x_marginal_nodes(self) -> np.ndarray:
         """Trapezoid v-integral of each x column: g_X(x_i)."""
         return self.dv * (self.values @ v_trapezoid_weights(self.nv))
@@ -269,15 +238,12 @@ class GriddedDensity:
     def bilinear_at(self, x, v):
         """Bilinear interpolant value at (x, v); x wraps periodically, v clips.
 
-        Vectorized; returns a scalar for scalar input.
+        Takes and returns arrays.
         """
         nodes, wgts = bilinear_stencil(self.domain, self.nx, self.nv, x, v)
         terms = [w * self.values[i, j] for (i, j), w in zip(nodes, wgts)]
         # not sum(terms): its 0 + (-0.0) would drop the sign of a zero
-        out = terms[0] + terms[1] + terms[2] + terms[3]
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import lowdisc, pic, sampling, spectral
-from .core import (DiagnosticsRecord, ELECTRON, InitialCondition,
-                   ParticleEnsemble, PhaseSpaceDomain, Species, whole_steps)
+from .core import (DiagnosticsRecord, InitialCondition, ParticleEnsemble,
+                   PhaseSpaceDomain, whole_steps)
 from .lowdisc import SequenceKind
 
 
@@ -53,10 +53,9 @@ def run_pic(ensemble: ParticleEnsemble,
             solver: pic.SplinePoissonSolver,
             kind: pic.IntegratorKind,
             dt: float, t_start: float, t_max: float,
-            species: Species = ELECTRON,
             out_stride: int = 1,
             star_disc_period: int = 0,
-            star_disc_window=None,
+            star_disc_window=(0.0, 2.0, -1.0, 1.0),
             star_disc_cap: int = 4000,
             on_record=None) -> List[DiagnosticsRecord]:
     """PIC time loop with diagnostics every ``out_stride`` steps.
@@ -69,17 +68,16 @@ def run_pic(ensemble: ParticleEnsemble,
     about seven numpy calls each, so it is quadratic in the subset size and
     throttled separately from the cheap moment diagnostics.
     """
-    fields = pic.SelfConsistentField(solver, species)
+    fields = pic.SelfConsistentField(solver)
     records: List[DiagnosticsRecord] = []
     n_steps = whole_steps(t_max - t_start, dt)
 
     def emit(t: float):
-        fld = fields(ensemble, t=t)
+        fld = fields(ensemble)
         star = None
         if star_disc_period > 0 and len(records) % star_disc_period == 0:
-            window = star_disc_window or (0.0, 2.0, -1.0, 1.0)
             star = lowdisc.star_discrepancy_in_window(
-                ensemble, window, cap=star_disc_cap).d_star
+                ensemble, star_disc_window, cap=star_disc_cap).d_star
         rec = DiagnosticsRecord.make(
             t=t,
             field_energy=pic.field_energy(fld),
@@ -94,7 +92,7 @@ def run_pic(ensemble: ParticleEnsemble,
 
     emit(t_start)
     for i in range(1, n_steps + 1):
-        pic.push(kind, ensemble, fields, dt, species)
+        pic.push(kind, ensemble, fields, dt)
         if i % out_stride == 0 or i == n_steps:
             emit(t_start + i * dt)
     return records
@@ -112,7 +110,6 @@ def run_coupled(ic: InitialCondition, domain: PhaseSpaceDomain,
                 nx: int, nv: int, dt: float, t_max: float,
                 cfg: HandoffConfig,
                 kind: pic.IntegratorKind = pic.IntegratorKind.RUTH3,
-                species: Species = ELECTRON,
                 out_stride: int = 1,
                 hk_period: int = 0,
                 on_spectral_record=None,
@@ -129,13 +126,13 @@ def run_coupled(ic: InitialCondition, domain: PhaseSpaceDomain,
     whole_steps(cfg.t0, dt)
     whole_steps(t_max - cfg.t0, dt)
     spec_records, state = spectral.run_spectral(
-        ic, domain, nx, nv, dt, cfg.t0, species=species,
+        ic, domain, nx, nv, dt, cfg.t0,
         out_stride=out_stride, hk_period=hk_period,
         on_record=on_spectral_record)
     ensemble = handoff(state, cfg)
     solver = pic.SplinePoissonSolver.build(domain.x_min, domain.length, cfg.n_f)
     pic_records = run_pic(ensemble, solver, kind, dt, cfg.t0, t_max,
-                          species=species, out_stride=out_stride,
+                          out_stride=out_stride,
                           on_record=on_pic_record)
     rows = [("spectral", r) for r in spec_records]
     rows += [("pic", r) for r in pic_records]

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ELECTRON, RUTH3, ParticleEnsemble, Species, periodic_cell
+from .core import Q, Q_OVER_M, RUTH3, ParticleEnsemble, periodic_cell
 
 
 class FixedPointDiverged(RuntimeError):
@@ -74,7 +74,6 @@ class SplinePoissonSolver:
     length: float
     n_f: int
     stiffness_eigs: np.ndarray
-    stiffness_row: np.ndarray
     neighbours: np.ndarray
 
     @classmethod
@@ -89,8 +88,7 @@ class SplinePoissonSolver:
             row[off] += stencil[off]
             row[-off] += stencil[off]
         eigs = np.fft.fft(row)
-        return cls(x_min=x_min, length=length, n_f=n_f,
-                   stiffness_eigs=eigs, stiffness_row=row,
+        return cls(x_min=x_min, length=length, n_f=n_f, stiffness_eigs=eigs,
                    neighbours=np.arange(-1, n_f + 2) % n_f)
 
     @property
@@ -164,7 +162,7 @@ def _stencil_at(stencil, solver: SplinePoissonSolver, x) -> SplineStencil:
 
 
 class FieldSolution(NamedTuple):
-    """Cubic-spline coefficients of the zero-mean potential at time t.
+    """Cubic-spline coefficients of the zero-mean potential.
 
     ``stencil``, when set, is the located position array the field was
     deposited from; evaluations at that same array reuse it.
@@ -172,7 +170,6 @@ class FieldSolution(NamedTuple):
 
     coeffs: np.ndarray
     solver: "SplinePoissonSolver"
-    t: float = 0.0
     stencil: Optional[SplineStencil] = None
 
     def E(self, x):
@@ -183,7 +180,6 @@ class FieldSolution(NamedTuple):
 
 
 def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
-                species: Species = ELECTRON,
                 stencil: Optional[SplineStencil] = None) -> np.ndarray:
     """Weak-form load vector b_i = q [ (1/n_p) sum_k w_k N_i(x_k) - dx ].
 
@@ -195,18 +191,17 @@ def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
     b = _stencil_at(stencil, solver, ensemble.x).deposit(ensemble.weights())
     if ensemble.n_p > 0:
         b /= ensemble.n_p
-    return species.q * (b - solver.dx)
+    return Q * (b - solver.dx)
 
 
-def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray,
-                      t: float = 0.0) -> FieldSolution:
+def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray) -> FieldSolution:
     """Solve stiffness * coeffs = b with the mean projected out of both sides."""
     bh = np.fft.fft(np.asarray(b, dtype=float))
     bh[0] = 0.0
     eigs = solver.stiffness_eigs.copy()
     eigs[0] = 1.0
     coeffs = np.fft.ifft(bh / eigs).real
-    return FieldSolution(coeffs=coeffs, solver=solver, t=t)
+    return FieldSolution(coeffs=coeffs, solver=solver)
 
 
 def _spline_eval(field: FieldSolution, x, order: int, scale: float) -> np.ndarray:
@@ -242,24 +237,23 @@ class SelfConsistentField:
     place, so array identity stands for array contents.
     """
 
-    def __init__(self, solver: SplinePoissonSolver, species: Species = ELECTRON):
+    def __init__(self, solver: SplinePoissonSolver):
         self.solver = solver
-        self.species = species
         self.stencil: Optional[SplineStencil] = None
         self._key = ()
         self._field: Optional[FieldSolution] = None
 
-    def __call__(self, ensemble: ParticleEnsemble, t: float = 0.0) -> FieldSolution:
+    def __call__(self, ensemble: ParticleEnsemble) -> FieldSolution:
         key = (ensemble.x, ensemble.f_like, ensemble.g_like)
         if self._field is None or any(a is not b for a, b in zip(key, self._key)):
             if self.stencil is None:
                 self.stencil = SplineStencil(self.solver, ensemble.x)
             elif self.stencil.x is not ensemble.x:
                 self.stencil.relocate(ensemble.x)
-            b = deposit_rhs(ensemble, self.solver, self.species, self.stencil)
+            b = deposit_rhs(ensemble, self.solver, self.stencil)
             self._field = solve_poisson_fem(self.solver, b)._replace(stencil=self.stencil)
             self._key = key
-        return self._field._replace(t=t)
+        return self._field
 
 
 def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
@@ -273,8 +267,7 @@ def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
     ensemble.x = x_min + r
 
 
-def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
-         species: Species = ELECTRON) -> None:
+def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) -> None:
     """Advance the ensemble one step of ``kind``.
 
     The ensemble's arrays are rebound to new arrays, never written into:
@@ -292,7 +285,7 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float,
     determinant 1 - dt^2 (q/m) dE(x_old); ExplicitEuler2 divides both
     likelihoods, keeping the weights unchanged.
     """
-    qm = species.q_over_m
+    qm = Q_OVER_M
     if isinstance(fields, SelfConsistentField):
         x_min = fields.solver.x_min
         length = fields.solver.length

@@ -123,8 +123,6 @@ def sample_marginal_x(s: BilinearSampler, u_x):
     cells); within the cell the quadratic CDF piece is inverted exactly.
     """
     u = np.asarray(u_x, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
     g = s.g
     gx = s.marginal_x_nodes
     nx = g.nx
@@ -132,8 +130,7 @@ def sample_marginal_x(s: BilinearSampler, u_x):
     a = gx[i]
     b = gx[(i + 1) % nx]
     frac = _invert_cell_quadratic(a, b, u - s.cum_x[i], g.dx)
-    x = g.domain.x_min + (i + frac) * g.dx
-    return float(x[0]) if scalar else x
+    return g.domain.x_min + (i + frac) * g.dx
 
 
 def sample_conditional_v(s: BilinearSampler, x, u_v):
@@ -152,12 +149,8 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     cell as counting every ``delta_j <= target``.  Raises
     :class:`ZeroConditional` where the marginal g_X(x) vanishes.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.asarray(u_v, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    if x.shape != u.shape:
-        x, u = np.broadcast_arrays(x, u)
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(u_v, dtype=float))
     g = s.g
     ix, fx = periodic_cell(x, g.domain.x_min, g.dx, g.nx)
     ixp = (ix + 1) % g.nx
@@ -188,8 +181,7 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     gamma0 = w0 * g.values[ix, j] + fx * g.values[ixp, j]
     gamma1 = w0 * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
     frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), g.dv)
-    v = g.domain.v_min + (j + frac) * g.dv
-    return float(v[0]) if scalar else v
+    return g.domain.v_min + (j + frac) * g.dv
 
 
 def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble:
@@ -207,7 +199,7 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     pairs = _checked_pairs(pairs)
     x = sample_marginal_x(s, pairs[:, 0])
     v = sample_conditional_v(s, x, pairs[:, 1])
-    g_like = np.asarray(s.g.bilinear_at(x, v))
+    g_like = s.g.bilinear_at(x, v)
     return ParticleEnsemble(x=x, v=v, f_like=g_like.copy(), g_like=g_like)
 
 
@@ -222,7 +214,7 @@ def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
     """
     sampler = build_sampler(normalize_to_sampling_density(density))
     ensemble = rosenblatt_sample(sampler, lowdisc.generate_pairs(sequence, n))
-    ensemble.f_like = np.asarray(density.bilinear_at(ensemble.x, ensemble.v))
+    ensemble.f_like = density.bilinear_at(ensemble.x, ensemble.v)
     return ensemble
 
 
@@ -232,10 +224,7 @@ def forward_cdf(s: BilinearSampler, x, v):
     Companion of the inverse sampler; where the column mass vanishes the
     conditional coordinate is reported as 0.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scalar = x.ndim == 0 and v.ndim == 0
-    x, v = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(v))
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     g = s.g
     # x on a bounded grid of nx + 1 nodes: x_max is in the last cell, not the first
     ix, fx = bounded_cell(x, g.domain.x_min, g.dx, g.nx + 1)
@@ -254,8 +243,6 @@ def forward_cdf(s: BilinearSampler, x, v):
         u_v = np.where(gx_here > 0.0, col_mass / np.where(gx_here > 0, gx_here, 1.0), 0.0)
     u_x = np.clip(u_x, 0.0, 1.0)
     u_v = np.clip(u_v, 0.0, 1.0)
-    if scalar:
-        return float(u_x[0]), float(u_v[0])
     return u_x, u_v
 
 
@@ -361,7 +348,7 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     gv = _mix_density(v, z0, zb)
 
     g_like = initial_x_density(ic, x) * gv
-    f_like = np.asarray(eval_initial_f(ic, x, v))
+    f_like = eval_initial_f(ic, x, v)
     return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)
 
 
@@ -373,5 +360,5 @@ def uniform_sample(ic: InitialCondition, pairs: np.ndarray,
     x = domain.x_min + pairs[:, 0] * domain.length
     v = domain.v_min + pairs[:, 1] * domain.v_span
     g_like = np.full(pairs.shape[0], 1.0 / domain.area)
-    f_like = np.asarray(eval_initial_f(ic, x, v))
+    f_like = eval_initial_f(ic, x, v)
     return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)

@@ -21,10 +21,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# RUTH3 and SplitCoefficients are also re-exported from here
-from .core import (DiagnosticsRecord, ELECTRON, GriddedDensity,
-                   InitialCondition, PhaseSpaceDomain, RUTH3, Species,
-                   SplitCoefficients, eval_initial_f, whole_steps)
+# RUTH3 is also re-exported from here
+from .core import (DiagnosticsRecord, GriddedDensity, InitialCondition,
+                   PhaseSpaceDomain, Q, Q_OVER_M, RUTH3, eval_initial_f,
+                   whole_steps)
 
 
 class NonNeutralPlasmaWarning(UserWarning):
@@ -84,7 +84,7 @@ def state_from_initial_condition(ic: InitialCondition, domain: PhaseSpaceDomain,
                                  nx: int, nv: int) -> SpectralState:
     s = SpectralState(domain, np.zeros((nx, nv)))
     xx, vv = np.meshgrid(s.x_nodes(), s.v_nodes(), indexing="ij")
-    s.values = np.asarray(eval_initial_f(ic, xx, vv))
+    s.values = eval_initial_f(ic, xx, vv)
     return s
 
 
@@ -124,8 +124,7 @@ def charge_density(s: SpectralState) -> np.ndarray:
     return s.dv * np.sum(s.values, axis=1)
 
 
-def poisson_fourier(s: SpectralState, species: Species = ELECTRON,
-                    warn_nonneutral: bool = True) -> np.ndarray:
+def poisson_fourier(s: SpectralState, warn_nonneutral: bool = True) -> np.ndarray:
     """Electric field on the x nodes from the Fourier Poisson solve.
 
     Solves the weak-form sign convention -Phi'' = q*(rho - 1), i.e. Gauss's
@@ -141,22 +140,16 @@ def poisson_fourier(s: SpectralState, species: Species = ELECTRON,
     kx = s.kappa_x()
     phi_hat = np.zeros_like(rho_hat)
     nonzero = kx != 0.0
-    phi_hat[nonzero] = species.q * rho_hat[nonzero] / kx[nonzero] ** 2
+    phi_hat[nonzero] = Q * rho_hat[nonzero] / kx[nonzero] ** 2
     # the background only affects the zero mode, which is pinned anyway
     e_hat = -1j * kx * phi_hat
     return np.fft.irfft(e_hat, s.nx)
 
 
-def kick_v(s: SpectralState, dt: float, species: Species = ELECTRON,
-           e_field: Optional[np.ndarray] = None) -> SpectralState:
-    """Exact velocity shear f(x, v) <- f(x, v - (q/m) E(x) dt) per column.
-
-    E defaults to the self-consistent field of the current state; a
-    diagnostic override can be passed for harness tests.
-    """
-    if e_field is None:
-        e_field = poisson_fourier(s, species)
-    shift = species.q_over_m * np.asarray(e_field) * dt
+def kick_v(s: SpectralState, dt: float) -> SpectralState:
+    """Exact velocity shear f(x, v) <- f(x, v - (q/m) E(x) dt) per column,
+    E the self-consistent field of the current state."""
+    shift = Q_OVER_M * poisson_fourier(s) * dt
     return SpectralState(s.domain, _shear(s.values, _kick_phase(s, shift), 1), s.t)
 
 
@@ -189,8 +182,7 @@ def _drift_tables(domain: PhaseSpaceDomain, nx: int, nv: int,
     return tuple(tables)
 
 
-def advance(s: SpectralState, dt: float, n_steps: int,
-            species: Species = ELECTRON) -> SpectralState:
+def advance(s: SpectralState, dt: float, n_steps: int) -> SpectralState:
     """``n_steps`` composite kick-first RUTH3 split steps, each filtered.
 
     The field is recomputed before every kick (kicks preserve the charge
@@ -211,7 +203,7 @@ def advance(s: SpectralState, dt: float, n_steps: int,
     for step in range(n_steps):
         for i, (d, drift) in enumerate(zip(RUTH3.kick, drifts)):
             now = SpectralState(s.domain, f)
-            shift = species.q_over_m * poisson_fourier(now, species) * (d * dt)
+            shift = Q_OVER_M * poisson_fourier(now) * (d * dt)
             phase = _kick_phase(now, shift)
             if i == 0 and step > 0:
                 phase *= filter_v
@@ -219,12 +211,11 @@ def advance(s: SpectralState, dt: float, n_steps: int,
     return SpectralState(s.domain, _shear(f, filter_v, 1), s.t + n_steps * dt)
 
 
-def step_order3(s: SpectralState, dt: float,
-                species: Species = ELECTRON) -> SpectralState:
+def step_order3(s: SpectralState, dt: float) -> SpectralState:
     """One composite kick-first RUTH3 split step followed by the filter:
-    ``advance(s, dt, 1, species)``, with its cached drift tables, folded
-    filter and kick phases built by recurrence."""
-    return advance(s, dt, 1, species)
+    ``advance(s, dt, 1)``, with its cached drift tables, folded filter and
+    kick phases built by recurrence."""
+    return advance(s, dt, 1)
 
 
 def hk_variation(s: SpectralState) -> float:
@@ -272,9 +263,9 @@ def zero_pad(s: SpectralState, n_pad: int) -> GriddedDensity:
     return GriddedDensity(s.domain, out)
 
 
-def field_energy(s: SpectralState, species: Species = ELECTRON) -> float:
+def field_energy(s: SpectralState) -> float:
     """(1/2) integral of E^2 dx (the node sum equals the mode sum by Parseval)."""
-    e = poisson_fourier(s, species, warn_nonneutral=False)
+    e = poisson_fourier(s, warn_nonneutral=False)
     return float(0.5 * s.dx * np.sum(e * e))
 
 
@@ -293,11 +284,10 @@ def grid_entropy(s: SpectralState) -> float:
     return float(s.dx * s.dv * np.sum(f[pos] * np.log(f[pos])))
 
 
-def diagnostics(s: SpectralState, species: Species = ELECTRON,
-                with_hk: bool = False) -> DiagnosticsRecord:
+def diagnostics(s: SpectralState, with_hk: bool = False) -> DiagnosticsRecord:
     return DiagnosticsRecord.make(
         t=s.t,
-        field_energy=field_energy(s, species),
+        field_energy=field_energy(s),
         kinetic_energy=kinetic_energy(s),
         total_mass=total_mass(s),
         entropy=grid_entropy(s),
@@ -307,7 +297,6 @@ def diagnostics(s: SpectralState, species: Species = ELECTRON,
 
 def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
                  nx: int, nv: int, dt: float, t_max: float,
-                 species: Species = ELECTRON,
                  out_stride: int = 1,
                  hk_period: int = 0,
                  on_record: Optional[Callable[[DiagnosticsRecord], None]] = None):
@@ -326,7 +315,7 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
 
     def emit():
         with_hk = hk_period > 0 and len(records) % hk_period == 0
-        rec = diagnostics(state, species, with_hk=with_hk)
+        rec = diagnostics(state, with_hk=with_hk)
         records.append(rec)
         if on_record is not None:
             on_record(rec, state)
@@ -335,7 +324,7 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
     done = 0
     while done < n_steps:
         stride = min(out_stride, n_steps - done)
-        state = advance(state, dt, stride, species)
+        state = advance(state, dt, stride)
         done += stride
         state.t = done * dt
         emit()

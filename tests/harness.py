@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from vpqmc import densest
-from vpqmc.core import ELECTRON, ParticleEnsemble, PhaseSpaceDomain, Species
+from vpqmc.core import Q_OVER_M, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.pic import (FieldSolution, FixedPointDiverged, IntegratorKind,
                        SplineStencil, push)
 
@@ -59,12 +59,11 @@ class FrozenField:
     def __init__(self, field):
         self.field = field
 
-    def __call__(self, ensemble=None, t: float = 0.0):
+    def __call__(self, ensemble=None):
         return self.field
 
 
-def frozen_step(kind: IntegratorKind, x, v, dt: float, field,
-                species: Species = ELECTRON):
+def frozen_step(kind: IntegratorKind, x, v, dt: float, field):
     """One step of ``kind`` for independent particles (1-D arrays x, v) in
     a frozen field.
 
@@ -74,13 +73,13 @@ def frozen_step(kind: IntegratorKind, x, v, dt: float, field,
     x = np.asarray(x, dtype=float)
     ensemble = ParticleEnsemble(x, np.asarray(v, dtype=float),
                                 np.ones_like(x), np.ones_like(x))
-    push(kind, ensemble, FrozenField(field), dt, species)
+    push(kind, ensemble, FrozenField(field), dt)
     return ensemble.x, ensemble.v
 
 
-def adjoint_euler_step(x, v, dt: float, field, species: Species = ELECTRON):
+def adjoint_euler_step(x, v, dt: float, field):
     """The adjoint (implicit) Euler map: x' = x + dt v', v' = v + dt (q/m) E(x')."""
-    qm = species.q_over_m
+    qm = Q_OVER_M
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     v_new = np.array(v, dtype=float, copy=True)
@@ -109,7 +108,7 @@ def map_jacobian_det(step_map, x: float, v: float, h_x: float, h_v: float) -> fl
 
 
 def flow_jacobian_det(kind: IntegratorKind, x: float, v: float, dt: float,
-                      field, species: Species = ELECTRON) -> float:
+                      field) -> float:
     """Numerical Jacobian determinant of one frozen-field step at (x, v).
 
     Central differences with h = 1e-5 * scale per coordinate.
@@ -117,7 +116,7 @@ def flow_jacobian_det(kind: IntegratorKind, x: float, v: float, dt: float,
     h_x = 1e-5 * max(1.0, abs(x))
     h_v = 1e-5 * max(1.0, abs(v))
     return map_jacobian_det(
-        lambda xs, vs: frozen_step(kind, xs, vs, dt, field, species),
+        lambda xs, vs: frozen_step(kind, xs, vs, dt, field),
         x, v, h_x, h_v)
 
 

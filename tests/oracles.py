@@ -240,12 +240,12 @@ def _filter_profile_complex(n):
     return np.exp(-36.0 * (np.abs(k) / kmax) ** 36)
 
 
-def spectral_step_order3_complex_reference(s, dt, species):
+def spectral_step_order3_complex_reference(s, dt):
     """One kick-first RUTH3 split step plus the exponential filter, with
     every transform complex (full fft/ifft, the real part kept): the
     field before each kick, the velocity shear, the free-streaming shear,
     then the 2-D filter.  Returns the new values array."""
-    from vpqmc.core import RUTH3
+    from vpqmc.core import Q, Q_OVER_M, RUTH3
 
     f = s.values
     kx = _kappa_complex(s.nx, s.dx)
@@ -255,9 +255,9 @@ def spectral_step_order3_complex_reference(s, dt, species):
     for c, d in zip(RUTH3.drift, RUTH3.kick):
         rho_hat = np.fft.fft(s.dv * np.sum(f, axis=1))
         phi_hat = np.zeros_like(rho_hat)
-        phi_hat[nonzero] = species.q * rho_hat[nonzero] / kx[nonzero] ** 2
+        phi_hat[nonzero] = Q * rho_hat[nonzero] / kx[nonzero] ** 2
         e = np.fft.ifft(-1j * kx * phi_hat).real
-        shift = species.q_over_m * e * (d * dt)
+        shift = Q_OVER_M * e * (d * dt)
         f = np.fft.ifft(np.fft.fft(f, axis=1) * np.exp(-1j * np.outer(shift, kv)),
                         axis=1).real
         phase = np.exp(-1j * np.outer(kx, v) * (c * dt))

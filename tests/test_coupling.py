@@ -96,11 +96,17 @@ def test_run_pic_emits_cadence_and_star_disc():
     e = handoff(state, HandoffConfig(t0=0.0, n_p=2000, n_pad=2,
                                      sequence=Sobol(skip=1), n_f=16))
     solver = pic.SplinePoissonSolver.build(0.0, DOM.length, 16)
+    start = e.copy()
     records = run_pic(e, solver, pic.IntegratorKind.RUTH3, dt=0.1,
                       t_start=0.0, t_max=0.5, out_stride=1,
                       star_disc_period=2, star_disc_window=(0, 2, -1, 1))
     assert [round(r.t, 10) for r in records] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     assert [r.star_disc is not None for r in records] == [True, False] * 3
+    # an array window gives the records of the tuple window
+    from_array = run_pic(start, solver, pic.IntegratorKind.RUTH3, dt=0.1,
+                         t_start=0.0, t_max=0.5, out_stride=1, star_disc_period=2,
+                         star_disc_window=np.array([0, 2, -1, 1.0]))
+    assert from_array == records
     # every star_disc_period-th emitted record, also after a partial last stride
     records = run_pic(e, solver, pic.IntegratorKind.RUTH3, dt=0.1,
                       t_start=0.5, t_max=1.2, out_stride=2,
