@@ -11,6 +11,9 @@ underdetermined regime.
 Note on the stencils: the L2 overlap of unit hats is h/6, so the mass
 matrices are h*(1/6, 2/3, 1/6) with boundary diagonal h/3 for the
 half-support end elements in v.
+
+scipy is imported inside the two functions that use it: only
+``vpqmc reconstruct`` reaches them, so a run never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import (GriddedDensity, ParticleEnsemble, PhaseSpaceDomain,
                    bilinear_stencil)
@@ -73,6 +73,8 @@ class LinearSplineBasis2D:
 
     def solve_mass(self, moments: np.ndarray) -> np.ndarray:
         """(M_x kron M_v)^{-1} @ moments: FFT in x, banded Cholesky in v."""
+        import scipy.linalg
+
         tmp = np.fft.ifft(np.fft.fft(moments, axis=0)
                           / self.mass_x_eigs()[:, None], axis=0).real
         sol = scipy.linalg.solveh_banded(self.mass_v_banded(), tmp.T)
@@ -113,15 +115,19 @@ def bilinear_ridge_fit(x, v, values, basis: LinearSplineBasis2D,
     """Least-squares bilinear fit of point samples with L2 regularization.
 
     Minimizes sum_s (sum_ij c_ij N_ij(x_s, v_s) - values_s)^2 + lam*|c|^2
-    through the sparse normal equations.  ``lam=None`` picks
-    1e-8 * max diagonal of the normal matrix when the sample count is
-    below the number of unknowns, else 0.
+    through the sparse normal equations.  ``lam=None`` picks 0 when there
+    are at least as many samples as unknowns and every hat function holds
+    a sample (every diagonal entry of the normal matrix is positive), else
+    1e-8 * max diagonal of the normal matrix.
 
     Raises
     ------
     SingularSystem
         If lam == 0 and the design matrix is rank-deficient.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -135,7 +141,8 @@ def bilinear_ridge_fit(x, v, values, basis: LinearSplineBasis2D,
     ata = (a.T @ a).tocsc()
     aty = a.T @ values
     if lam is None:
-        lam = 1e-8 * float(ata.diagonal().max()) if n_s < n_dof else 0.0
+        diag = ata.diagonal()
+        lam = 0.0 if n_s >= n_dof and np.all(diag > 0) else 1e-8 * float(diag.max())
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     system = ata + lam * scipy.sparse.identity(n_dof, format="csc")

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -297,21 +297,23 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_timeseries(path, rows: List[Tuple[str, DiagnosticsRecord]],
-                     mode: str = "w") -> None:
-    """CSV writer: fixed header, '.' decimal, 17 significant digits.
+def write_timeseries(fh: TextIO, rows: List[Tuple[str, DiagnosticsRecord]],
+                     header: bool = False) -> None:
+    """CSV writer onto an open text handle: fixed header, '.' decimal, 17
+    significant digits.
 
-    Mode "w" starts the file with the header; mode "a" appends the rows to
-    it, so a run can stream each row as it is emitted.
+    Writes the header first when ``header`` is set, then one line per row,
+    and flushes, so a run that streams each row as it is emitted keeps the
+    rows written before a later failure.
     """
-    lines = [",".join(CSV_HEADER)] if mode == "w" else []
+    lines = [",".join(CSV_HEADER)] if header else []
     for segment, r in rows:
         lines.append(",".join([
             _fmt(r.t), segment, _fmt(r.field_energy), _fmt(r.kinetic_energy),
             _fmt(r.total_energy), _fmt(r.total_mass), _fmt(r.entropy),
             _fmt(r.star_disc), _fmt(r.hk_variation)]))
-    with open(path, mode) as fh:
-        fh.write("".join(line + "\n" for line in lines))
+    fh.write("".join(line + "\n" for line in lines))
+    fh.flush()
 
 
 def _sidecar_path(path) -> Path:
@@ -397,8 +399,13 @@ def _run(cfg: RunConfig) -> Path:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, outdir / "config.echo.cfg")
-    timeseries = outdir / "timeseries.csv"
-    write_timeseries(timeseries, [])
+    with open(outdir / "timeseries.csv", "w") as timeseries:
+        write_timeseries(timeseries, [], header=True)
+        _solve(cfg, outdir, timeseries)
+    return outdir
+
+
+def _solve(cfg: RunConfig, outdir: Path, timeseries: TextIO) -> None:
     ic, domain = cfg.initial_condition(), cfg.domain()
 
     emitted = {"n": 0}
@@ -406,7 +413,7 @@ def _run(cfg: RunConfig) -> Path:
     def on_record(rec, carrier):
         # stream the row; dump every dump_stride-th emitted record (0 disables)
         spectral_record = isinstance(carrier, spectral.SpectralState)
-        write_timeseries(timeseries, [("spectral" if spectral_record else "pic", rec)], "a")
+        write_timeseries(timeseries, [("spectral" if spectral_record else "pic", rec)])
         n = emitted["n"]
         emitted["n"] += 1
         if cfg.dump_stride < 1 or n % cfg.dump_stride != 0:
@@ -447,7 +454,6 @@ def _run(cfg: RunConfig) -> Path:
             on_spectral_record=on_record, on_pic_record=on_record)
         write_particle_dump(outdir / "final_particles.dump", result.ensemble,
                             domain, cfg.t_max)
-    return outdir
 
 
 # ---------------------------------------------------------------------------

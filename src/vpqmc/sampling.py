@@ -17,10 +17,10 @@ Two routes to a marker ensemble:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfcinv
 
 from . import lowdisc
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
@@ -285,16 +285,80 @@ def _invert_x_cdf(ic: InitialCondition, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _std_normal_cdf(z):
-    return 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+def _std_normal_cdf(z: float) -> float:
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+# Wichura's AS241 (PPND16), "The Percentage Points of the Normal
+# Distribution", Appl. Stat. 37 (1988) 477-484: numerator and denominator
+# coefficients, highest degree first, of its three rational approximations:
+# central |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2, and the tails
+# in r = sqrt(-log(min(p, 1 - p))), shifted by 1.6 for r <= 5 and by 5
+# beyond.  The coefficients are those of the stdlib's
+# statistics.NormalDist.inv_cdf.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+     6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+     3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+     2.4178072517745061177e-1, 1.2704582524523683826e+0,
+     3.6478483247632045605e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+     1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5,
+     1.2426609473880784386e-3, 2.6532189526576123093e-2,
+     2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+     1.8463183175100546818e-5, 7.8686913114561325910e-4,
+     1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _poly(coeffs, r):
+    out = np.full_like(r, coeffs[0])
+    for c in coeffs[1:]:
+        out = out * r + c
+    return out
 
 
 def _std_normal_ppf(p):
-    """Inverse standard-normal CDF via erfcinv plus one Newton polish."""
+    """Inverse standard-normal CDF by Wichura's AS241, vectorised.
+
+    The rational approximations are good to about 1e-16 relative, so no
+    Newton polish follows.  p = 0 and p = 1 give -inf and +inf.  The
+    result is nondecreasing in p up to rounding: p values a few ulps
+    apart can come out one ulp out of order.
+    """
     p = np.asarray(p, dtype=float)
-    z = -np.sqrt(2.0) * erfcinv(2.0 * p)
-    pdf = np.exp(-0.5 * z * z) / SQRT_2PI
-    z = z - (_std_normal_cdf(z) - p) / np.maximum(pdf, 1e-300)
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    z = np.empty_like(p)
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    z[central] = qc * _poly(_AS241_CENTRAL[0], r) / _poly(_AS241_CENTRAL[1], r)
+    tail = ~central
+    pt = p[tail]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        zt = np.empty_like(r)
+        for region, coeffs, shift in ((r <= 5.0, _AS241_NEAR, 1.6),
+                                      (~(r <= 5.0), _AS241_FAR, 5.0)):
+            rr = r[region] - shift
+            zt[region] = _poly(coeffs[0], rr) / _poly(coeffs[1], rr)
+    # p = 0 and p = 1 give r = inf, where the far quotient is inf/inf
+    zt[r == np.inf] = np.inf
+    z[tail] = np.where(q[tail] < 0.0, -zt, zt)
     return z
 
 

@@ -362,7 +362,9 @@ def test_timeseries_fixed_columns(tmp_path):
     rec2 = DiagnosticsRecord.make(t=1.0, field_energy=1.0, kinetic_energy=2.0,
                                   total_mass=3.0, entropy=-1.0, star_disc=0.25)
     path = tmp_path / "ts.csv"
-    write_timeseries(path, [("spectral", rec), ("pic", rec2)])
+    with open(path, "w") as fh:
+        write_timeseries(fh, [("spectral", rec)], header=True)
+        write_timeseries(fh, [("pic", rec2)])
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(CSV_HEADER) == 9
@@ -393,25 +395,28 @@ def test_cli_run_deterministic(tmp_path, capsys):
 
 def test_failed_run_keeps_the_rows_emitted_before_it(tmp_path, monkeypatch):
     # a push that diverges at step N leaves the header and the N rows
-    # emitted before it (t = 0 and steps 1..N-1), as a full run wrote them
+    # emitted before it (t = 0 and steps 1..N-1), as a full run wrote them;
+    # they are on disk already when the push fails, before the file closes
     args = ["run", "scenario=landau", "solver=pic", "integrator=midpoint", "n_p=300",
             "n_f=8", "dt=0.1", "t_max=1.0"]
     assert cli_main(args + [f"outdir={tmp_path / 'full'}"]) == 0
     full = (tmp_path / "full" / "timeseries.csv").read_text().splitlines()
     n_fail = 4
+    csv = tmp_path / "failed" / "timeseries.csv"
     steps = {"n": 0}
     push = pic.push
 
     def diverging_push(*a, **kw):
         steps["n"] += 1
         if steps["n"] == n_fail:
+            steps["on_disk"] = csv.read_text().splitlines()
             raise pic.FixedPointDiverged("stalled", 100, 1.0)
         push(*a, **kw)
 
     monkeypatch.setattr(pic, "push", diverging_push)
     assert cli_main(args + [f"outdir={tmp_path / 'failed'}"]) == 1
-    kept = (tmp_path / "failed" / "timeseries.csv").read_text().splitlines()
-    assert kept == full[:1 + n_fail]
+    assert steps["on_disk"] == full[:1 + n_fail]
+    assert csv.read_text().splitlines() == full[:1 + n_fail]
 
 
 def test_cli_pic_run_writes_particles(tmp_path):
@@ -491,6 +496,23 @@ def test_cli_reconstruct_bounds_are_usage_errors(tmp_path, capsys):
                      "nx=1", "nv=1"]) == 2
     assert "nx must be >= 2; nv must be >= 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_reconstruct_interp_picks_lam_for_empty_hat_functions(tmp_path):
+    # 64 markers outnumber the 16 hat functions, but v stays within about
+    # +-2 while the edge nodes sit at +-6.5, so their hats hold no marker
+    # and the fit must regularize on its own
+    run = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "n_p=64", "n_f=8", "dt=0.1", "t_max=0.2",
+                     f"outdir={run}"]) == 0
+    _, e, _, _ = read_dump(run / "final_particles.dump")
+    assert np.max(np.abs(e.v)) < 6.5 - 13.0 / 3
+    out = tmp_path / "interp.grid"
+    assert cli_main(["reconstruct", str(run / "final_particles.dump"), str(out),
+                     "mode=interp", "nx=4", "nv=4"]) == 0
+    kind, g, _ = read_dump(out)
+    assert kind == "grid" and g.values.shape == (4, 4)
+    assert np.all(np.isfinite(g.values))
 
 
 @pytest.mark.parametrize("args,problem", [

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
-from vpqmc import spectral
+from vpqmc import sampling, spectral
 from vpqmc.core import (GriddedDensity, InitialCondition, PhaseSpaceDomain,
                         eval_initial_f, normalize_to_sampling_density)
 from vpqmc.lowdisc import PseudoRandom, Sobol, generate_pairs
@@ -383,3 +383,39 @@ def test_uniform_sample_variant():
     assert np.all((e.v >= -8) & (e.v < 8))
     np.testing.assert_allclose(e.g_like, 1.0 / dom.area)
     np.testing.assert_allclose(e.f_like, eval_initial_f(ic, e.x, e.v), rtol=1e-13)
+
+
+# --- the normal quantile of the tensor-product sampler ----------------------
+
+def test_std_normal_ppf_matches_the_erfcinv_oracle():
+    # both region boundaries (|p - 1/2| = 0.425 at 0.075 and 0.925, and
+    # r = 5 near p = 1.4e-11), both deep tails, and uniform values
+    probes = np.array([1e-300, 1e-20, 1e-10, 0.075, 0.5, 0.925, 1 - 1e-16,
+                       np.exp(-25.0)])
+    p = np.concatenate([probes, np.random.default_rng(12).random(10_000)])
+    z = sampling._std_normal_ppf(p)
+    ref = oracles.std_normal_ppf_erfcinv_newton(p)
+    np.testing.assert_allclose(z, ref, rtol=4e-15, atol=0.0)
+
+
+def test_std_normal_ppf_ends_and_order():
+    assert sampling._std_normal_ppf(np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
+    p = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(13).random(10_000),
+                                np.logspace(-300, -1, 1000), 1.0 - np.logspace(-16, -1, 1000)]))
+    assert np.all(np.diff(sampling._std_normal_ppf(p)) >= 0.0)
+
+
+@pytest.mark.parametrize("ic,v_span", [
+    (InitialCondition(epsilon=0.5, k=0.5), 6.5),
+    (InitialCondition(epsilon=1e-3, k=0.3, n_b=0.1, sigma_b=0.3, v_b=4.5), 10.0),
+])
+def test_its_with_the_oracle_quantile(monkeypatch, ic, v_span):
+    # the AS241 quantile moves v and the likelihoods only in the last digits
+    dom = PhaseSpaceDomain(0.0, ic.length, -v_span, v_span)
+    pairs = generate_pairs(Sobol(skip=1), 1 << 15)
+    e = its_tensor_product(ic, pairs, dom)
+    monkeypatch.setattr(sampling, "_std_normal_ppf", oracles.std_normal_ppf_erfcinv_newton)
+    ref = its_tensor_product(ic, pairs, dom)
+    np.testing.assert_array_equal(e.x, ref.x)
+    for got, want in ((e.v, ref.v), (e.f_like, ref.f_like), (e.g_like, ref.g_like)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
