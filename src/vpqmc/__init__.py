@@ -25,7 +25,7 @@ from .pic import (FieldSolution, FixedPointDiverged, IntegratorKind,
                   eval_E, push, solve_poisson_fem)
 from .densest import (LinearSplineBasis2D, SingularSystem, bilinear_ridge_fit,
                       osde_linear)
-from .coupling import HandoffConfig, handoff, run_coupled, run_pic
+from .coupling import handoff, run_coupled, run_pic
 from .driver import RunConfig, cli_main, parse_config
 
 __version__ = "0.1.0"

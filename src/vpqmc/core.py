@@ -293,10 +293,6 @@ class ParticleEnsemble:
     def weights(self) -> np.ndarray:
         return self.f_like / self.g_like
 
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.x.copy(), self.v.copy(),
-                                self.f_like.copy(), self.g_like.copy())
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:

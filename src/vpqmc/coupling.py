@@ -12,8 +12,7 @@ field coefficients cross the interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from . import lowdisc, pic, sampling, spectral
 from .core import (DiagnosticsRecord, InitialCondition, ParticleEnsemble,
@@ -21,32 +20,16 @@ from .core import (DiagnosticsRecord, InitialCondition, ParticleEnsemble,
 from .lowdisc import SequenceKind
 
 
-@dataclass(frozen=True)
-class HandoffConfig:
-    """Parameters of the spectral-to-PIC switch."""
-
-    t0: float
-    n_p: int
-    n_pad: int
-    sequence: SequenceKind
-    n_f: int
-
-    def __post_init__(self):
-        if self.n_p < 1:
-            raise ValueError("n_p must be >= 1")
-        if self.n_pad < 1:
-            raise ValueError("n_pad must be >= 1")
-
-
-def handoff(state: spectral.SpectralState, cfg: HandoffConfig) -> ParticleEnsemble:
-    """Sample a marker ensemble from a spectral state at the switch time.
+def handoff(state: spectral.SpectralState, n_pad: int, sequence: SequenceKind,
+            n_p: int) -> ParticleEnsemble:
+    """Sample n_p markers from a spectral state zero-padded n_pad times.
 
     Negative values of the padded density survive into f_like; g_like is
     strictly positive by the absolute-value normalization, so the
     marginal CDFs stay monotone and the inversion well-posed.
     """
-    f_fine = spectral.zero_pad(state, cfg.n_pad)
-    return sampling.sample_gridded_density(f_fine, cfg.sequence, cfg.n_p)
+    f_fine = spectral.zero_pad(state, n_pad)
+    return sampling.sample_gridded_density(f_fine, sequence, n_p)
 
 
 def run_pic(ensemble: ParticleEnsemble,
@@ -98,42 +81,34 @@ def run_pic(ensemble: ParticleEnsemble,
     return records
 
 
-@dataclass
-class CoupledResult:
-    """Diagnostics of both segments plus the final PIC ensemble."""
-
-    rows: List[Tuple[str, DiagnosticsRecord]]
-    ensemble: ParticleEnsemble
-
-
 def run_coupled(ic: InitialCondition, domain: PhaseSpaceDomain,
-                nx: int, nv: int, dt: float, t_max: float,
-                cfg: HandoffConfig,
+                nx: int, nv: int, dt: float, t_max: float, *,
+                t0: float, n_p: int, n_pad: int, n_f: int,
+                sequence: SequenceKind,
                 kind: pic.IntegratorKind = pic.IntegratorKind.RUTH3,
                 out_stride: int = 1,
                 hk_period: int = 0,
-                on_spectral_record=None,
-                on_pic_record=None) -> CoupledResult:
+                on_record=None):
     """Spectral segment on [0, t0], handoff, PIC segment on [t0, t_max].
 
     Both segments share the time discretization, so ``t0`` and
-    ``t_max - t0`` must each be a whole number (>= 1) of ``dt`` steps;
-    otherwise ValueError before any record is emitted.  The merged rows
-    carry a segment marker so the switch is visible in the output.
+    ``t_max - t0`` must each be a whole number (>= 1) of ``dt`` steps,
+    and n_p, n_pad and n_f must be valid; otherwise ValueError before any
+    record is emitted.  ``on_record(record, carrier)`` is invoked per
+    emission of both segments, with the spectral state, then the marker
+    ensemble.  Returns (rows, final ensemble); the rows are the
+    ``(segment, record)`` pairs, ``"spectral"`` then ``"pic"``.
     """
-    if not cfg.t0 < t_max:
-        raise ValueError("handoff time t0 must precede t_max")
-    whole_steps(cfg.t0, dt)
-    whole_steps(t_max - cfg.t0, dt)
+    whole_steps(t_max - t0, dt)  # run_spectral checks t0 itself
+    if n_p < 1 or n_pad < 1:
+        raise ValueError("n_p and n_pad must be >= 1")
+    solver = pic.SplinePoissonSolver.build(domain.x_min, domain.length, n_f)
     spec_records, state = spectral.run_spectral(
-        ic, domain, nx, nv, dt, cfg.t0,
-        out_stride=out_stride, hk_period=hk_period,
-        on_record=on_spectral_record)
-    ensemble = handoff(state, cfg)
-    solver = pic.SplinePoissonSolver.build(domain.x_min, domain.length, cfg.n_f)
-    pic_records = run_pic(ensemble, solver, kind, dt, cfg.t0, t_max,
-                          out_stride=out_stride,
-                          on_record=on_pic_record)
+        ic, domain, nx, nv, dt, t0,
+        out_stride=out_stride, hk_period=hk_period, on_record=on_record)
+    ensemble = handoff(state, n_pad, sequence, n_p)
+    pic_records = run_pic(ensemble, solver, kind, dt, t0, t_max,
+                          out_stride=out_stride, on_record=on_record)
     rows = [("spectral", r) for r in spec_records]
     rows += [("pic", r) for r in pic_records]
-    return CoupledResult(rows=rows, ensemble=ensemble)
+    return rows, ensemble

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
@@ -95,9 +95,8 @@ class RunConfig:
         return PhaseSpaceDomain(0.0, 2.0 * np.pi / self.k, self.v_min, self.v_max)
 
     def sequence_kind(self) -> lowdisc.SequenceKind:
-        if self.sequence == "sobol":
-            return lowdisc.Sobol(skip=self.sobol_skip)
-        return lowdisc.PseudoRandom(seed=self.seed)
+        return _sequence_kind(self.sequence, {key: getattr(self, key)
+                                              for key in _SEQUENCE_READS[self.sequence]})
 
     def integrator_kind(self) -> pic.IntegratorKind:
         return pic.IntegratorKind(self.integrator)
@@ -132,6 +131,14 @@ _LEAST = {"nx": 2, "nv": 2, "n_f": 4, "n_p": 1, "n_pad": 1, "output_stride": 1,
           "sobol_skip": 1, "seed": 0, "dump_stride": 0, "star_disc_period": 0,
           "star_disc_cap": 1, "hk_period": 0}
 _LEAST.update(cap=_LEAST["star_disc_cap"], n=_LEAST["n_p"], lam=0)
+
+
+def _sequence_kind(sequence: str, keys: dict) -> lowdisc.SequenceKind:
+    """The points that ``sequence`` names; ``keys`` holds the values of
+    the keys it reads (_SEQUENCE_READS[sequence]) and may hold others."""
+    if sequence == "sobol":
+        return lowdisc.Sobol(skip=keys["sobol_skip"])
+    return lowdisc.PseudoRandom(seed=keys["seed"])
 
 
 def _reads(cfg: RunConfig) -> frozenset:
@@ -320,20 +327,11 @@ def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def _domain_dict(domain: PhaseSpaceDomain) -> dict:
-    return {"x_min": domain.x_min, "x_max": domain.x_max,
-            "v_min": domain.v_min, "v_max": domain.v_max}
-
-
-def _domain_from(d: dict) -> PhaseSpaceDomain:
-    return PhaseSpaceDomain(d["x_min"], d["x_max"], d["v_min"], d["v_max"])
-
-
 def write_grid_dump(path, density: GriddedDensity, t: float) -> None:
     payload = np.ascontiguousarray(density.values, dtype="<f8")
     Path(path).write_bytes(payload.tobytes())
     sidecar = {"kind": "grid", "nx": density.nx, "nv": density.nv,
-               "domain": _domain_dict(density.domain), "t": t,
+               "domain": asdict(density.domain), "t": t,
                "dtype": "<f8", "layout": "row-major"}
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=1) + "\n")
 
@@ -345,7 +343,7 @@ def write_particle_dump(path, ensemble: ParticleEnsemble,
         for col in (ensemble.x, ensemble.v, ensemble.f_like, ensemble.g_like):
             fh.write(np.ascontiguousarray(col, dtype="<f8"))
     sidecar = {"kind": "particles", "n_p": ensemble.n_p,
-               "domain": _domain_dict(domain), "t": t,
+               "domain": asdict(domain), "t": t,
                "columns": ["x", "v", "f_like", "g_like"],
                "dtype": "<f8", "layout": "columns"}
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=1) + "\n")
@@ -361,7 +359,7 @@ def read_dump(path):
     if meta.get("dtype") != "<f8":
         raise FormatError(f"unsupported dtype {meta.get('dtype')!r}")
     payload = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
-    domain = _domain_from(meta["domain"])
+    domain = PhaseSpaceDomain(**meta["domain"])
     if meta["kind"] == "grid":
         n = meta["nx"] * meta["nv"]
         if payload.size != n:
@@ -445,14 +443,13 @@ def _solve(cfg: RunConfig, outdir: Path, timeseries: TextIO) -> None:
         write_particle_dump(outdir / "final_particles.dump", ensemble,
                             domain, cfg.t_max)
     else:
-        cfgh = coupling.HandoffConfig(t0=cfg.t0, n_p=cfg.n_p, n_pad=cfg.n_pad,
-                                      sequence=cfg.sequence_kind(), n_f=cfg.n_f)
-        result = coupling.run_coupled(
-            ic, domain, cfg.nx, cfg.nv, cfg.dt, cfg.t_max, cfgh,
-            kind=cfg.integrator_kind(), out_stride=cfg.output_stride,
-            hk_period=cfg.hk_period,
-            on_spectral_record=on_record, on_pic_record=on_record)
-        write_particle_dump(outdir / "final_particles.dump", result.ensemble,
+        _, ensemble = coupling.run_coupled(
+            ic, domain, cfg.nx, cfg.nv, cfg.dt, cfg.t_max,
+            t0=cfg.t0, n_p=cfg.n_p, n_pad=cfg.n_pad, n_f=cfg.n_f,
+            sequence=cfg.sequence_kind(), kind=cfg.integrator_kind(),
+            out_stride=cfg.output_stride, hk_period=cfg.hk_period,
+            on_record=on_record)
+        write_particle_dump(outdir / "final_particles.dump", ensemble,
                             domain, cfg.t_max)
 
 
@@ -474,11 +471,9 @@ def _cmd_run(args: List[str]) -> None:
     print(f"run complete: {outdir/'timeseries.csv'}")
 
 
-def _cmd_sample(grid, out, n, sequence, seed, sobol_skip) -> None:
+def _cmd_sample(grid, out, n, sequence, **keys) -> None:
     density, t = grid
-    kind = (lowdisc.Sobol(skip=sobol_skip) if sequence == "sobol"
-            else lowdisc.PseudoRandom(seed=seed))
-    ensemble = sampling.sample_gridded_density(density, kind, n)
+    ensemble = sampling.sample_gridded_density(density, _sequence_kind(sequence, keys), n)
     write_particle_dump(out, ensemble, density.domain, t)
     print(f"sampled {n} markers -> {out}")
 

@@ -17,7 +17,7 @@ them untouched.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -104,20 +104,15 @@ class SplineStencil:
 
     Holds each position's cell ``i`` and local coordinate ``u`` (from
     :func:`core.periodic_cell`), so the charge deposit and every spline
-    evaluation at the same positions share one lookup; :meth:`relocate`
-    moves it to the next position array.  Both kernels read the one
-    coefficient table ``_BSPLINE3``: the deposit applies it to per-cell
-    power moments of the weights, the evaluation applies its transpose to
-    the coefficients and runs Horner in u at the positions.
+    evaluation at the same positions share one lookup.  Both kernels read
+    the one coefficient table ``_BSPLINE3``: the deposit applies it to
+    per-cell power moments of the weights, the evaluation applies its
+    transpose to the coefficients and runs Horner in u at the positions.
     """
 
     def __init__(self, solver: SplinePoissonSolver, x: np.ndarray):
         self.solver = solver
-        self.relocate(x)
-
-    def relocate(self, x: np.ndarray) -> None:
-        s = self.solver
-        self.i, self.u = periodic_cell(x, s.x_min, s.dx, s.n_f)
+        self.i, self.u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
         self.x = x
 
     def deposit(self, weights: np.ndarray) -> np.ndarray:
@@ -229,29 +224,29 @@ def field_energy(field: FieldSolution) -> float:
 class SelfConsistentField:
     """Callable field machinery: deposit the ensemble, solve, return the field.
 
-    Owns one :class:`SplineStencil` whose buffers every deposit reuses,
-    and remembers the field built from the last (x, f_like, g_like) array
+    Remembers the field built from the last (x, f_like, g_like) array
     objects: a call with the same three arrays returns that field without
-    depositing again.  This relies on an invariant that every pusher
-    keeps: ensemble arrays are rebound to new arrays, never changed in
-    place, so array identity stands for array contents.
+    depositing again.  A new deposit locates the positions afresh (new
+    ``i`` and ``u`` arrays) unless x is the array that field's stencil
+    holds, and never changes a stencil an earlier field holds.  This
+    relies on an invariant that every pusher keeps: ensemble arrays are
+    rebound to new arrays, never changed in place, so array identity
+    stands for array contents.
     """
 
     def __init__(self, solver: SplinePoissonSolver):
         self.solver = solver
-        self.stencil: Optional[SplineStencil] = None
         self._key = ()
         self._field: Optional[FieldSolution] = None
 
     def __call__(self, ensemble: ParticleEnsemble) -> FieldSolution:
         key = (ensemble.x, ensemble.f_like, ensemble.g_like)
         if self._field is None or any(a is not b for a, b in zip(key, self._key)):
-            if self.stencil is None:
-                self.stencil = SplineStencil(self.solver, ensemble.x)
-            elif self.stencil.x is not ensemble.x:
-                self.stencil.relocate(ensemble.x)
-            b = deposit_rhs(ensemble, self.solver, self.stencil)
-            self._field = solve_poisson_fem(self.solver, b)._replace(stencil=self.stencil)
+            stencil = _stencil_at(getattr(self._field, "stencil", None), self.solver,
+                                  ensemble.x)
+            self._field = None  # free the last positions before the deposit's temporaries
+            b = deposit_rhs(ensemble, self.solver, stencil)
+            self._field = solve_poisson_fem(self.solver, b)._replace(stencil=stencil)
             self._key = key
         return self._field
 
@@ -312,23 +307,22 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
     if kind is IntegratorKind.SYMPLECTIC_EULER:
         ensemble.x = ensemble.x + dt * ensemble.v
         wrap()
-        field = fields(ensemble)
-        ensemble.v = ensemble.v + dt * qm * field.E(ensemble.x)
+        ensemble.v = ensemble.v + dt * qm * fields(ensemble).E(ensemble.x)
         return
 
     if kind is IntegratorKind.RUTH3:
         for c, d in zip(RUTH3.drift, RUTH3.kick):
-            field = fields(ensemble)
-            ensemble.v = ensemble.v + d * dt * qm * field.E(ensemble.x)
+            # no field local: it would keep the last stage's positions alive
+            # through the next deposit
+            ensemble.v = ensemble.v + d * dt * qm * fields(ensemble).E(ensemble.x)
             ensemble.x = ensemble.x + c * dt * ensemble.v
             wrap()
         return
 
     if kind is IntegratorKind.IMPLICIT_MIDPOINT:
-        x_n = ensemble.x.copy()
-        v_n = ensemble.v.copy()
-        v_half = ensemble.v.copy()
-        trial = ensemble.copy()
+        x_n = ensemble.x
+        v_n = v_half = ensemble.v
+        trial = replace(ensemble)
         x_half_prev = None
         for it in range(_FIXED_POINT_CAP):
             x_half = x_n + 0.5 * dt * v_half

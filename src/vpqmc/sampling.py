@@ -79,10 +79,10 @@ def _checked_pairs(pairs) -> np.ndarray:
 class BilinearSampler:
     """Exact inverse-transform sampler for a bilinear gridded density.
 
-    Built once per density; carries the x-marginal nodes, their trapezoid
-    partial sums, and the per-column cumulative tables used by the
-    conditional inversion.  Immutable, so sampling is pure and
-    thread-safe.
+    Built once per density by :func:`build_sampler`; carries the
+    x-marginal nodes, their trapezoid partial sums, and the per-column
+    cumulative tables used by the conditional inversion.  Immutable, so
+    sampling is pure and thread-safe.
     """
 
     g: GriddedDensity
@@ -90,29 +90,25 @@ class BilinearSampler:
     cum_x: np.ndarray
     cum_cols: np.ndarray
 
-    @classmethod
-    def from_density(cls, g: GriddedDensity) -> "BilinearSampler":
-        vals = g.values
-        # written so that NaN fails both checks
-        if not np.all(vals >= 0):
-            raise ValueError("sampling density must be nonnegative")
-        mass = g.mass()
-        if not abs(mass - 1.0) <= 1e-12:
-            raise ValueError(f"sampling density mass {mass!r} is not 1 within 1e-12")
-        gx = g.x_marginal_nodes()
-        cell = 0.5 * g.dx * (gx + np.roll(gx, -1))
-        cum_x = np.concatenate(([0.0], np.cumsum(cell)))
-        # per-column trapezoid partial sums along v: cum_cols[i, j] is the
-        # column-i mass below node j, so cum_cols[i, -1] == gx[i]
-        piece = 0.5 * g.dv * (vals[:, :-1] + vals[:, 1:])
-        cum_cols = np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)],
-                                  axis=1)
-        return cls(g=g, marginal_x_nodes=gx, cum_x=cum_x, cum_cols=cum_cols)
-
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
-    """Convenience alias for :meth:`BilinearSampler.from_density`."""
-    return BilinearSampler.from_density(g)
+    """The sampler of a nonnegative gridded density of unit mass."""
+    vals = g.values
+    # written so that NaN fails both checks
+    if not np.all(vals >= 0):
+        raise ValueError("sampling density must be nonnegative")
+    mass = g.mass()
+    if not abs(mass - 1.0) <= 1e-12:
+        raise ValueError(f"sampling density mass {mass!r} is not 1 within 1e-12")
+    gx = g.x_marginal_nodes()
+    cell = 0.5 * g.dx * (gx + np.roll(gx, -1))
+    cum_x = np.concatenate(([0.0], np.cumsum(cell)))
+    # per-column trapezoid partial sums along v: cum_cols[i, j] is the
+    # column-i mass below node j, so cum_cols[i, -1] == gx[i]
+    piece = 0.5 * g.dv * (vals[:, :-1] + vals[:, 1:])
+    cum_cols = np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)],
+                              axis=1)
+    return BilinearSampler(g=g, marginal_x_nodes=gx, cum_x=cum_x, cum_cols=cum_cols)
 
 
 def sample_marginal_x(s: BilinearSampler, u_x):

@@ -299,7 +299,8 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
                  nx: int, nv: int, dt: float, t_max: float,
                  out_stride: int = 1,
                  hk_period: int = 0,
-                 on_record: Optional[Callable[[DiagnosticsRecord], None]] = None):
+                 on_record: Optional[Callable[[DiagnosticsRecord, SpectralState],
+                                           None]] = None):
     """Step the spectral solver from the initial condition at t = 0 to t_max.
 
     ``t_max`` must be a whole number (>= 1) of ``dt`` steps

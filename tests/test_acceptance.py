@@ -16,7 +16,7 @@ from oracles import fit_loglog_slope, landau_root
 from vpqmc.core import (GriddedDensity, InitialCondition, PhaseSpaceDomain,
                         normalize_to_sampling_density)
 from vpqmc import pic, spectral
-from vpqmc.coupling import HandoffConfig, run_coupled
+from vpqmc.coupling import run_coupled
 from vpqmc.densest import osde_linear
 from vpqmc.lowdisc import (PseudoRandom, Sobol, generate_pairs,
                            star_discrepancy_in_window)
@@ -309,13 +309,12 @@ def test_criterion_08_coupling_continuity_and_qmc_advantage():
         return float(np.sqrt(np.trapezoid(diff * diff, t[sel])))
 
     def run(n_p, sequence):
-        cfg = HandoffConfig(t0=35.0, n_p=n_p, n_pad=32, sequence=sequence,
-                            n_f=16)
-        res = run_coupled(BUMP, BUMP_DOMAIN, 32, 32, 0.1, 50.0, cfg)
-        spec_fe = [r.field_energy for seg, r in res.rows if seg == "spectral"]
-        pic_fe = [r.field_energy for seg, r in res.rows if seg == "pic"]
+        rows, _ = run_coupled(BUMP, BUMP_DOMAIN, 32, 32, 0.1, 50.0, t0=35.0,
+                              n_p=n_p, n_pad=32, n_f=16, sequence=sequence)
+        spec_fe = [r.field_energy for seg, r in rows if seg == "spectral"]
+        pic_fe = [r.field_energy for seg, r in rows if seg == "pic"]
         jump = abs(pic_fe[0] - spec_fe[-1]) / spec_fe[-1]
-        return windowed_error(res.rows), jump
+        return windowed_error(rows), jump
 
     details = []
     ok = True

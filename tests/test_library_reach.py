@@ -16,6 +16,8 @@ or code block, and ``perfbench/run.py`` traces the names in its
 * A field counts as read when it is read as an attribute, or documented.
 * A defaulted parameter counts as passed when some call of the same callee
   name passes it, by keyword or by position.
+* Every parameter of every library function, method and lambda is read
+  (as an AST ``Name``) in its body.
 
 Code that only tests call, read or pass belongs in ``tests/``.
 """
@@ -233,3 +235,20 @@ def test_every_defaulted_parameter_is_passed():
                 for callee, qualname, param, position in _defaulted_parameters(TREES[path])
                 if not any(_passes(call, param, position) for call in calls.get(callee, ()))]
     assert not unpassed, f"parameters passed only from tests: {unpassed}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in LIBRARY:
+        for node in ast.walk(TREES[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', 'lambda')}:{node.lineno}({a.arg})"
+                       for a in params if a.arg not in read]
+    assert not unread, f"parameters never read: {unread}"
