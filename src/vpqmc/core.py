@@ -270,6 +270,9 @@ class ParticleEnsemble:
     the marker); the ratio f_like/g_like is the particle weight.  The
     only mutable core type: pushers rebind its arrays to new ones and
     never write into them, so an array object never changes its values.
+    That rule also keeps the likelihood memo valid: ``invariant`` computes
+    a function of the likelihoods once, and rebinding f_like or g_like
+    drops every value computed from the old pair.
     """
 
     x: np.ndarray
@@ -286,12 +289,37 @@ class ParticleEnsemble:
         if not (self.v.shape == self.f_like.shape == self.g_like.shape == (n,)):
             raise ValueError("all marker arrays must share one length")
 
+    def __setattr__(self, name, value):
+        if name in ("f_like", "g_like"):
+            self.__dict__.pop("_memo", None)  # frees what the old pair gave
+        super().__setattr__(name, value)
+
     @property
     def n_p(self) -> int:
         return self.x.shape[0]
 
+    def invariant(self, fn):
+        """``fn(self)``, computed once per pair of likelihood arrays.
+
+        ``fn`` is a module-level function that reads f_like and g_like
+        alone (their length is the marker count), so that one memo entry
+        serves a whole run.  The volume-preserving pushers never rebind
+        the likelihoods, so under them its value is a constant of the run.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if fn not in memo:
+            memo[fn] = fn(self)
+        return memo[fn]
+
     def weights(self) -> np.ndarray:
-        return self.f_like / self.g_like
+        """f_like / g_like, read-only and computed once per likelihood pair."""
+        return self.invariant(_weights)
+
+
+def _weights(ensemble: ParticleEnsemble) -> np.ndarray:
+    w = ensemble.f_like / ensemble.g_like
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,12 @@ def run_pic(ensemble: ParticleEnsemble,
     the windowed subset (at most ``star_disc_cap`` markers) per distinct x,
     about seven numpy calls each, so it is quadratic in the subset size and
     throttled separately from the cheap moment diagnostics.
+
+    The pushers rebind the ensemble's arrays and never write into them,
+    which keeps its likelihood memo valid: the entropy estimate is computed
+    once per pair of likelihood arrays (once per run under the
+    volume-preserving kinds, once per record under the Euler kinds), and
+    the weights that the deposits, kinetic energy and mass read likewise.
     """
     fields = pic.SelfConsistentField(solver)
     records: List[DiagnosticsRecord] = []
@@ -66,7 +72,7 @@ def run_pic(ensemble: ParticleEnsemble,
             field_energy=pic.field_energy(fld),
             kinetic_energy=pic.kinetic_energy(ensemble),
             total_mass=pic.total_mass(ensemble),
-            entropy=pic.discrete_entropy(ensemble).value,
+            entropy=ensemble.invariant(pic.discrete_entropy).value,
             star_disc=star,
         )
         records.append(rec)

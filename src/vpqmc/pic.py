@@ -254,11 +254,14 @@ class SelfConsistentField:
 def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
     """Rebind x to ``x_min + np.mod(x - x_min, length)``, running the
     modulo only where it changes something: on ``[0, length)`` it returns
-    its argument exactly, and after a stage almost every marker is there."""
+    its argument exactly, and after a stage almost every marker is there.
+    Two reductions test the common case of all of them; any NaN fails that
+    test and takes the masked path."""
     r = ensemble.x - x_min
-    outside = ~((r >= 0.0) & (r < length))  # NaN included, as np.mod sees it
-    if outside.any():
-        r[outside] = np.mod(r[outside], length)
+    if not (r.size and r.min() >= 0.0 and r.max() < length):
+        outside = ~((r >= 0.0) & (r < length))  # NaN included, as np.mod sees it
+        if outside.any():
+            r[outside] = np.mod(r[outside], length)
     ensemble.x = x_min + r
 
 
@@ -266,7 +269,9 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
     """Advance the ensemble one step of ``kind``.
 
     The ensemble's arrays are rebound to new arrays, never written into:
-    :class:`SelfConsistentField` reuses a field for the same array objects.
+    :class:`SelfConsistentField` reuses a field for the same array objects,
+    and the ensemble's weights memo stays valid until a likelihood is
+    rebound.
 
     ``fields`` is the field machinery: a callable mapping the current
     ensemble to a field object with E(x) and dE(x).  Positions wrap into
@@ -371,10 +376,15 @@ def discrete_entropy(ensemble: ParticleEnsemble) -> EntropyEstimate:
 
     Markers with nonpositive plasma likelihood (possible after a
     negative-weight handoff) are skipped; the skipped fraction is reported
-    alongside the value.
+    alongside the value.  The likelihoods are copied only when a marker is
+    skipped: the first estimate of a run is taken while the weights memo
+    already holds one array of the ensemble's size.
     """
-    f = ensemble.f_like
+    f, g = ensemble.f_like, ensemble.g_like
     pos = f > 0.0
-    skipped = 1.0 - np.count_nonzero(pos) / ensemble.n_p
-    total = float(np.sum(f[pos] * np.log(f[pos]) / ensemble.g_like[pos]))
-    return EntropyEstimate(value=total / ensemble.n_p, skipped_fraction=skipped)
+    n_pos = np.count_nonzero(pos)
+    if n_pos < ensemble.n_p:
+        f, g = f[pos], g[pos]
+    total = float(np.sum(f * np.log(f) / g))
+    return EntropyEstimate(value=total / ensemble.n_p,
+                           skipped_fraction=1.0 - n_pos / ensemble.n_p)

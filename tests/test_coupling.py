@@ -125,6 +125,38 @@ def test_run_pic_shares_the_emit_deposit_with_the_push(monkeypatch, kind, per_st
     assert len(calls) == 1 + per_step * k
 
 
+@pytest.mark.parametrize("kind", list(pic.IntegratorKind))
+def test_run_pic_computes_the_entropy_once_per_likelihood_pair(monkeypatch, kind):
+    # the volume-preserving kinds never rebind the likelihoods; the Euler
+    # kinds rebind them on every step, so every record computes afresh
+    calls = []
+    entropy = pic.discrete_entropy
+    monkeypatch.setattr(pic, "discrete_entropy",
+                        lambda e: calls.append(1) or entropy(e))
+    e = handoff(_maxwell_state(), 2, Sobol(skip=1), 2000)
+    solver = pic.SplinePoissonSolver.build(0.0, DOM.length, 16)
+    records = run_pic(e, solver, kind, dt=0.1, t_start=0.0, t_max=0.4)
+    euler = kind in (pic.IntegratorKind.EXPLICIT_EULER, pic.IntegratorKind.EXPLICIT_EULER2)
+    assert len(calls) == (len(records) if euler else 1)
+
+
+@pytest.mark.parametrize("kind", list(pic.IntegratorKind))
+def test_run_pic_moments_equal_a_fresh_estimate_at_every_record(kind):
+    seen = []
+
+    def check(rec, e):
+        fresh = dataclasses.replace(e, f_like=e.f_like.copy(), g_like=e.g_like.copy())
+        assert rec.total_mass == pic.total_mass(fresh)
+        assert rec.kinetic_energy == pic.kinetic_energy(fresh)
+        assert rec.entropy == pic.discrete_entropy(fresh).value
+        seen.append(rec)
+
+    e = handoff(_maxwell_state(), 2, Sobol(skip=1), 2000)
+    solver = pic.SplinePoissonSolver.build(0.0, DOM.length, 16)
+    run_pic(e, solver, kind, dt=0.1, t_start=0.0, t_max=0.4, on_record=check)
+    assert len(seen) == 5
+
+
 def test_run_coupled_equilibrium_stays_flat():
     rows, _ = run_coupled(MAXWELL, DOM, 32, 32, 0.1, 2.0, t0=1.0, n_p=20_000,
                           n_pad=4, n_f=16, sequence=Sobol(skip=1))

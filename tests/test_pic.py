@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ def test_wrap_matches_full_modulo_bitwise(x_min):
                   -9 * length - 0.1, np.nan])
     x = np.concatenate([x, x + x_min, np.random.default_rng(6).uniform(
         x_min - 3 * length, x_min + 3 * length, 200)])
+    e = _ensemble(x, np.zeros_like(x))
+    pic._wrap(e, x_min, length)
+    want = x_min + np.mod(x - x_min, length)
+    np.testing.assert_array_equal(e.x.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("x_min", [0.0, -1.3, 2.5])
+@pytest.mark.parametrize("odd", [None, "period_end", "below_min", "nan"])
+def test_wrap_fast_path_and_its_fallbacks_bitwise(x_min, odd):
+    # markers inside the period take the two-reduction path; one marker at
+    # x_min + L, one just below x_min or one NaN sends all of them down the
+    # masked path, and either way each gives the bits of the full modulo
+    length = 4 * np.pi
+    x = x_min + np.random.default_rng(7).uniform(0.0, length, 50)
+    extra = {"period_end": x_min + length,
+             "below_min": np.nextafter(x_min, -np.inf), "nan": np.nan}
+    if odd is not None:
+        x = np.insert(x, 20, extra[odd])
     e = _ensemble(x, np.zeros_like(x))
     pic._wrap(e, x_min, length)
     want = x_min + np.mod(x - x_min, length)
@@ -407,6 +427,28 @@ def test_cached_field_follows_each_rebound_array():
         setattr(e, name, getattr(e, name) * 0.75)
         np.testing.assert_array_equal(fields(e).coeffs,
                                       SelfConsistentField(solver)(e).coeffs)
+
+
+@pytest.mark.parametrize("kind", [IntegratorKind.EXPLICIT_EULER,
+                                  IntegratorKind.EXPLICIT_EULER2])
+def test_weights_follow_each_rebound_likelihood_bitwise(kind):
+    e, dom = _landau_ensemble()
+    fields = SelfConsistentField(SplinePoissonSolver.build(0.0, dom.length, 16))
+    for _ in range(3):
+        e.weights()  # a memo of the pair that the push replaces
+        push(kind, e, fields, 0.05)
+        np.testing.assert_array_equal(e.weights(), e.f_like / e.g_like)
+
+
+def test_weights_are_computed_once_read_only_and_freed_on_rebinding():
+    e, _ = _landau_ensemble(100)
+    w = weakref.ref(e.weights())
+    assert e.weights() is w()
+    with pytest.raises(ValueError):
+        e.weights()[0] = 1.0
+    e.g_like = 2.0 * e.g_like
+    assert w() is None  # the memo does not keep the old pair's weights
+    np.testing.assert_array_equal(e.weights(), e.f_like / e.g_like)
 
 
 def test_explicit_euler_weights_drift():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from harness import spline_mode_error
 from oracles import (fit_loglog_slope, spectral_step_order3_complex_reference,
                      zero_pad_complex_reference)
+from vpqmc import spectral
 from vpqmc.core import InitialCondition, PhaseSpaceDomain
 from vpqmc.spectral import (NonNeutralPlasmaWarning, RUTH3, SpectralState,
                             advance, advect_x, charge_density, field_energy, hk_variation,
@@ -366,6 +369,43 @@ def test_run_output_stride_records_match_every_step_run():
                 getattr(want, name), rel=1e-13, abs=1e-13)
     np.testing.assert_allclose(end_strided.values, end_every.values,
                                rtol=0.0, atol=1e-13)
+
+
+def test_run_solves_each_emitted_field_once(monkeypatch):
+    calls = []
+    solve = spectral.poisson_fourier
+    monkeypatch.setattr(spectral, "poisson_fourier",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    records, end = run_spectral(LANDAU, DOM, 16, 16, 0.1, 1.0, out_stride=2)
+    # one solve per record and per kick, less the first kick of each of
+    # the five advance calls, which reuses its record's solve
+    assert len(calls) == len(records) + 3 * 10 - 5
+    # the reused field gives the bits of a fresh solve
+    s = state_from_initial_condition(LANDAU, DOM, 16, 16)
+    for rec in records[1:]:
+        s = advance(SpectralState(s.domain, s.values), 0.1, 2)
+        assert rec.field_energy == field_energy(s)
+    np.testing.assert_array_equal(end.values, s.values)
+
+
+def test_every_kick_warns_once_when_nonneutral():
+    # the first kick of each advance call reuses a silent solve, and still
+    # warns as its own solve would; the diagnostics never warn
+    ic = InitialCondition(epsilon=1e-3, k=0.3, n_b=0.1, sigma_b=0.3, v_b=4.5)
+    dom = PhaseSpaceDomain(0.0, 2 * np.pi / 0.3, -10.0, 10.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_spectral(ic, dom, 32, 32, 0.1, 1.0, out_stride=2)
+    assert [w.category for w in caught] == [NonNeutralPlasmaWarning] * 3 * 10
+
+
+def test_rebinding_values_drops_the_solved_field():
+    s = state_from_initial_condition(LANDAU, DOM, 16, 16)
+    field_energy(s)
+    s.values = state_from_initial_condition(InitialCondition(0.1, 0.5), DOM, 16, 16).values
+    # the kick solves the new values, as a state that never held a field does
+    np.testing.assert_array_equal(advance(s, 0.1, 1).values,
+                                  advance(SpectralState(DOM, s.values), 0.1, 1).values)
 
 
 def test_run_hk_period_toggles_field():
