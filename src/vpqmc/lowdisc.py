@@ -65,17 +65,28 @@ _SOBOL_V2 = np.array([m << (_SOBOL_BITS - k) for k, m in enumerate(_SOBOL_M2, st
 
 def _sobol_pairs(skip: int, n: int) -> np.ndarray:
     """Sobol points with indices skip .. skip+n-1 via the Gray-code formula
-    x_i = XOR of direction integers over the set bits of gray(i)."""
-    idx = np.arange(skip, skip + n, dtype=np.uint64)
-    gray = idx ^ (idx >> np.uint64(1))
+    x_i = XOR of direction integers over the set bits of gray(i).
+
+    The rounds shift ``gray`` down one bit at a time and reuse two work
+    buffers, and the scaled integers go straight into the (n, 2) output:
+    at most five uint64 arrays of length n are live at once."""
+    gray = np.arange(skip, skip + n, dtype=np.uint64)
+    gray ^= gray >> np.uint64(1)
     a = np.zeros(n, dtype=np.uint64)
     b = np.zeros(n, dtype=np.uint64)
+    mask = np.empty(n, dtype=np.uint64)
+    term = np.empty(n, dtype=np.uint64)
     for bit in range(_SOBOL_BITS):
-        mask = (gray >> np.uint64(bit)) & np.uint64(1)
-        a ^= mask * _SOBOL_V1[bit]
-        b ^= mask * _SOBOL_V2[bit]
+        np.bitwise_and(gray, np.uint64(1), out=mask)
+        gray >>= np.uint64(1)
+        a ^= np.multiply(mask, _SOBOL_V1[bit], out=term)
+        b ^= np.multiply(mask, _SOBOL_V2[bit], out=term)
+    del gray, mask, term
     scale = 2.0 ** -_SOBOL_BITS
-    return np.column_stack([a * scale, b * scale])
+    out = np.empty((n, 2))
+    np.multiply(a, scale, out=out[:, 0])
+    np.multiply(b, scale, out=out[:, 1])
+    return out
 
 
 def generate_pairs(kind: SequenceKind, n: int) -> np.ndarray:

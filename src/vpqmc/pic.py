@@ -255,13 +255,11 @@ def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
     """Rebind x to ``x_min + np.mod(x - x_min, length)``, running the
     modulo only where it changes something: on ``[0, length)`` it returns
     its argument exactly, and after a stage almost every marker is there.
-    Two reductions test the common case of all of them; any NaN fails that
-    test and takes the masked path."""
+    The markers outside (NaN included, as np.mod sees it) are found once,
+    by index."""
     r = ensemble.x - x_min
-    if not (r.size and r.min() >= 0.0 and r.max() < length):
-        outside = ~((r >= 0.0) & (r < length))  # NaN included, as np.mod sees it
-        if outside.any():
-            r[outside] = np.mod(r[outside], length)
+    outside = np.flatnonzero(~((r >= 0.0) & (r < length)))
+    r[outside] = np.mod(r[outside], length)
     ensemble.x = x_min + r
 
 

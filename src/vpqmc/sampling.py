@@ -40,6 +40,10 @@ class NewtonNoConvergence(RuntimeError):
 
 _DEGENERATE_REL = 1e-14
 
+#: Markers mapped per pass of :func:`rosenblatt_sample`: its temporaries
+#: are a few dozen arrays of this length, whatever the number of markers.
+CHUNK = 1 << 14
+
 
 def _invert_cell_quadratic(a, b, target, h):
     """Solve target = h*(s*a + s^2*(b-a)/2) for s in [0, 1].
@@ -104,10 +108,15 @@ def build_sampler(g: GriddedDensity) -> BilinearSampler:
     cell = 0.5 * g.dx * (gx + np.roll(gx, -1))
     cum_x = np.concatenate(([0.0], np.cumsum(cell)))
     # per-column trapezoid partial sums along v: cum_cols[i, j] is the
-    # column-i mass below node j, so cum_cols[i, -1] == gx[i]
-    piece = 0.5 * g.dv * (vals[:, :-1] + vals[:, 1:])
-    cum_cols = np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)],
-                              axis=1)
+    # column-i mass below node j, so cum_cols[i, -1] == gx[i].  Built in
+    # one buffer: the cell pieces 0.5*dv*(left + right) go into columns
+    # 1.., then an in-place cumsum (no copy: output and input coincide)
+    cum_cols = np.empty((g.nx, g.nv))
+    cum_cols[:, 0] = 0.0
+    pieces = cum_cols[:, 1:]
+    np.add(vals[:, :-1], vals[:, 1:], out=pieces)
+    pieces *= 0.5 * g.dv
+    np.cumsum(pieces, axis=1, out=pieces)
     return BilinearSampler(g=g, marginal_x_nodes=gx, cum_x=cum_x, cum_cols=cum_cols)
 
 
@@ -180,22 +189,33 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     return g.domain.v_min + (j + frac) * g.dv
 
 
+def _chunks(n: int):
+    """Slices of at most ``CHUNK`` entries covering range(n) in order."""
+    return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
+
+
 def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble:
     """Map uniform pairs through the inverse Rosenblatt transform.
 
-    Output ordering matches the input pair ordering.  All markers are
-    mapped in one pass: every step is elementwise and the conditional
-    inversion bisects rather than tabulating, so the temporaries are a
-    few arrays of length n and peak memory grows linearly in n, not in
-    n * nv.  g_like is the bilinear density at the sampled points; f_like
-    is initialized to a copy of g_like (unit weights) and is overwritten
-    by callers that sample a different target density, e.g. the
-    spectral handoff.
+    Output ordering matches the input pair ordering.  Every step is
+    elementwise, so the markers are mapped in chunks of ``CHUNK`` into
+    preallocated x, v and g_like, with the same bits as one pass.  Live
+    at once: the sampler's tables, the n pairs, the three length-n
+    outputs and the temporaries of one chunk (a few dozen arrays of
+    ``CHUNK`` entries; the conditional inversion bisects rather than
+    tabulating nv entries per marker).  g_like is the bilinear density at
+    the sampled points; f_like is initialized to a copy of g_like (unit
+    weights) and is overwritten by callers that sample a different target
+    density, e.g. the spectral handoff.
     """
     pairs = _checked_pairs(pairs)
-    x = sample_marginal_x(s, pairs[:, 0])
-    v = sample_conditional_v(s, x, pairs[:, 1])
-    g_like = s.g.bilinear_at(x, v)
+    x = np.empty(pairs.shape[0])
+    v = np.empty_like(x)
+    g_like = np.empty_like(x)
+    for c in _chunks(x.size):
+        x[c] = sample_marginal_x(s, pairs[c, 0])
+        v[c] = sample_conditional_v(s, x[c], pairs[c, 1])
+        g_like[c] = s.g.bilinear_at(x[c], v[c])
     return ParticleEnsemble(x=x, v=v, f_like=g_like.copy(), g_like=g_like)
 
 
@@ -207,10 +227,23 @@ def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
     its bilinear value at each marker and f_like the bilinear value of
     ``density`` itself, so markers where it is negative carry negative
     weights.
+
+    The pairs are drawn before the sampler is built, so the generator's
+    temporaries never meet the sampler's tables, and the sampler is
+    dropped before the f_like lookup.  At most three grids of
+    ``density``'s shape are live at once (``density``, the normalized
+    |density| and the sampler's ``cum_cols``), beside the n pairs, the
+    marker arrays and one chunk of :func:`rosenblatt_sample`'s
+    temporaries.
     """
+    pairs = lowdisc.generate_pairs(sequence, n)
     sampler = build_sampler(normalize_to_sampling_density(density))
-    ensemble = rosenblatt_sample(sampler, lowdisc.generate_pairs(sequence, n))
-    ensemble.f_like = density.bilinear_at(ensemble.x, ensemble.v)
+    ensemble = rosenblatt_sample(sampler, pairs)
+    del sampler, pairs
+    f_like = np.empty_like(ensemble.x)
+    for c in _chunks(f_like.size):
+        f_like[c] = density.bilinear_at(ensemble.x[c], ensemble.v[c])
+    ensemble.f_like = f_like
     return ensemble
 
 

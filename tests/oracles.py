@@ -246,6 +246,34 @@ def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
     return xs, vs, np.asarray(s.g.bilinear_at(xs, vs))
 
 
+def cum_cols_concatenate_reference(g):
+    """The per-column trapezoid partial sums of ``BilinearSampler.cum_cols``
+    as separate arrays: the cell pieces, their cumsum, and a zero column
+    joined on by concatenation."""
+    vals = g.values
+    piece = 0.5 * g.dv * (vals[:, :-1] + vals[:, 1:])
+    return np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)], axis=1)
+
+
+def sample_gridded_density_unchunked_reference(density, sequence, n):
+    """(x, v, g_like, f_like) of ``vpqmc.sampling.sample_gridded_density``
+    in one pass over all n markers, with the sampler built first and its
+    ``cum_cols`` from :func:`cum_cols_concatenate_reference`."""
+    import dataclasses
+
+    from vpqmc.core import normalize_to_sampling_density
+    from vpqmc.lowdisc import generate_pairs
+    from vpqmc.sampling import (build_sampler, sample_conditional_v,
+                                sample_marginal_x)
+
+    g = normalize_to_sampling_density(density)
+    s = dataclasses.replace(build_sampler(g), cum_cols=cum_cols_concatenate_reference(g))
+    pairs = generate_pairs(sequence, n)
+    x = sample_marginal_x(s, pairs[:, 0])
+    v = sample_conditional_v(s, x, pairs[:, 1])
+    return x, v, g.bilinear_at(x, v), density.bilinear_at(x, v)
+
+
 def _kappa_complex(n, d):
     return 2.0 * np.pi * np.fft.fftfreq(n, d=d)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from oracles import ks_statistic_two_sample, ks_statistic_uniform
 from vpqmc.core import InitialCondition, PhaseSpaceDomain
 from vpqmc.coupling import handoff, run_coupled, run_pic
 from vpqmc.lowdisc import Sobol
-from vpqmc import pic, spectral
+from vpqmc import pic, sampling, spectral
 
 MAXWELL = InitialCondition(epsilon=0.0, k=0.5)
 DOM = PhaseSpaceDomain(0.0, 4 * np.pi, -6.5, 6.5)
@@ -46,6 +47,25 @@ def test_handoff_preserves_mass_and_kinetic_energy():
     summand = 0.5 * e.v ** 2 * e.weights()
     sigma = np.std(summand) / np.sqrt(e.n_p)
     assert abs(pic.kinetic_energy(e) - h_grid) <= 3 * sigma + 1e-3
+
+
+def test_handoff_peak_memory_is_three_fine_grids_markers_and_one_chunk():
+    # the padded density, the normalized |f| and the sampler's cum_cols;
+    # six marker-length arrays (the pairs' two columns, x, v, g_like and
+    # f_like); and a fixed allowance of CHUNK-length temporaries, however
+    # many markers there are (mapping all markers in one pass takes about
+    # 120 CHUNK-lengths of temporaries at this n_p)
+    state = _maxwell_state(16, 16)
+    n_pad, n_p = 16, 100_000
+    grid_bytes = spectral.zero_pad(state, n_pad).values.nbytes
+    bound = 3 * grid_bytes + 6 * 8 * n_p + 32 * 8 * sampling.CHUNK
+    tracemalloc.start()
+    try:
+        handoff(state, n_pad, Sobol(skip=1), n_p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_handoff_padding_statistically_indistinguishable():

@@ -162,9 +162,9 @@ def test_wrap_matches_full_modulo_bitwise(x_min):
 @pytest.mark.parametrize("x_min", [0.0, -1.3, 2.5])
 @pytest.mark.parametrize("odd", [None, "period_end", "below_min", "nan"])
 def test_wrap_fast_path_and_its_fallbacks_bitwise(x_min, odd):
-    # markers inside the period take the two-reduction path; one marker at
-    # x_min + L, one just below x_min or one NaN sends all of them down the
-    # masked path, and either way each gives the bits of the full modulo
+    # markers inside the period are left alone; one marker at x_min + L,
+    # one just below x_min or one NaN is wrapped by index, and either way
+    # each gives the bits of the full modulo
     length = 4 * np.pi
     x = x_min + np.random.default_rng(7).uniform(0.0, length, 50)
     extra = {"period_end": x_min + length,

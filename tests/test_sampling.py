@@ -199,6 +199,31 @@ def test_rosenblatt_sample_matches_chunked_dense_path_bitwise():
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 24), nv=st.integers(2, 40),
+       v_span=st.floats(0.1, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_cum_cols_match_the_concatenate_form_bitwise(nx, nv, v_span, seed):
+    dom = PhaseSpaceDomain(0.0, 2.0, -0.5 * v_span, 0.5 * v_span)
+    s = _random_sampler(seed, domain=dom, nx=nx, nv=nv)
+    np.testing.assert_array_equal(
+        _bits(s.cum_cols), _bits(oracles.cum_cols_concatenate_reference(s.g)))
+
+
+@pytest.mark.parametrize("sequence", [Sobol(skip=5), PseudoRandom(seed=11)])
+def test_sample_gridded_density_matches_the_unchunked_form_bitwise(sequence):
+    # a signed density with negative nodes, and two whole chunks plus a part
+    rng = np.random.default_rng(31)
+    density = GriddedDensity(PhaseSpaceDomain(-1.0, 2.0, -3.0, 4.0),
+                             rng.standard_normal((12, 17)) + 0.3)
+    assert np.any(density.values < 0)
+    n = 2 * sampling.CHUNK + 123
+    e = sampling.sample_gridded_density(density, sequence, n)
+    want = oracles.sample_gridded_density_unchunked_reference(density, sequence, n)
+    for got, ref in zip((e.x, e.v, e.g_like, e.f_like), want):
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+    assert np.any(e.f_like < 0)
+
+
 # --- rosenblatt + forward map -----------------------------------------------
 
 def test_rosenblatt_uniform_is_affine():
