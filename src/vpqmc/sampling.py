@@ -230,7 +230,7 @@ def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
 
     The pairs are drawn before the sampler is built, so the generator's
     temporaries never meet the sampler's tables, and the sampler is
-    dropped before the f_like lookup.  At most three grids of
+    dropped before the f_like lookup.  At most three float grids of
     ``density``'s shape are live at once (``density``, the normalized
     |density| and the sampler's ``cum_cols``), beside the n pairs, the
     marker arrays and one chunk of :func:`rosenblatt_sample`'s
