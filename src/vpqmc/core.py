@@ -181,15 +181,36 @@ def bounded_cell(v, v_min: float, h: float, n: int):
     return j, t - j
 
 
-def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v):
+def held_rows(ix, ixp, row0: int, nx: int):
+    """Indexes of the grid rows ix and ixp = (ix + 1) % nx into a table of
+    the nx-row grid's rows row0, row0 + 1, ... (wrapping past the last
+    row) that holds row ix and the row after it.  With row0 = 0 the table
+    may be the grid itself."""
+    if not row0:
+        return ix, ixp
+    return ix - row0, (ixp - row0) % nx
+
+
+def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v,
+                     row0: int = 0):
     """The four (i, j) nodes and bilinear weights at each (x, v) on the
-    package grid of nx x nv nodes over ``domain``."""
+    package grid of nx x nv nodes over ``domain``.  x is located on the
+    whole grid; the row indexes point into a table of its rows from
+    ``row0`` on (:func:`held_rows`)."""
     ix, fx = periodic_cell(x, domain.x_min, domain.length / nx, nx)
     jv, fv = bounded_cell(v, domain.v_min, domain.v_span / (nv - 1), nv)
-    ixp = (ix + 1) % nx
+    ix, ixp = held_rows(ix, (ix + 1) % nx, row0, nx)
     nodes = ((ix, jv), (ixp, jv), (ix, jv + 1), (ixp, jv + 1))
     wgts = ((1 - fx) * (1 - fv), fx * (1 - fv), (1 - fx) * fv, fx * fv)
     return nodes, wgts
+
+
+def bilinear_sum(values: np.ndarray, nodes, wgts):
+    """The bilinear interpolant from a stencil: each weight times its node
+    value, summed in stencil order."""
+    terms = [w * values[i, j] for (i, j), w in zip(nodes, wgts)]
+    # not sum(terms): its 0 + (-0.0) would drop the sign of a zero
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 @dataclass(frozen=True)
@@ -240,14 +261,26 @@ class GriddedDensity:
 
         Takes and returns arrays.
         """
-        nodes, wgts = bilinear_stencil(self.domain, self.nx, self.nv, x, v)
-        terms = [w * self.values[i, j] for (i, j), w in zip(nodes, wgts)]
-        # not sum(terms): its 0 + (-0.0) would drop the sign of a zero
-        return terms[0] + terms[1] + terms[2] + terms[3]
+        return bilinear_sum(self.values,
+                            *bilinear_stencil(self.domain, self.nx, self.nv, x, v))
+
+
+def nonzero_mass(mass: float) -> float:
+    """``mass``, the trapezoid mass of a density's absolute value.
+
+    Raises
+    ------
+    AllZeroDensity
+        If it is zero, i.e. every node of the density is zero.
+    """
+    if mass == 0.0:
+        raise AllZeroDensity("cannot normalize a density that vanishes at every node")
+    return mass
 
 
 def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:
-    """Return |f| scaled to unit trapezoid mass.
+    """Return |f| scaled to unit trapezoid mass; one new grid, divided in
+    place.
 
     Raises
     ------
@@ -255,10 +288,8 @@ def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:
         If every node of f is zero.
     """
     absvals = np.abs(f.values)
-    mass = GriddedDensity(f.domain, absvals).mass()
-    if mass == 0.0:
-        raise AllZeroDensity("cannot normalize a density that vanishes at every node")
-    return GriddedDensity(f.domain, absvals / mass)
+    absvals /= nonzero_mass(GriddedDensity(f.domain, absvals).mass())
+    return GriddedDensity(f.domain, absvals)
 
 
 @dataclass

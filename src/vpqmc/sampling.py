@@ -17,6 +17,7 @@ Two routes to a marker ensemble:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import lowdisc
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
-                   PhaseSpaceDomain, SQRT_2PI, bounded_cell, eval_initial_f,
-                   initial_x_density, normalize_to_sampling_density,
-                   periodic_cell)
+                   PhaseSpaceDomain, SQRT_2PI, bilinear_stencil, bilinear_sum,
+                   bounded_cell, eval_initial_f, held_rows, initial_x_density,
+                   nonzero_mass, periodic_cell, v_trapezoid_weights)
 from .lowdisc import SequenceKind
 
 
@@ -43,6 +44,10 @@ _DEGENERATE_REL = 1e-14
 #: Markers mapped per pass of :func:`rosenblatt_sample`: its temporaries
 #: are a few dozen arrays of this length, whatever the number of markers.
 CHUNK = 1 << 14
+
+#: Grid rows per block of :func:`sample_gridded_density`: its tables hold
+#: at most 2*ROWS rows, whatever the grid (see :func:`_row_blocks`).
+ROWS = 64
 
 
 def _invert_cell_quadratic(a, b, target, h):
@@ -83,41 +88,84 @@ def _checked_pairs(pairs) -> np.ndarray:
 class BilinearSampler:
     """Exact inverse-transform sampler for a bilinear gridded density.
 
-    Built once per density by :func:`build_sampler`; carries the
-    x-marginal nodes, their trapezoid partial sums, and the per-column
-    cumulative tables used by the conditional inversion.  Immutable, so
+    Carries the x-marginal nodes of the whole grid and their trapezoid
+    partial sums, and, for the conditional inversion, the density's
+    ``values`` and per-column cumulative tables ``cum_cols`` at the grid
+    rows ``row0``, ``row0 + 1``, ... (wrapping past the last row).
+    :func:`build_sampler` holds every row (``row0`` = 0);
+    :func:`sample_gridded_density` holds one block of rows at a time and
+    maps only the markers whose x cell lies in it.  Immutable, so
     sampling is pure and thread-safe.
     """
 
-    g: GriddedDensity
+    domain: PhaseSpaceDomain
     marginal_x_nodes: np.ndarray
     cum_x: np.ndarray
+    values: np.ndarray
     cum_cols: np.ndarray
+    row0: int = 0
+
+    @property
+    def nx(self) -> int:
+        return self.marginal_x_nodes.shape[0]
+
+    @property
+    def nv(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def dx(self) -> float:
+        return self.domain.length / self.nx
+
+    @property
+    def dv(self) -> float:
+        return self.domain.v_span / (self.nv - 1)
+
+    def holding(self, values: np.ndarray, row0: int = 0) -> "BilinearSampler":
+        """This sampler's marginal with the conditional tables of
+        ``values``, the density's rows from ``row0`` on."""
+        # per-column trapezoid partial sums along v: cum_cols[i, j] is the
+        # column-i mass below node j, so cum_cols[i, -1] == gx[i].  Built in
+        # one buffer: the cell pieces 0.5*dv*(left + right) go into columns
+        # 1.., then an in-place cumsum (no copy: output and input coincide)
+        cum_cols = np.empty(values.shape)
+        cum_cols[:, 0] = 0.0
+        pieces = cum_cols[:, 1:]
+        np.add(values[:, :-1], values[:, 1:], out=pieces)
+        pieces *= 0.5 * self.dv
+        np.cumsum(pieces, axis=1, out=pieces)
+        return dataclasses.replace(self, values=values, cum_cols=cum_cols, row0=row0)
+
+    def density_at(self, x, v):
+        """Bilinear value of the density at (x, v), x in the rows held."""
+        return bilinear_sum(self.values, *bilinear_stencil(
+            self.domain, self.nx, self.nv, x, v, self.row0))
+
+
+def _check_nonnegative(values):
+    # written so that NaN fails
+    if not np.all(values >= 0):
+        raise ValueError("sampling density must be nonnegative")
+
+
+def _marginal_sampler(domain: PhaseSpaceDomain, gx: np.ndarray, nv: int) -> BilinearSampler:
+    """The sampler of the x marginal ``gx`` of a unit-mass density with nv
+    v nodes, holding no rows yet."""
+    dx = domain.length / gx.shape[0]
+    mass = float(dx * np.sum(gx))
+    if not abs(mass - 1.0) <= 1e-12:
+        raise ValueError(f"sampling density mass {mass!r} is not 1 within 1e-12")
+    cell = 0.5 * dx * (gx + np.roll(gx, -1))
+    cum_x = np.concatenate(([0.0], np.cumsum(cell)))
+    no_rows = np.empty((0, nv))
+    return BilinearSampler(domain, gx, cum_x, no_rows, no_rows)
 
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
-    """The sampler of a nonnegative gridded density of unit mass."""
-    vals = g.values
-    # written so that NaN fails both checks
-    if not np.all(vals >= 0):
-        raise ValueError("sampling density must be nonnegative")
-    mass = g.mass()
-    if not abs(mass - 1.0) <= 1e-12:
-        raise ValueError(f"sampling density mass {mass!r} is not 1 within 1e-12")
-    gx = g.x_marginal_nodes()
-    cell = 0.5 * g.dx * (gx + np.roll(gx, -1))
-    cum_x = np.concatenate(([0.0], np.cumsum(cell)))
-    # per-column trapezoid partial sums along v: cum_cols[i, j] is the
-    # column-i mass below node j, so cum_cols[i, -1] == gx[i].  Built in
-    # one buffer: the cell pieces 0.5*dv*(left + right) go into columns
-    # 1.., then an in-place cumsum (no copy: output and input coincide)
-    cum_cols = np.empty((g.nx, g.nv))
-    cum_cols[:, 0] = 0.0
-    pieces = cum_cols[:, 1:]
-    np.add(vals[:, :-1], vals[:, 1:], out=pieces)
-    pieces *= 0.5 * g.dv
-    np.cumsum(pieces, axis=1, out=pieces)
-    return BilinearSampler(g=g, marginal_x_nodes=gx, cum_x=cum_x, cum_cols=cum_cols)
+    """The sampler of a nonnegative gridded density of unit mass, holding
+    every row."""
+    _check_nonnegative(g.values)
+    return _marginal_sampler(g.domain, g.x_marginal_nodes(), g.nv).holding(g.values)
 
 
 def sample_marginal_x(s: BilinearSampler, u_x):
@@ -128,14 +176,13 @@ def sample_marginal_x(s: BilinearSampler, u_x):
     cells); within the cell the quadratic CDF piece is inverted exactly.
     """
     u = np.asarray(u_x, dtype=float)
-    g = s.g
     gx = s.marginal_x_nodes
-    nx = g.nx
+    nx = s.nx
     i = np.clip(np.searchsorted(s.cum_x, u, side="right") - 1, 0, nx - 1)
     a = gx[i]
     b = gx[(i + 1) % nx]
-    frac = _invert_cell_quadratic(a, b, u - s.cum_x[i], g.dx)
-    return g.domain.x_min + (i + frac) * g.dx
+    frac = _invert_cell_quadratic(a, b, u - s.cum_x[i], s.dx)
+    return s.domain.x_min + (i + frac) * s.dx
 
 
 def sample_conditional_v(s: BilinearSampler, x, u_v):
@@ -151,23 +198,26 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     built.  ``cum_cols`` is a cumsum of nonnegative values and the
     rounding of the interpolation is monotone, so ``delta_j`` is
     nondecreasing in j in floating point and the bisection picks the same
-    cell as counting every ``delta_j <= target``.  Raises
-    :class:`ZeroConditional` where the marginal g_X(x) vanishes.
+    cell as counting every ``delta_j <= target``.  x is located on the
+    whole grid, and every x must lie in a cell whose rows the sampler
+    holds.  Raises :class:`ZeroConditional` where the marginal g_X(x)
+    vanishes.
     """
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(u_v, dtype=float))
-    g = s.g
-    ix, fx = periodic_cell(x, g.domain.x_min, g.dx, g.nx)
-    ixp = (ix + 1) % g.nx
+    nx, nv = s.nx, s.nv
+    ix, fx = periodic_cell(x, s.domain.x_min, s.dx, nx)
+    ixp = (ix + 1) % nx
     gx_here = (1.0 - fx) * s.marginal_x_nodes[ix] + fx * s.marginal_x_nodes[ixp]
     if np.any(gx_here <= 0.0):
         raise ZeroConditional("conditional density requested on a zero-mass column")
 
     target = gx_here * u
     w0 = 1.0 - fx
+    ix, ixp = held_rows(ix, ixp, s.row0, nx)
     cum = s.cum_cols.ravel()
-    row0 = ix * g.nv
-    row1 = ixp * g.nv
+    row0 = ix * nv
+    row1 = ixp * nv
 
     def delta(j):
         return w0 * cum[row0 + j] + fx * cum[row1 + j]
@@ -175,23 +225,49 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     # n_le counts the j with delta_j <= target (a prefix of 0..nv-1), built
     # bit by bit from the highest power of two not above nv
     n_le = np.zeros(x.shape, dtype=np.int64)
-    step = 1 << (g.nv.bit_length() - 1)
+    step = 1 << (nv.bit_length() - 1)
     while step:
         probe = n_le + step
-        j = np.minimum(probe, g.nv) - 1
-        n_le = np.where((probe <= g.nv) & (delta(j) <= target), probe, n_le)
+        j = np.minimum(probe, nv) - 1
+        n_le = np.where((probe <= nv) & (delta(j) <= target), probe, n_le)
         step >>= 1
-    j = np.clip(n_le - 1, 0, g.nv - 2)
+    j = np.clip(n_le - 1, 0, nv - 2)
 
-    gamma0 = w0 * g.values[ix, j] + fx * g.values[ixp, j]
-    gamma1 = w0 * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
-    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), g.dv)
-    return g.domain.v_min + (j + frac) * g.dv
+    gamma0 = w0 * s.values[ix, j] + fx * s.values[ixp, j]
+    gamma1 = w0 * s.values[ix, j + 1] + fx * s.values[ixp, j + 1]
+    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), s.dv)
+    return s.domain.v_min + (j + frac) * s.dv
 
 
 def _chunks(n: int):
     """Slices of at most ``CHUNK`` entries covering range(n) in order."""
     return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
+
+
+def _row_blocks(nx: int):
+    """(first, end) row ranges covering range(nx) in order: ``ROWS`` rows
+    each, the last one taking the remainder (up to 2*ROWS - 1 rows).
+    The x-marginal mat-vec of such blocks has the bits of the whole
+    grid's; over a short tail block of 1 to 3 rows BLAS can round
+    differently."""
+    bounds = list(range(0, max(nx - ROWS, 0) + 1, ROWS)) + [nx]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _abs_x_marginal(density: GriddedDensity, mass: float = 1.0) -> np.ndarray:
+    """The x-marginal nodes of |density| / mass, one block of rows at a
+    time: the bits of ``GriddedDensity(domain, np.abs(values) /
+    mass).x_marginal_nodes()`` without either grid (x / 1.0 == x).
+    Raises ValueError if a node of |density| / mass is not >= 0 (NaN)."""
+    w = v_trapezoid_weights(density.nv)
+    gx = np.empty(density.nx)
+    for first, end in _row_blocks(density.nx):
+        block = np.abs(density.values[first:end])
+        block /= mass
+        _check_nonnegative(block)
+        np.matmul(block, w, out=gx[first:end])
+    gx *= density.dv
+    return gx
 
 
 def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble:
@@ -204,9 +280,9 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     outputs and the temporaries of one chunk (a few dozen arrays of
     ``CHUNK`` entries; the conditional inversion bisects rather than
     tabulating nv entries per marker).  g_like is the bilinear density at
-    the sampled points; f_like is initialized to a copy of g_like (unit
-    weights) and is overwritten by callers that sample a different target
-    density, e.g. the spectral handoff.
+    the sampled points, and f_like is g_like itself (unit weights): the
+    same array, which is safe because ensemble arrays are rebound, never
+    written into (:class:`~vpqmc.core.ParticleEnsemble`).
     """
     pairs = _checked_pairs(pairs)
     x = np.empty(pairs.shape[0])
@@ -215,8 +291,8 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     for c in _chunks(x.size):
         x[c] = sample_marginal_x(s, pairs[c, 0])
         v[c] = sample_conditional_v(s, x[c], pairs[c, 1])
-        g_like[c] = s.g.bilinear_at(x[c], v[c])
-    return ParticleEnsemble(x=x, v=v, f_like=g_like.copy(), g_like=g_like)
+        g_like[c] = s.density_at(x[c], v[c])
+    return ParticleEnsemble(x=x, v=v, f_like=g_like, g_like=g_like)
 
 
 def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
@@ -226,48 +302,80 @@ def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
     The sampling density is |density| normalized to unit mass; g_like is
     its bilinear value at each marker and f_like the bilinear value of
     ``density`` itself, so markers where it is negative carry negative
-    weights.
+    weights.  The results have the bits of
+    ``rosenblatt_sample(build_sampler(normalize_to_sampling_density(
+    density)), pairs)`` with f_like replaced, but no second grid is made:
 
-    The pairs are drawn before the sampler is built, so the generator's
-    temporaries never meet the sampler's tables, and the sampler is
-    dropped before the f_like lookup.  At most three float grids of
-    ``density``'s shape are live at once (``density``, the normalized
-    |density| and the sampler's ``cum_cols``), beside the n pairs, the
-    marker arrays and one chunk of :func:`rosenblatt_sample`'s
-    temporaries.
+    * the mass and the normalized x marginal come from row blocks of
+      |density| (:func:`_abs_x_marginal`);
+    * all markers are mapped to x, then sorted by their x cell;
+    * for each block of rows from :func:`_row_blocks` plus the row after
+      it, the sampler holds that block's normalized |density| and
+      ``cum_cols`` and maps the block's markers, ``CHUNK`` at a time;
+      the results are scattered back to input order.
+
+    Live at once: ``density``, the n pairs, the x, v and g_like arrays,
+    the sort index, one block's two tables (at most 2*ROWS rows) and one
+    chunk's temporaries; the pairs and the sort index are dropped before
+    the f_like lookup.  For a 1024 x 1025 grid (8 MiB) and n = 1e5 the
+    traced peak of a handoff is 15.4 MiB.
     """
     pairs = lowdisc.generate_pairs(sequence, n)
-    sampler = build_sampler(normalize_to_sampling_density(density))
-    ensemble = rosenblatt_sample(sampler, pairs)
-    del sampler, pairs
-    f_like = np.empty_like(ensemble.x)
-    for c in _chunks(f_like.size):
-        f_like[c] = density.bilinear_at(ensemble.x[c], ensemble.v[c])
-    ensemble.f_like = f_like
-    return ensemble
+    mass = nonzero_mass(float(density.dx * np.sum(_abs_x_marginal(density))))
+    marginal = _marginal_sampler(density.domain, _abs_x_marginal(density, mass),
+                                 density.nv)
+    x = np.empty(n)
+    for c in _chunks(n):
+        x[c] = sample_marginal_x(marginal, pairs[c, 0])
+    ix = periodic_cell(x, density.domain.x_min, density.dx, density.nx)[0]
+    order = np.argsort(ix, kind="stable")
+    # starts[i] markers lie in the rows before row i, so row i's are
+    # order[starts[i]:starts[i + 1]]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ix, minlength=density.nx))))
+    del ix
+    v = np.empty_like(x)
+    g_like = np.empty_like(x)
+    for first, end in _row_blocks(density.nx):
+        block = order[starts[first]:starts[end]]
+        if block.size == 0:
+            continue
+        rows = density.values[np.arange(first, end + 1) % density.nx]
+        np.abs(rows, out=rows)
+        rows /= mass
+        s = marginal.holding(rows, first)
+        for c in _chunks(block.size):
+            idx = block[c]
+            xs = x[idx]
+            v[idx] = vs = sample_conditional_v(s, xs, pairs[idx, 1])
+            g_like[idx] = s.density_at(xs, vs)
+    del pairs, order
+    f_like = np.empty_like(x)
+    for c in _chunks(n):
+        f_like[c] = density.bilinear_at(x[c], v[c])
+    return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)
 
 
 def forward_cdf(s: BilinearSampler, x, v):
     """The forward map (x, v) -> (G_X(x), G_{X=x,V}(v)) onto [0,1]^2.
 
-    Companion of the inverse sampler; where the column mass vanishes the
+    Companion of the inverse sampler, for a sampler that holds every row
+    (:func:`build_sampler`'s); where the column mass vanishes the
     conditional coordinate is reported as 0.
     """
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    g = s.g
     # x on a bounded grid of nx + 1 nodes: x_max is in the last cell, not the first
-    ix, fx = bounded_cell(x, g.domain.x_min, g.dx, g.nx + 1)
-    ixp = (ix + 1) % g.nx
+    ix, fx = bounded_cell(x, s.domain.x_min, s.dx, s.nx + 1)
+    ixp = (ix + 1) % s.nx
     a = s.marginal_x_nodes[ix]
     b = s.marginal_x_nodes[ixp]
-    u_x = s.cum_x[ix] + _cell_cdf(a, b, fx, g.dx)
+    u_x = s.cum_x[ix] + _cell_cdf(a, b, fx, s.dx)
 
-    j, fv = bounded_cell(v, g.domain.v_min, g.dv, g.nv)
+    j, fv = bounded_cell(v, s.domain.v_min, s.dv, s.nv)
     delta = (1.0 - fx) * s.cum_cols[ix, j] + fx * s.cum_cols[ixp, j]
-    gamma0 = (1.0 - fx) * g.values[ix, j] + fx * g.values[ixp, j]
-    gamma1 = (1.0 - fx) * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
+    gamma0 = (1.0 - fx) * s.values[ix, j] + fx * s.values[ixp, j]
+    gamma1 = (1.0 - fx) * s.values[ix, j + 1] + fx * s.values[ixp, j + 1]
     gx_here = (1.0 - fx) * a + fx * b
-    col_mass = delta + _cell_cdf(gamma0, gamma1, fv, g.dv)
+    col_mass = delta + _cell_cdf(gamma0, gamma1, fv, s.dv)
     with np.errstate(invalid="ignore", divide="ignore"):
         u_v = np.where(gx_here > 0.0, col_mass / np.where(gx_here > 0, gx_here, 1.0), 0.0)
     u_x = np.clip(u_x, 0.0, 1.0)

@@ -274,18 +274,31 @@ def zero_pad(s: SpectralState, n_pad: int) -> GriddedDensity:
     so the v direction gains one wrap node: output shape
     (n_pad*nx, n_pad*nv + 1).  Values at the original nodes are unchanged,
     and for n_pad == 1 they are the state's own values.
+
+    The x axis is transformed first, at the coarse v length, and the v
+    transform writes straight into the output, so the only fine-grid array
+    is the result itself.
     """
     if n_pad < 1:
         raise ValueError("n_pad must be >= 1")
-    fine = s.values
-    if n_pad > 1:
-        for axis in (0, 1):
-            n = fine.shape[axis]
-            fh = np.fft.rfft(fine, axis=axis)
-            if n % 2 == 0:
-                np.moveaxis(fh, axis, 0)[n // 2] *= 0.5
-            fine = np.fft.irfft(fh, n_pad * n, axis=axis) * n_pad
-    out = np.concatenate([fine, fine[:, :1]], axis=1)
+    nx, nv = s.values.shape
+    out = np.empty((n_pad * nx, n_pad * nv + 1))
+    fine = out[:, :-1]
+    if n_pad == 1:
+        fine[:] = s.values
+    else:
+        fh = np.fft.rfft(s.values, axis=0)
+        if nx % 2 == 0:
+            fh[nx // 2] *= 0.5
+        f_x = np.fft.irfft(fh, n_pad * nx, axis=0)
+        f_x *= n_pad
+        fh = np.fft.rfft(f_x, axis=1)
+        del f_x
+        if nv % 2 == 0:
+            fh[:, nv // 2] *= 0.5
+        np.fft.irfft(fh, n_pad * nv, axis=1, out=fine)
+        fine *= n_pad
+    out[:, -1] = out[:, 0]
     return GriddedDensity(s.domain, out)
 
 

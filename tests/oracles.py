@@ -215,25 +215,25 @@ def sample_conditional_v_dense_reference(s, x, u_v):
     u = np.atleast_1d(np.asarray(u_v, dtype=float))
     if x.shape != u.shape:
         x, u = np.broadcast_arrays(x, u)
-    g = s.g
-    ix, fx = periodic_cell(x, g.domain.x_min, g.dx, g.nx)
-    ixp = (ix + 1) % g.nx
+    ix, fx = periodic_cell(x, s.domain.x_min, s.dx, s.nx)
+    ixp = (ix + 1) % s.nx
     gx_here = (1.0 - fx) * s.marginal_x_nodes[ix] + fx * s.marginal_x_nodes[ixp]
     if np.any(gx_here <= 0.0):
         raise ZeroConditional("conditional density requested on a zero-mass column")
     target = gx_here * u
     delta = (1.0 - fx)[:, None] * s.cum_cols[ix] + fx[:, None] * s.cum_cols[ixp]
-    j = np.clip(np.sum(delta <= target[:, None], axis=1) - 1, 0, g.nv - 2)
+    j = np.clip(np.sum(delta <= target[:, None], axis=1) - 1, 0, s.nv - 2)
     rows = np.arange(x.size)
-    gamma0 = (1.0 - fx) * g.values[ix, j] + fx * g.values[ixp, j]
-    gamma1 = (1.0 - fx) * g.values[ix, j + 1] + fx * g.values[ixp, j + 1]
-    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta[rows, j], g.dv)
-    return g.domain.v_min + (j + frac) * g.dv
+    gamma0 = (1.0 - fx) * s.values[ix, j] + fx * s.values[ixp, j]
+    gamma1 = (1.0 - fx) * s.values[ix, j + 1] + fx * s.values[ixp, j + 1]
+    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta[rows, j], s.dv)
+    return s.domain.v_min + (j + frac) * s.dv
 
 
 def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
     """(x, v, g_like) of the inverse Rosenblatt map, computed chunk by chunk
     with the dense conditional table."""
+    from vpqmc.core import GriddedDensity
     from vpqmc.sampling import sample_marginal_x
 
     pairs = np.asarray(pairs, dtype=float)
@@ -243,13 +243,14 @@ def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
         hi = min(lo + chunk, pairs.shape[0])
         xs[lo:hi] = sample_marginal_x(s, pairs[lo:hi, 0])
         vs[lo:hi] = sample_conditional_v_dense_reference(s, xs[lo:hi], pairs[lo:hi, 1])
-    return xs, vs, np.asarray(s.g.bilinear_at(xs, vs))
+    return xs, vs, np.asarray(GriddedDensity(s.domain, s.values).bilinear_at(xs, vs))
 
 
 def cum_cols_concatenate_reference(g):
     """The per-column trapezoid partial sums of ``BilinearSampler.cum_cols``
     as separate arrays: the cell pieces, their cumsum, and a zero column
-    joined on by concatenation."""
+    joined on by concatenation.  ``g`` is a gridded density or a sampler
+    that holds every row."""
     vals = g.values
     piece = 0.5 * g.dv * (vals[:, :-1] + vals[:, 1:])
     return np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)], axis=1)
@@ -343,4 +344,20 @@ def zero_pad_complex_reference(values, n_pad):
     fh = _pad_spectrum_axis(fh, n_pad, 0)
     fh = _pad_spectrum_axis(fh, n_pad, 1)
     fine = (np.fft.ifft2(fh) * (n_pad * n_pad)).real
+    return np.concatenate([fine, fine[:, :1]], axis=1)
+
+
+def zero_pad_two_step_reference(values, n_pad):
+    """``vpqmc.spectral.zero_pad``'s values in the form that allocates each
+    step: per axis (x, then v) the real spectrum, the halved Nyquist bin of
+    an even length, and a new inverse transform at n_pad times the length
+    times n_pad; then the wrap column joined on by concatenation."""
+    fine = values
+    if n_pad > 1:
+        for axis in (0, 1):
+            n = fine.shape[axis]
+            fh = np.fft.rfft(fine, axis=axis)
+            if n % 2 == 0:
+                np.moveaxis(fh, axis, 0)[n // 2] *= 0.5
+            fine = np.fft.irfft(fh, n_pad * n, axis=axis) * n_pad
     return np.concatenate([fine, fine[:, :1]], axis=1)

@@ -68,6 +68,28 @@ def test_handoff_peak_memory_is_three_fine_grids_markers_and_one_chunk():
     assert peak <= bound
 
 
+def test_handoff_peak_memory_is_one_fine_grid_markers_and_one_row_block():
+    # the padded density is the only fine grid; seven marker-length arrays
+    # (the pairs' two columns, x, v, g_like, f_like and the sort index); a
+    # fixed allowance of CHUNK-length temporaries; and one row block's
+    # normalized |f| and cum_cols, at most 2 * ROWS rows each.  A second
+    # fine grid (8.4 MB here) does not fit
+    state = _maxwell_state(32, 32)
+    n_pad, n_p = 32, 20_000
+    grid = spectral.zero_pad(state, n_pad).values
+    block_bytes = 2 * (2 * sampling.ROWS) * grid.shape[1] * 8
+    bound = grid.nbytes + 7 * 8 * n_p + 32 * 8 * sampling.CHUNK + block_bytes
+    assert bound < 2 * grid.nbytes
+    del grid
+    tracemalloc.start()
+    try:
+        handoff(state, n_pad, Sobol(skip=1), n_p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_handoff_padding_statistically_indistinguishable():
     # band-limited state: padding adds no information; two-sample KS on the
     # x and v marginals stays below the 1% critical value

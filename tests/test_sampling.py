@@ -5,8 +5,9 @@ from scipy.integrate import quad
 
 import oracles
 from vpqmc import sampling, spectral
-from vpqmc.core import (GriddedDensity, InitialCondition, PhaseSpaceDomain,
-                        eval_initial_f, normalize_to_sampling_density)
+from vpqmc.core import (AllZeroDensity, GriddedDensity, InitialCondition,
+                        PhaseSpaceDomain, eval_initial_f,
+                        normalize_to_sampling_density, periodic_cell)
 from vpqmc.lowdisc import PseudoRandom, Sobol, generate_pairs
 from vpqmc.sampling import (ZeroConditional, build_sampler,
                             forward_cdf, its_tensor_product, rosenblatt_sample,
@@ -64,7 +65,7 @@ def test_single_cell_quadratic_cdf():
 
 def test_marginal_endpoints():
     s = _random_sampler(1)
-    dom = s.g.domain
+    dom = s.domain
     assert sample_marginal_x(s, 0.0) == pytest.approx(dom.x_min, abs=1e-13)
     assert sample_marginal_x(s, 1.0) == pytest.approx(dom.x_max, abs=1e-10)
 
@@ -73,7 +74,7 @@ def test_marginal_inversion_matches_cdf():
     s = _random_sampler(2)
     u = np.random.default_rng(3).random(257)
     x = sample_marginal_x(s, u)
-    ux, _ = forward_cdf(s, x, np.full_like(x, s.g.domain.v_min))
+    ux, _ = forward_cdf(s, x, np.full_like(x, s.domain.v_min))
     np.testing.assert_allclose(ux, u, atol=1e-12)
 
 
@@ -94,7 +95,7 @@ def test_zero_mass_leading_cells_skipped():
     # growing at x = 1 (density rises linearly across cell [1,2])
     x0 = sample_marginal_x(s, 0.0)
     assert 1.0 <= x0 <= 2.0
-    assert s.g.bilinear_at(x0, 0.5) == pytest.approx(0.0, abs=1e-13)
+    assert s.density_at(x0, 0.5) == pytest.approx(0.0, abs=1e-13)
     x = sample_marginal_x(s, np.random.default_rng(0).random(500))
     assert np.all(x >= 1.0)
 
@@ -122,9 +123,9 @@ def test_conditional_quadratic_cdf():
 def test_conditional_endpoint():
     s = _random_sampler(7)
     assert sample_conditional_v(s, 0.5, 1.0) == pytest.approx(
-        s.g.domain.v_max, abs=1e-10)
+        s.domain.v_max, abs=1e-10)
     assert sample_conditional_v(s, 0.5, 0.0) == pytest.approx(
-        s.g.domain.v_min, abs=1e-13)
+        s.domain.v_min, abs=1e-13)
 
 
 def test_conditional_monotone():
@@ -162,7 +163,7 @@ def test_conditional_bisection_matches_dense_table_bitwise(nx, nv, runs, seed):
         vals[rows, start % nv:start % nv + length] = 0.0
     vals[:, rng.integers(nv)] = 0.5  # no column is all zero
     s = _sampler(PhaseSpaceDomain(-1.0, 2.0, -1.0, 1.5), vals)
-    nodes = s.g.domain.x_min + np.arange(nx) * s.g.dx
+    nodes = s.domain.x_min + np.arange(nx) * s.dx
     x = np.concatenate([nodes, rng.uniform(-1.0, 2.0, 200)])
     x = np.repeat(x, 6)
     u = np.tile([0.0, 1.0, np.nextafter(1.0, 0.0), np.nan, 0.5, 0.0], x.size // 6)
@@ -206,7 +207,7 @@ def test_cum_cols_match_the_concatenate_form_bitwise(nx, nv, v_span, seed):
     dom = PhaseSpaceDomain(0.0, 2.0, -0.5 * v_span, 0.5 * v_span)
     s = _random_sampler(seed, domain=dom, nx=nx, nv=nv)
     np.testing.assert_array_equal(
-        _bits(s.cum_cols), _bits(oracles.cum_cols_concatenate_reference(s.g)))
+        _bits(s.cum_cols), _bits(oracles.cum_cols_concatenate_reference(s)))
 
 
 @pytest.mark.parametrize("sequence", [Sobol(skip=5), PseudoRandom(seed=11)])
@@ -222,6 +223,61 @@ def test_sample_gridded_density_matches_the_unchunked_form_bitwise(sequence):
     for got, ref in zip((e.x, e.v, e.g_like, e.f_like), want):
         np.testing.assert_array_equal(_bits(got), _bits(ref))
     assert np.any(e.f_like < 0)
+
+
+def test_sample_gridded_density_by_row_blocks_matches_the_unchunked_form_bitwise():
+    # nx is one row more than a multiple of ROWS (a mat-vec of that one row
+    # alone has other bits); the zero rows 63..128 leave the block of rows
+    # 64..127 without markers; the last block wraps round to row 0 and
+    # holds more than one chunk of markers
+    nx, rows = 193, sampling.ROWS
+    assert nx % rows == 1 and nx > 3 * rows
+    values = np.random.default_rng(45).standard_normal((nx, 33)) + 0.3
+    values[rows - 1:2 * rows + 1] = 0.0
+    density = GriddedDensity(PhaseSpaceDomain(-1.0, 2.0, -3.0, 4.0), values)
+    n = 2 * sampling.CHUNK + 123
+    e = sampling.sample_gridded_density(density, Sobol(skip=3), n)
+    want = oracles.sample_gridded_density_unchunked_reference(density, Sobol(skip=3), n)
+    for got, ref in zip((e.x, e.v, e.g_like, e.f_like), want):
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+    ix = periodic_cell(e.x, -1.0, density.dx, nx)[0]
+    assert not np.any((ix >= rows) & (ix < 2 * rows))
+    assert np.any(ix == nx - 1)
+    assert np.count_nonzero(ix >= 2 * rows) > sampling.CHUNK
+    assert np.any(e.f_like < 0)
+
+
+def _unit_spaced(rows):
+    """A density on a unit-spaced grid of len(rows) x 2 nodes over v in
+    [0, 1] whose x marginal is ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    return GriddedDensity(PhaseSpaceDomain(0.0, rows.size, 0.0, 1.0),
+                          np.repeat(rows[:, None], 2, axis=1))
+
+
+def test_sample_gridded_density_rejects_a_nan_node_by_row_blocks():
+    rows = np.ones(3 * sampling.ROWS + 5)
+    rows[-2] = np.nan
+    with pytest.raises(ValueError, match="^sampling density must be nonnegative$"):
+        sampling.sample_gridded_density(_unit_spaced(rows), Sobol(), 100)
+
+
+def test_sample_gridded_density_rejects_an_all_zero_grid_by_row_blocks():
+    with pytest.raises(AllZeroDensity, match="^cannot normalize a density that "
+                       "vanishes at every node$"):
+        sampling.sample_gridded_density(_unit_spaced(np.zeros(3 * sampling.ROWS + 5)),
+                                        Sobol(), 100)
+
+
+def test_sample_gridded_density_raises_zero_conditional_by_row_blocks():
+    # x marginal 2, then 63 ones, a zero row, then 126 halves: mass 128 (all
+    # dyadic, so exact), half of it before the zero row 64, where the first
+    # pair (0.5, 0.5) lands; row 64 is in the second block
+    rows = np.concatenate(([2.0], np.ones(63), [0.0], np.full(126, 0.5)))
+    assert sampling.ROWS == 64
+    with pytest.raises(ZeroConditional, match="^conditional density requested "
+                       "on a zero-mass column$"):
+        sampling.sample_gridded_density(_unit_spaced(rows), Sobol(skip=1), 100)
 
 
 # --- rosenblatt + forward map -----------------------------------------------
@@ -262,7 +318,7 @@ def test_forward_cdf_corners_and_uniform():
 def test_forward_jacobian_equals_density():
     # central differences of the forward map, in-cell: det(DPi) = g(x, v)
     s = _random_sampler(12)
-    g = s.g
+    g = GriddedDensity(s.domain, s.values)
     rng = np.random.default_rng(13)
     h = 1e-4 * min(g.dx, g.dv)
     for _ in range(40):
@@ -283,7 +339,7 @@ def test_forward_jacobian_equals_density():
 def test_measure_preservation_box():
     # fraction of Sobol samples inside a fixed box vs the exact integral
     s = _random_sampler(14)
-    g = s.g
+    g = GriddedDensity(s.domain, s.values)
     pairs = generate_pairs(Sobol(skip=1), 100_000)
     e = rosenblatt_sample(s, pairs)
     box = (0.4, 1.3, -0.5, 0.9)
@@ -301,7 +357,7 @@ def test_measure_preservation_box():
 
 def test_forward_cdf_strictly_increasing_where_positive():
     s = _random_sampler(20)  # strictly positive density
-    dom = s.g.domain
+    dom = s.domain
     xs = np.linspace(dom.x_min, dom.x_max, 97)
     ux, _ = forward_cdf(s, xs, np.full_like(xs, 0.3))
     assert np.all(np.diff(ux) > 0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from harness import spline_mode_error
 from oracles import (fit_loglog_slope, spectral_step_order3_complex_reference,
-                     zero_pad_complex_reference)
+                     zero_pad_complex_reference, zero_pad_two_step_reference)
 from vpqmc import spectral
 from vpqmc.core import InitialCondition, PhaseSpaceDomain
 from vpqmc.spectral import (NonNeutralPlasmaWarning, RUTH3, SpectralState,
@@ -280,6 +280,17 @@ def test_zero_pad_matches_complex_reference(nx, nv, n_pad, seed):
     assert fine.values.shape == ref.shape == (n_pad * nx, n_pad * nv + 1)
     np.testing.assert_allclose(fine.values, ref, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("n_pad", [1, 2, 3, 32])
+@pytest.mark.parametrize("nx, nv", [(8, 6), (7, 9), (6, 5), (9, 10), (32, 32)])
+def test_zero_pad_matches_the_two_step_form_bitwise(nx, nv, n_pad):
+    # even and odd lengths on both axes; the output is written in place
+    values = np.random.default_rng(100 * nx + nv).standard_normal((nx, nv))
+    fine = zero_pad(SpectralState(DOM, values), n_pad).values
+    ref = zero_pad_two_step_reference(values, n_pad)
+    assert fine.shape == ref.shape == (n_pad * nx, n_pad * nv + 1)
+    np.testing.assert_array_equal(fine.view(np.uint64), ref.view(np.uint64))
 
 
 def test_zero_pad_single_mode():
