@@ -292,18 +292,45 @@ def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:
     return GriddedDensity(f.domain, absvals)
 
 
+class Carrier:
+    """Base of the mutable carriers, whose arrays change only by rebinding.
+
+    Every array assigned to an attribute is stored as a read-only view, so
+    writing into it raises ValueError and an array object never changes
+    its values (the caller's own base array stays writable).  ``memo``
+    computes a value from named attributes once, until one of them is
+    rebound.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        entries = self.__dict__.get("_memo", {})
+        for fn in [fn for fn, (reads, _) in entries.items() if name in reads]:
+            del entries[fn]  # frees what the old array gave
+        super().__setattr__(name, value)
+
+    def memo(self, fn, reads):
+        """``fn(self)``, computed once until an attribute named in ``reads``
+        is rebound; ``fn`` must read no other attribute."""
+        entries = self.__dict__.setdefault("_memo", {})
+        if fn not in entries:
+            entries[fn] = (reads, fn(self))
+        return entries[fn][1]
+
+
 @dataclass
-class ParticleEnsemble:
+class ParticleEnsemble(Carrier):
     """Marker arrays sampling the stochastic characteristics.
 
     Each marker carries its position, velocity and the two likelihoods
     f_like (plasma density at the marker) and g_like (sampling density at
-    the marker); the ratio f_like/g_like is the particle weight.  The
-    only mutable core type: pushers rebind its arrays to new ones and
-    never write into them, so an array object never changes its values.
-    That rule also keeps the likelihood memo valid: ``invariant`` computes
-    a function of the likelihoods once, and rebinding f_like or g_like
-    drops every value computed from the old pair.
+    the marker); the ratio f_like/g_like is the particle weight.  Pushers
+    rebind its arrays (see ``Carrier``).  The weights and the entropy
+    estimate are memos of the likelihoods alone, which the
+    volume-preserving pushers never rebind, so under them each is computed
+    once per run.
     """
 
     x: np.ndarray
@@ -320,31 +347,13 @@ class ParticleEnsemble:
         if not (self.v.shape == self.f_like.shape == self.g_like.shape == (n,)):
             raise ValueError("all marker arrays must share one length")
 
-    def __setattr__(self, name, value):
-        if name in ("f_like", "g_like"):
-            self.__dict__.pop("_memo", None)  # frees what the old pair gave
-        super().__setattr__(name, value)
-
     @property
     def n_p(self) -> int:
         return self.x.shape[0]
 
-    def invariant(self, fn):
-        """``fn(self)``, computed once per pair of likelihood arrays.
-
-        ``fn`` is a module-level function that reads f_like and g_like
-        alone (their length is the marker count), so that one memo entry
-        serves a whole run.  The volume-preserving pushers never rebind
-        the likelihoods, so under them its value is a constant of the run.
-        """
-        memo = self.__dict__.setdefault("_memo", {})
-        if fn not in memo:
-            memo[fn] = fn(self)
-        return memo[fn]
-
     def weights(self) -> np.ndarray:
         """f_like / g_like, read-only and computed once per likelihood pair."""
-        return self.invariant(_weights)
+        return self.memo(_weights, ("f_like", "g_like"))
 
 
 def _weights(ensemble: ParticleEnsemble) -> np.ndarray:

@@ -44,22 +44,24 @@ def run_pic(ensemble: ParticleEnsemble,
     """PIC time loop with diagnostics every ``out_stride`` steps.
 
     ``t_max - t_start`` must be a whole number (>= 1) of ``dt`` steps
-    (``core.whole_steps``), else ValueError before the first record.  The
-    optional star-discrepancy probe runs on every ``star_disc_period``-th
-    emitted record.  Its exact sweep costs one pass over the distinct v of
-    the windowed subset (at most ``star_disc_cap`` markers) per distinct x,
-    about seven numpy calls each, so it is quadratic in the subset size and
-    throttled separately from the cheap moment diagnostics.
+    (``core.whole_steps``) and ``out_stride`` >= 1, else ValueError before
+    the first record.  The optional star-discrepancy probe runs on every
+    ``star_disc_period``-th emitted record.  Its exact sweep costs one pass
+    over the distinct v of the windowed subset (at most ``star_disc_cap``
+    markers) per distinct x, about seven numpy calls each, so it is
+    quadratic in the subset size and throttled separately from the cheap
+    moment diagnostics.
 
-    The pushers rebind the ensemble's arrays and never write into them,
-    which keeps its likelihood memo valid: the entropy estimate is computed
-    once per pair of likelihood arrays (once per run under the
-    volume-preserving kinds, once per record under the Euler kinds), and
-    the weights that the deposits, kinetic energy and mass read likewise.
+    The entropy estimate, like the weights that the deposits, kinetic
+    energy and mass read, is a memo of the likelihoods
+    (``core.Carrier.memo``): computed once per run under the
+    volume-preserving kinds, once per record under the Euler kinds.
     """
     fields = pic.SelfConsistentField(solver)
     records: List[DiagnosticsRecord] = []
     n_steps = whole_steps(t_max - t_start, dt)
+    if out_stride < 1:
+        raise ValueError("out_stride must be >= 1")
 
     def emit(t: float):
         fld = fields(ensemble)
@@ -72,7 +74,7 @@ def run_pic(ensemble: ParticleEnsemble,
             field_energy=pic.field_energy(fld),
             kinetic_energy=pic.kinetic_energy(ensemble),
             total_mass=pic.total_mass(ensemble),
-            entropy=ensemble.invariant(pic.discrete_entropy).value,
+            entropy=ensemble.memo(pic.discrete_entropy, ("f_like", "g_like")).value,
             star_disc=star,
         )
         records.append(rec)

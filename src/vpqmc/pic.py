@@ -8,10 +8,9 @@ pieces: the deposit applies the table to per-cell power moments of the
 marker weights, the evaluation applies its transpose to the coefficients,
 so each is the adjoint of the other.  The circulant stiffness matrix is
 inverted spectrally with the constant null space pinned to zero mean.
-Pushers advance the ensemble by rebinding its arrays to new ones, never
-by writing into them; the dissipative explicit Euler variants rescale
-the likelihoods by the one-step flow determinant, all other kinds leave
-them untouched.
+Pushers advance the ensemble by rebinding its read-only arrays to new
+ones; the dissipative explicit Euler variants rescale the likelihoods by
+the one-step flow determinant, all other kinds leave them untouched.
 """
 
 from __future__ import annotations
@@ -150,7 +149,9 @@ class SplineStencil:
 
 
 def _stencil_at(stencil, solver: SplinePoissonSolver, x) -> SplineStencil:
-    """``stencil`` when it is located at this very array x, else a new one."""
+    """``stencil`` when it is located at this very array x, else a new one.
+    A field's stencil holds an ensemble's read-only x, whose identity
+    stands for its values."""
     if stencil is not None and x is stencil.x:
         return stencil
     return SplineStencil(solver, np.atleast_1d(np.asarray(x, dtype=float)))
@@ -224,31 +225,26 @@ def field_energy(field: FieldSolution) -> float:
 class SelfConsistentField:
     """Callable field machinery: deposit the ensemble, solve, return the field.
 
-    Remembers the field built from the last (x, f_like, g_like) array
-    objects: a call with the same three arrays returns that field without
-    depositing again.  A new deposit locates the positions afresh (new
-    ``i`` and ``u`` arrays) unless x is the array that field's stencil
-    holds, and never changes a stencil an earlier field holds.  This
-    relies on an invariant that every pusher keeps: ensemble arrays are
-    rebound to new arrays, never changed in place, so array identity
-    stands for array contents.
+    The field is a memo of the ensemble's (x, f_like, g_like) and its
+    stencil a memo of x alone (``core.Carrier.memo``): a call returns the
+    field already built from the same three arrays without depositing
+    again, and a deposit locates the positions afresh only when x has
+    been rebound.
     """
 
     def __init__(self, solver: SplinePoissonSolver):
         self.solver = solver
-        self._key = ()
-        self._field: Optional[FieldSolution] = None
 
     def __call__(self, ensemble: ParticleEnsemble) -> FieldSolution:
-        key = (ensemble.x, ensemble.f_like, ensemble.g_like)
-        if self._field is None or any(a is not b for a, b in zip(key, self._key)):
-            stencil = _stencil_at(getattr(self._field, "stencil", None), self.solver,
-                                  ensemble.x)
-            self._field = None  # free the last positions before the deposit's temporaries
-            b = deposit_rhs(ensemble, self.solver, stencil)
-            self._field = solve_poisson_fem(self.solver, b)._replace(stencil=stencil)
-            self._key = key
-        return self._field
+        return ensemble.memo(self._solve, ("x", "f_like", "g_like"))
+
+    def _locate(self, ensemble: ParticleEnsemble) -> SplineStencil:
+        return SplineStencil(self.solver, ensemble.x)
+
+    def _solve(self, ensemble: ParticleEnsemble) -> FieldSolution:
+        stencil = ensemble.memo(self._locate, ("x",))
+        b = deposit_rhs(ensemble, self.solver, stencil)
+        return solve_poisson_fem(self.solver, b)._replace(stencil=stencil)
 
 
 def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
@@ -266,10 +262,10 @@ def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
 def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) -> None:
     """Advance the ensemble one step of ``kind``.
 
-    The ensemble's arrays are rebound to new arrays, never written into:
-    :class:`SelfConsistentField` reuses a field for the same array objects,
-    and the ensemble's weights memo stays valid until a likelihood is
-    rebound.
+    The ensemble's arrays are rebound to new arrays (they are read-only),
+    which drops the ensemble's memos that read them: the field of a
+    :class:`SelfConsistentField` after a rebind of x, the weights after a
+    rebind of a likelihood.
 
     ``fields`` is the field machinery: a callable mapping the current
     ensemble to a field object with E(x) and dE(x).  Positions wrap into

@@ -280,9 +280,8 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     outputs and the temporaries of one chunk (a few dozen arrays of
     ``CHUNK`` entries; the conditional inversion bisects rather than
     tabulating nv entries per marker).  g_like is the bilinear density at
-    the sampled points, and f_like is g_like itself (unit weights): the
-    same array, which is safe because ensemble arrays are rebound, never
-    written into (:class:`~vpqmc.core.ParticleEnsemble`).
+    the sampled points, and f_like is g_like itself (unit weights): two
+    read-only views of one array (:class:`~vpqmc.core.Carrier`).
     """
     pairs = _checked_pairs(pairs)
     x = np.empty(pairs.shape[0])

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 # RUTH3 is also re-exported from here
-from .core import (DiagnosticsRecord, GriddedDensity, InitialCondition,
-                   PhaseSpaceDomain, Q, Q_OVER_M, RUTH3, eval_initial_f,
-                   whole_steps)
+from .core import (Carrier, DiagnosticsRecord, GriddedDensity,
+                   InitialCondition, PhaseSpaceDomain, Q, Q_OVER_M, RUTH3,
+                   eval_initial_f, whole_steps)
 
 
 class NonNeutralPlasmaWarning(UserWarning):
@@ -35,14 +35,14 @@ _NONNEUTRAL = "mean density deviates from the unit background"
 
 
 @dataclass
-class SpectralState:
+class SpectralState(Carrier):
     """Real collocation values of f at time t.
 
     Nodes: x_i = x_min + i*L/nx (i = 0..nx-1), v_j = v_min + j*S/nv
     (j = 0..nv-1) with S = v_max - v_min; both directions periodic for
-    transform purposes.  ``poisson_fourier`` leaves the field it solves on
-    the state, for the first kick of ``advance`` to reuse; rebinding
-    ``values`` drops it, and nothing writes into ``values``.
+    transform purposes.  ``values`` is read-only (see ``core.Carrier``),
+    and the field that ``poisson_fourier`` solves is a memo of it, so the
+    record's solve serves the first kick of ``advance``.
     """
 
     domain: PhaseSpaceDomain
@@ -53,11 +53,6 @@ class SpectralState:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be 2-D (nx, nv)")
-
-    def __setattr__(self, name, value):
-        if name == "values":
-            self.__dict__.pop("_field", None)
-        super().__setattr__(name, value)
 
     @property
     def nx(self) -> int:
@@ -139,35 +134,28 @@ def poisson_fourier(s: SpectralState, warn_nonneutral: bool = True) -> np.ndarra
 
     Solves the weak-form sign convention -Phi'' = q*(rho - 1), i.e. Gauss's
     law dE/dx = q*(rho - 1) with E = -Phi' and the zero mode pinned, and
-    returns E at the collocation points.  Warns when the mean density
-    departs from the unit neutralizing background.  The field and that
-    finding stay on the state (see ``SpectralState``).
+    returns E at the collocation points.  Warns, on every call, when the
+    mean density departs from the unit neutralizing background.  The
+    solve is a memo of ``values`` (see ``SpectralState``).
     """
+    e, nonneutral = s.memo(_solve_fourier, ("values",))
+    if warn_nonneutral and nonneutral:
+        warnings.warn(_NONNEUTRAL, NonNeutralPlasmaWarning, stacklevel=2)
+    return e
+
+
+def _solve_fourier(s: SpectralState):
+    """The field of ``poisson_fourier`` and whether the plasma is non-neutral."""
     rho = charge_density(s)
     rho_hat = np.fft.rfft(rho)
     nonneutral = abs(rho_hat[0] / s.nx - 1.0) > 1e-6
-    if warn_nonneutral and nonneutral:
-        warnings.warn(_NONNEUTRAL, NonNeutralPlasmaWarning, stacklevel=2)
     kx = s.kappa_x()
     phi_hat = np.zeros_like(rho_hat)
     nonzero = kx != 0.0
     phi_hat[nonzero] = Q * rho_hat[nonzero] / kx[nonzero] ** 2
     # the background only affects the zero mode, which is pinned anyway
     e_hat = -1j * kx * phi_hat
-    e = np.fft.irfft(e_hat, s.nx)
-    s._field = (e, nonneutral)
-    return e
-
-
-def _kick_field(s: SpectralState) -> np.ndarray:
-    """The field a kick of s uses, solved unless a solve already left it on
-    s, with the warning of ``poisson_fourier`` (at the kick's line)."""
-    if "_field" not in s.__dict__:
-        poisson_fourier(s, warn_nonneutral=False)
-    e, nonneutral = s._field
-    if nonneutral:
-        warnings.warn(_NONNEUTRAL, NonNeutralPlasmaWarning, stacklevel=2)
-    return e
+    return np.fft.irfft(e_hat, s.nx), nonneutral
 
 
 def kick_v(s: SpectralState, dt: float) -> SpectralState:
@@ -210,16 +198,16 @@ def advance(s: SpectralState, dt: float, n_steps: int) -> SpectralState:
     """``n_steps`` composite kick-first RUTH3 split steps, each filtered.
 
     The field is recomputed before every kick (kicks preserve the charge
-    density, so each sub-flow is exact), except that the first kick reuses
-    a field already solved for ``s`` (``field_energy`` leaves one), so the
-    field of an emitted state is solved once.  The three drift phases come
-    from a cache keyed on (domain, nx, nv, dt), and the x factor of the
-    filter is folded into the last of them.  The v factor of a step's filter is
+    density, so each sub-flow is exact), except that the first kick reads
+    the field memo of ``s`` (``poisson_fourier``), so the field of an
+    emitted state is solved once.  The three drift phases come from a
+    cache keyed on (domain, nx, nv, dt), and the x factor of the filter is
+    folded into the last of them.  The v factor of a step's filter is
     folded into the next step's first kick phase, and the one still
     pending is applied by one v-axis transform pair before returning; it
     is 1 at k_v = 0, so the charge density, and hence the field, does not
     see it.  Each kick phase is built by recurrence along v (see
-    ``_kick_phase``).  The input state is not modified.
+    ``_kick_phase``).  Returns a new state.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -229,7 +217,7 @@ def advance(s: SpectralState, dt: float, n_steps: int) -> SpectralState:
     for step in range(n_steps):
         for i, (d, drift) in enumerate(zip(RUTH3.kick, drifts)):
             now = s if f is s.values else SpectralState(s.domain, f)
-            shift = Q_OVER_M * _kick_field(now) * (d * dt)
+            shift = Q_OVER_M * poisson_fourier(now) * (d * dt)
             phase = _kick_phase(now, shift)
             if i == 0 and step > 0:
                 phase *= filter_v
@@ -343,7 +331,8 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
     """Step the spectral solver from the initial condition at t = 0 to t_max.
 
     ``t_max`` must be a whole number (>= 1) of ``dt`` steps
-    (``core.whole_steps``), else ValueError before the first record.
+    (``core.whole_steps``) and ``out_stride`` >= 1, else ValueError before
+    the first record.
     Diagnostics are emitted at t = 0 and then every ``out_stride`` steps
     (the Hardy-Krause variation on every ``hk_period``-th record when > 0).
     The field of each emitted state is solved once: the field energy's
@@ -353,6 +342,8 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
     """
     state = state_from_initial_condition(ic, domain, nx, nv)
     n_steps = whole_steps(t_max, dt)
+    if out_stride < 1:
+        raise ValueError("out_stride must be >= 1")
     records = []
 
     def emit():

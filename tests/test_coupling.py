@@ -20,11 +20,19 @@ def _maxwell_state(nx=32, nv=32):
 
 def test_run_coupled_rejects_bad_sizes_before_any_record():
     rows = []
-    for bad in ({"n_p": 0}, {"n_pad": 0}, {"n_f": 3}):
+    for bad in ({"n_p": 0}, {"n_pad": 0}, {"n_f": 3}, {"out_stride": 0}):
         sizes = {"n_p": 10, "n_pad": 2, "n_f": 16} | bad
         with pytest.raises(ValueError):
             run_coupled(MAXWELL, DOM, 16, 16, 0.1, 2.0, t0=1.0, **sizes,
                         sequence=Sobol(), on_record=lambda r, carrier: rows.append(r))
+    with pytest.raises(ValueError, match="out_stride"):
+        spectral.run_spectral(MAXWELL, DOM, 16, 16, 0.1, 1.0, out_stride=0,
+                              on_record=lambda r, s: rows.append(r))
+    e = handoff(_maxwell_state(16, 16), 2, Sobol(skip=1), 200)
+    solver = pic.SplinePoissonSolver.build(0.0, DOM.length, 8)
+    with pytest.raises(ValueError, match="out_stride"):
+        run_pic(e, solver, pic.IntegratorKind.RUTH3, 0.1, 0.0, 1.0, out_stride=0,
+                on_record=lambda r, e: rows.append(r))
     assert rows == []
 
 

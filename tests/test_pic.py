@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from harness import (AnalyticField, FrozenField, adjoint_euler_step, eval_phi,
@@ -14,6 +15,7 @@ from vpqmc.pic import (FixedPointDiverged, IntegratorKind, SelfConsistentField,
                        total_mass)
 from vpqmc.lowdisc import Sobol, generate_pairs
 from vpqmc.sampling import its_tensor_product
+from vpqmc.spectral import SpectralState
 
 L = 2 * np.pi
 
@@ -449,6 +451,49 @@ def test_weights_are_computed_once_read_only_and_freed_on_rebinding():
     e.g_like = 2.0 * e.g_like
     assert w() is None  # the memo does not keep the old pair's weights
     np.testing.assert_array_equal(e.weights(), e.f_like / e.g_like)
+
+
+def test_carrier_arrays_are_read_only_views():
+    base = np.linspace(0.0, 1.0, 8)
+    e = _ensemble(base, base, base, base)
+    s = SpectralState(PhaseSpaceDomain(0.0, 1.0, -1.0, 1.0), np.ones((4, 4)))
+    for carrier, name in [(e, "x"), (e, "v"), (e, "f_like"), (e, "g_like"),
+                          (s, "values")]:
+        with pytest.raises(ValueError):
+            getattr(carrier, name)[0] = 2.0
+    base[0] = 2.0  # a view: the caller's own array stays writable
+    assert e.x[0] == 2.0
+
+
+def test_each_memo_is_dropped_by_exactly_the_arrays_it_reads():
+    e, dom = _landau_ensemble(200)
+    fields = SelfConsistentField(SplinePoissonSolver.build(0.0, dom.length, 16))
+    weights, field = e.weights(), fields(e)
+    e.v = e.v * 0.75
+    assert fields(e) is field  # the field does not read v
+    e.x = e.x * 0.75
+    assert e.weights() is weights  # the weights do not read x
+    moved = fields(e)
+    assert moved is not field and moved.stencil is not field.stencil
+    assert moved.stencil.x is e.x
+    e.f_like = e.f_like * 0.75
+    assert fields(e) is not moved
+    assert fields(e).stencil is moved.stencil  # the stencil reads x alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["x", "v", "f_like", "g_like"]),
+                          st.sampled_from([0.5, 0.75, 1.5])), min_size=1, max_size=8))
+def test_memos_equal_fresh_values_after_any_rebinds(rebinds):
+    e, dom = _landau_ensemble(64)
+    solver = SplinePoissonSolver.build(0.0, dom.length, 8)
+    fields = SelfConsistentField(solver)
+    for name, scale in rebinds:
+        fields(e), e.weights()  # memos that the rebind may leave stale
+        setattr(e, name, getattr(e, name) * scale)
+        np.testing.assert_array_equal(fields(e).coeffs,
+                                      SelfConsistentField(solver)(e).coeffs)
+        np.testing.assert_array_equal(e.weights(), e.f_like / e.g_like)
 
 
 def test_explicit_euler_weights_drift():
