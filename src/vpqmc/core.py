@@ -181,25 +181,12 @@ def bounded_cell(v, v_min: float, h: float, n: int):
     return j, t - j
 
 
-def held_rows(ix, ixp, row0: int, nx: int):
-    """Indexes of the grid rows ix and ixp = (ix + 1) % nx into a table of
-    the nx-row grid's rows row0, row0 + 1, ... (wrapping past the last
-    row) that holds row ix and the row after it.  With row0 = 0 the table
-    may be the grid itself."""
-    if not row0:
-        return ix, ixp
-    return ix - row0, (ixp - row0) % nx
-
-
-def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v,
-                     row0: int = 0):
+def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v):
     """The four (i, j) nodes and bilinear weights at each (x, v) on the
-    package grid of nx x nv nodes over ``domain``.  x is located on the
-    whole grid; the row indexes point into a table of its rows from
-    ``row0`` on (:func:`held_rows`)."""
+    package grid of nx x nv nodes over ``domain``."""
     ix, fx = periodic_cell(x, domain.x_min, domain.length / nx, nx)
     jv, fv = bounded_cell(v, domain.v_min, domain.v_span / (nv - 1), nv)
-    ix, ixp = held_rows(ix, (ix + 1) % nx, row0, nx)
+    ixp = (ix + 1) % nx
     nodes = ((ix, jv), (ixp, jv), (ix, jv + 1), (ixp, jv + 1))
     wgts = ((1 - fx) * (1 - fv), fx * (1 - fv), (1 - fx) * fv, fx * fv)
     return nodes, wgts

@@ -102,8 +102,10 @@ class SplineStencil:
     """One position array located on a solver's cubic B-spline grid.
 
     Holds each position's cell ``i`` and local coordinate ``u`` (from
-    :func:`core.periodic_cell`), so the charge deposit and every spline
-    evaluation at the same positions share one lookup.  Both kernels read
+    :func:`core.periodic_cell`, read-only), so the charge deposit and
+    every spline evaluation at the same positions share one lookup.  The
+    kernels index by ``_cells``, a writable alias of ``i``, because
+    np.bincount and np.take copy a read-only index array.  Both kernels read
     the one coefficient table ``_BSPLINE3``: the deposit applies it to
     per-cell power moments of the weights, the evaluation applies its
     transpose to the coefficients and runs Horner in u at the positions.
@@ -111,7 +113,9 @@ class SplineStencil:
 
     def __init__(self, solver: SplinePoissonSolver, x: np.ndarray):
         self.solver = solver
-        self.i, self.u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
+        self._cells, self.u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
+        self.i = self._cells.view()
+        self.i.flags.writeable = self.u.flags.writeable = False
         self.x = x
 
     def deposit(self, weights: np.ndarray) -> np.ndarray:
@@ -128,7 +132,7 @@ class SplineStencil:
         for p in range(4):
             if p:
                 wu = wu * self.u
-            moments[p] = np.bincount(self.i, weights=wu, minlength=n)
+            moments[p] = np.bincount(self._cells, weights=wu, minlength=n)
         b = np.zeros(n)
         for k, row in enumerate(_BSPLINE3 @ moments):
             b[self.solver.neighbours[k:k + n]] += row
@@ -141,10 +145,10 @@ class SplineStencil:
         poly = _BSPLINE3.T @ window          # row p: each cell's u^p coefficient
         for _ in range(order):
             poly = poly[1:] * np.arange(1.0, len(poly))[:, None]
-        out = np.take(poly[-1], self.i)
+        out = np.take(poly[-1], self._cells)
         for row in poly[-2::-1]:
             out *= self.u
-            out += np.take(row, self.i)
+            out += np.take(row, self._cells)
         return out
 
 
@@ -197,6 +201,7 @@ def solve_poisson_fem(solver: SplinePoissonSolver, b: np.ndarray) -> FieldSoluti
     eigs = solver.stiffness_eigs.copy()
     eigs[0] = 1.0
     coeffs = np.fft.ifft(bh / eigs).real
+    coeffs.flags.writeable = False  # SelfConsistentField shares its fields
     return FieldSolution(coeffs=coeffs, solver=solver)
 
 
@@ -229,7 +234,8 @@ class SelfConsistentField:
     stencil a memo of x alone (``core.Carrier.memo``): a call returns the
     field already built from the same three arrays without depositing
     again, and a deposit locates the positions afresh only when x has
-    been rebound.
+    been rebound.  Being shared, the field's coefficients and the
+    stencil's arrays are read-only.
     """
 
     def __init__(self, solver: SplinePoissonSolver):

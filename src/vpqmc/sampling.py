@@ -8,26 +8,30 @@ Two routes to a marker ensemble:
 
 * :class:`BilinearSampler` performs the exact dimension-by-dimension
   inversion (marginal CDF in x, then the conditional CDF in v given x)
-  of an arbitrary bilinear gridded density; each one-cell CDF piece is a
-  monotone quadratic with a closed-form root.  The forward Rosenblatt
-  map :func:`forward_cdf` verifies the inverse: it sends the samples
-  back to their uniform pairs, and its Jacobian determinant equals the
-  density itself.
+  of |density| / mass for an arbitrary signed bilinear gridded density;
+  each one-cell CDF piece is a monotone quadratic with a closed-form
+  root.  The conditional inversion has one implementation, a loop over
+  blocks of grid rows that holds one block's tables at a time: both
+  :func:`rosenblatt_sample` and :func:`sample_conditional_v` run it, and
+  :func:`sample_gridded_density` (the handoff's sampler) is
+  :func:`rosenblatt_sample` with f_like looked up on the signed density.
+  The forward Rosenblatt map :func:`forward_cdf` verifies the inverse:
+  it sends the samples back to their uniform pairs, and its Jacobian
+  determinant equals the density itself.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lowdisc
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
                    PhaseSpaceDomain, SQRT_2PI, bilinear_stencil, bilinear_sum,
-                   bounded_cell, eval_initial_f, held_rows, initial_x_density,
-                   nonzero_mass, periodic_cell, v_trapezoid_weights)
+                   bounded_cell, eval_initial_f, initial_x_density, nonzero_mass,
+                   periodic_cell, v_trapezoid_weights)
 from .lowdisc import SequenceKind
 
 
@@ -45,8 +49,8 @@ _DEGENERATE_REL = 1e-14
 #: are a few dozen arrays of this length, whatever the number of markers.
 CHUNK = 1 << 14
 
-#: Grid rows per block of :func:`sample_gridded_density`: its tables hold
-#: at most 2*ROWS rows, whatever the grid (see :func:`_row_blocks`).
+#: Grid rows per block of the conditional inversion: its tables hold at
+#: most 2*ROWS rows, whatever the grid (see :func:`_row_blocks`).
 ROWS = 64
 
 
@@ -86,60 +90,45 @@ def _checked_pairs(pairs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BilinearSampler:
-    """Exact inverse-transform sampler for a bilinear gridded density.
+    """Exact inverse-transform sampler of |density| / mass (mass 1.0 for
+    :func:`build_sampler`): holds the x marginal of the whole grid and its
+    trapezoid partial sums, and builds the conditional tables one block of
+    rows at a time (:func:`_block_tables`).  Immutable, so sampling is
+    pure and thread-safe."""
 
-    Carries the x-marginal nodes of the whole grid and their trapezoid
-    partial sums, and, for the conditional inversion, the density's
-    ``values`` and per-column cumulative tables ``cum_cols`` at the grid
-    rows ``row0``, ``row0 + 1``, ... (wrapping past the last row).
-    :func:`build_sampler` holds every row (``row0`` = 0);
-    :func:`sample_gridded_density` holds one block of rows at a time and
-    maps only the markers whose x cell lies in it.  Immutable, so
-    sampling is pure and thread-safe.
-    """
+    density: GriddedDensity
+    mass: float
+    marginal_x_nodes: np.ndarray = field(init=False)
+    cum_x: np.ndarray = field(init=False)
 
-    domain: PhaseSpaceDomain
-    marginal_x_nodes: np.ndarray
-    cum_x: np.ndarray
-    values: np.ndarray
-    cum_cols: np.ndarray
-    row0: int = 0
+    def __post_init__(self):
+        gx = _abs_x_marginal(self.density, self.mass)
+        total = float(self.dx * np.sum(gx))
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"sampling density mass {total!r} is not 1 within 1e-12")
+        cell = 0.5 * self.dx * (gx + np.roll(gx, -1))
+        object.__setattr__(self, "marginal_x_nodes", gx)
+        object.__setattr__(self, "cum_x", np.concatenate(([0.0], np.cumsum(cell))))
+
+    @property
+    def domain(self) -> PhaseSpaceDomain:
+        return self.density.domain
 
     @property
     def nx(self) -> int:
-        return self.marginal_x_nodes.shape[0]
+        return self.density.nx
 
     @property
     def nv(self) -> int:
-        return self.values.shape[1]
+        return self.density.nv
 
     @property
     def dx(self) -> float:
-        return self.domain.length / self.nx
+        return self.density.dx
 
     @property
     def dv(self) -> float:
-        return self.domain.v_span / (self.nv - 1)
-
-    def holding(self, values: np.ndarray, row0: int = 0) -> "BilinearSampler":
-        """This sampler's marginal with the conditional tables of
-        ``values``, the density's rows from ``row0`` on."""
-        # per-column trapezoid partial sums along v: cum_cols[i, j] is the
-        # column-i mass below node j, so cum_cols[i, -1] == gx[i].  Built in
-        # one buffer: the cell pieces 0.5*dv*(left + right) go into columns
-        # 1.., then an in-place cumsum (no copy: output and input coincide)
-        cum_cols = np.empty(values.shape)
-        cum_cols[:, 0] = 0.0
-        pieces = cum_cols[:, 1:]
-        np.add(values[:, :-1], values[:, 1:], out=pieces)
-        pieces *= 0.5 * self.dv
-        np.cumsum(pieces, axis=1, out=pieces)
-        return dataclasses.replace(self, values=values, cum_cols=cum_cols, row0=row0)
-
-    def density_at(self, x, v):
-        """Bilinear value of the density at (x, v), x in the rows held."""
-        return bilinear_sum(self.values, *bilinear_stencil(
-            self.domain, self.nx, self.nv, x, v, self.row0))
+        return self.density.dv
 
 
 def _check_nonnegative(values):
@@ -148,24 +137,10 @@ def _check_nonnegative(values):
         raise ValueError("sampling density must be nonnegative")
 
 
-def _marginal_sampler(domain: PhaseSpaceDomain, gx: np.ndarray, nv: int) -> BilinearSampler:
-    """The sampler of the x marginal ``gx`` of a unit-mass density with nv
-    v nodes, holding no rows yet."""
-    dx = domain.length / gx.shape[0]
-    mass = float(dx * np.sum(gx))
-    if not abs(mass - 1.0) <= 1e-12:
-        raise ValueError(f"sampling density mass {mass!r} is not 1 within 1e-12")
-    cell = 0.5 * dx * (gx + np.roll(gx, -1))
-    cum_x = np.concatenate(([0.0], np.cumsum(cell)))
-    no_rows = np.empty((0, nv))
-    return BilinearSampler(domain, gx, cum_x, no_rows, no_rows)
-
-
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
-    """The sampler of a nonnegative gridded density of unit mass, holding
-    every row."""
+    """The sampler of a nonnegative gridded density of unit mass."""
     _check_nonnegative(g.values)
-    return _marginal_sampler(g.domain, g.x_marginal_nodes(), g.nv).holding(g.values)
+    return BilinearSampler(g, 1.0)
 
 
 def sample_marginal_x(s: BilinearSampler, u_x):
@@ -198,45 +173,14 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     built.  ``cum_cols`` is a cumsum of nonnegative values and the
     rounding of the interpolation is monotone, so ``delta_j`` is
     nondecreasing in j in floating point and the bisection picks the same
-    cell as counting every ``delta_j <= target``.  x is located on the
-    whole grid, and every x must lie in a cell whose rows the sampler
-    holds.  Raises :class:`ZeroConditional` where the marginal g_X(x)
-    vanishes.
+    cell as counting every ``delta_j <= target``.  The points are mapped
+    by the row-block loop of :func:`rosenblatt_sample`.  Raises
+    :class:`ZeroConditional` where the marginal g_X(x) vanishes.
     """
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(u_v, dtype=float))
-    nx, nv = s.nx, s.nv
-    ix, fx = periodic_cell(x, s.domain.x_min, s.dx, nx)
-    ixp = (ix + 1) % nx
-    gx_here = (1.0 - fx) * s.marginal_x_nodes[ix] + fx * s.marginal_x_nodes[ixp]
-    if np.any(gx_here <= 0.0):
-        raise ZeroConditional("conditional density requested on a zero-mass column")
-
-    target = gx_here * u
-    w0 = 1.0 - fx
-    ix, ixp = held_rows(ix, ixp, s.row0, nx)
-    cum = s.cum_cols.ravel()
-    row0 = ix * nv
-    row1 = ixp * nv
-
-    def delta(j):
-        return w0 * cum[row0 + j] + fx * cum[row1 + j]
-
-    # n_le counts the j with delta_j <= target (a prefix of 0..nv-1), built
-    # bit by bit from the highest power of two not above nv
-    n_le = np.zeros(x.shape, dtype=np.int64)
-    step = 1 << (nv.bit_length() - 1)
-    while step:
-        probe = n_le + step
-        j = np.minimum(probe, nv) - 1
-        n_le = np.where((probe <= nv) & (delta(j) <= target), probe, n_le)
-        step >>= 1
-    j = np.clip(n_le - 1, 0, nv - 2)
-
-    gamma0 = w0 * s.values[ix, j] + fx * s.values[ixp, j]
-    gamma1 = w0 * s.values[ix, j + 1] + fx * s.values[ixp, j + 1]
-    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), s.dv)
-    return s.domain.v_min + (j + frac) * s.dv
+    v, _ = _conditional_by_row_blocks(s, x.ravel(), u.ravel(), with_density=False)
+    return v.reshape(x.shape)
 
 
 def _chunks(n: int):
@@ -270,27 +214,119 @@ def _abs_x_marginal(density: GriddedDensity, mass: float = 1.0) -> np.ndarray:
     return gx
 
 
+def _block_tables(s: BilinearSampler, first: int, end: int):
+    """|density| / mass at the grid rows first..end (row nx is row 0), and
+    ``cum_cols[i, j]``, the mass of its row i below node j: the cell
+    pieces 0.5*dv*(left + right) go into columns 1.., then an in-place
+    cumsum (no copy: output and input coincide)."""
+    rows = s.density.values[np.arange(first, end + 1) % s.nx]
+    np.abs(rows, out=rows)
+    rows /= s.mass
+    cum_cols = np.empty(rows.shape)
+    cum_cols[:, 0] = 0.0
+    pieces = cum_cols[:, 1:]
+    np.add(rows[:, :-1], rows[:, 1:], out=pieces)
+    pieces *= 0.5 * s.dv
+    np.cumsum(pieces, axis=1, out=pieces)
+    return rows, cum_cols
+
+
+def _invert_in_rows(s: BilinearSampler, rows, cum_cols, first: int, x, u):
+    """:func:`sample_conditional_v` at points x in the cells of the tables
+    from grid row ``first`` on: grid row ix is table row ix - first."""
+    nv, gx = s.nv, s.marginal_x_nodes
+    ix, fx = periodic_cell(x, s.domain.x_min, s.dx, s.nx)
+    gx_here = (1.0 - fx) * gx[ix] + fx * gx[(ix + 1) % s.nx]
+    if np.any(gx_here <= 0.0):
+        raise ZeroConditional("conditional density requested on a zero-mass column")
+
+    target = gx_here * u
+    w0 = 1.0 - fx
+    ix -= first
+    cum = cum_cols.ravel()
+    row0 = ix * nv
+    row1 = row0 + nv
+
+    def delta(j):
+        return w0 * cum[row0 + j] + fx * cum[row1 + j]
+
+    # n_le counts the j with delta_j <= target (a prefix of 0..nv-1), built
+    # bit by bit from the highest power of two not above nv
+    n_le = np.zeros(x.shape, dtype=np.int64)
+    step = 1 << (nv.bit_length() - 1)
+    while step:
+        probe = n_le + step
+        j = np.minimum(probe, nv) - 1
+        n_le = np.where((probe <= nv) & (delta(j) <= target), probe, n_le)
+        step >>= 1
+    j = np.clip(n_le - 1, 0, nv - 2)
+
+    gamma0 = w0 * rows[ix, j] + fx * rows[ix + 1, j]
+    gamma1 = w0 * rows[ix, j + 1] + fx * rows[ix + 1, j + 1]
+    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), s.dv)
+    return s.domain.v_min + (j + frac) * s.dv
+
+
+def _bilinear_in_rows(s: BilinearSampler, rows, first: int, x, v):
+    """The bilinear value at (x, v) of the table of grid rows from ``first`` on."""
+    nodes, wgts = bilinear_stencil(s.domain, s.nx, s.nv, x, v)
+    # the four nodes share two row-index arrays: made table rows in place
+    ix, ixp = nodes[0][0], nodes[1][0]
+    ix -= first
+    np.add(ix, 1, out=ixp)
+    return bilinear_sum(rows, nodes, wgts)
+
+
+def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
+    """v = G_{X=x,V}^{-1}(u) at each point, and the bilinear |density| /
+    mass at each (x, v) if ``with_density``, else None.
+
+    The points are sorted by their x cell; for each block of rows from
+    :func:`_row_blocks` that holds points, the tables of the block and
+    the row after it are built and its points mapped ``CHUNK`` at a time.
+    Every step is elementwise, so the results have the bits of one pass
+    over whole-grid tables.
+    """
+    ix = periodic_cell(x, s.domain.x_min, s.dx, s.nx)[0]
+    order = np.argsort(ix, kind="stable")
+    # starts[i] points lie in the rows before row i, so row i's are
+    # order[starts[i]:starts[i + 1]]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ix, minlength=s.nx))))
+    del ix
+    v = np.empty(x.shape)
+    g = np.empty(x.shape) if with_density else None
+    for first, end in _row_blocks(s.nx):
+        block = order[starts[first]:starts[end]]
+        if block.size == 0:
+            continue
+        rows, cum_cols = _block_tables(s, first, end)
+        for c in _chunks(block.size):
+            idx = block[c]
+            xs = x[idx]
+            v[idx] = vs = _invert_in_rows(s, rows, cum_cols, first, xs, u[idx])
+            if with_density:
+                g[idx] = _bilinear_in_rows(s, rows, first, xs, vs)
+        del rows, cum_cols  # before the next block's are built
+    return v, g
+
+
 def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble:
     """Map uniform pairs through the inverse Rosenblatt transform.
 
-    Output ordering matches the input pair ordering.  Every step is
-    elementwise, so the markers are mapped in chunks of ``CHUNK`` into
-    preallocated x, v and g_like, with the same bits as one pass.  Live
-    at once: the sampler's tables, the n pairs, the three length-n
-    outputs and the temporaries of one chunk (a few dozen arrays of
-    ``CHUNK`` entries; the conditional inversion bisects rather than
-    tabulating nv entries per marker).  g_like is the bilinear density at
-    the sampled points, and f_like is g_like itself (unit weights): two
-    read-only views of one array (:class:`~vpqmc.core.Carrier`).
+    Output ordering matches the input pair ordering.  x comes from the
+    marginal inversion in chunks of ``CHUNK``, then v and g_like one block
+    of rows at a time (:func:`_conditional_by_row_blocks`).  Live at once:
+    the density, the n pairs, the length-n x, v, g_like and sort index,
+    one block's two tables (at most 2*ROWS rows each) and one chunk's
+    temporaries.  g_like is the bilinear |density| / mass at the samples,
+    and f_like is g_like itself (unit weights): two read-only views of
+    one array (:class:`~vpqmc.core.Carrier`).
     """
     pairs = _checked_pairs(pairs)
     x = np.empty(pairs.shape[0])
-    v = np.empty_like(x)
-    g_like = np.empty_like(x)
     for c in _chunks(x.size):
         x[c] = sample_marginal_x(s, pairs[c, 0])
-        v[c] = sample_conditional_v(s, x[c], pairs[c, 1])
-        g_like[c] = s.density_at(x[c], v[c])
+    v, g_like = _conditional_by_row_blocks(s, x, pairs[:, 1], with_density=True)
     return ParticleEnsemble(x=x, v=v, f_like=g_like, g_like=g_like)
 
 
@@ -298,70 +334,36 @@ def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
                            n: int) -> ParticleEnsemble:
     """Draw n markers from a signed gridded density.
 
-    The sampling density is |density| normalized to unit mass; g_like is
-    its bilinear value at each marker and f_like the bilinear value of
-    ``density`` itself, so markers where it is negative carry negative
-    weights.  The results have the bits of
+    The markers are ``rosenblatt_sample(BilinearSampler(density, mass),
+    pairs)``, mass the trapezoid mass of |density| from row blocks, with
+    f_like the bilinear value of ``density`` itself, so markers where it
+    is negative carry negative weights.  The results have the bits of
     ``rosenblatt_sample(build_sampler(normalize_to_sampling_density(
     density)), pairs)`` with f_like replaced, but no second grid is made:
-
-    * the mass and the normalized x marginal come from row blocks of
-      |density| (:func:`_abs_x_marginal`);
-    * all markers are mapped to x, then sorted by their x cell;
-    * for each block of rows from :func:`_row_blocks` plus the row after
-      it, the sampler holds that block's normalized |density| and
-      ``cum_cols`` and maps the block's markers, ``CHUNK`` at a time;
-      the results are scattered back to input order.
-
-    Live at once: ``density``, the n pairs, the x, v and g_like arrays,
-    the sort index, one block's two tables (at most 2*ROWS rows) and one
-    chunk's temporaries; the pairs and the sort index are dropped before
-    the f_like lookup.  For a 1024 x 1025 grid (8 MiB) and n = 1e5 the
-    traced peak of a handoff is 15.4 MiB.
+    beside ``density``, the memory is what :func:`rosenblatt_sample`
+    holds, and the pairs are dropped before f_like is looked up, ``CHUNK``
+    markers at a time.  For a 1024 x 1025 float grid (8 MiB) and n = 1e5
+    the traced peak of a handoff is 14.8 MiB.
     """
     pairs = lowdisc.generate_pairs(sequence, n)
     mass = nonzero_mass(float(density.dx * np.sum(_abs_x_marginal(density))))
-    marginal = _marginal_sampler(density.domain, _abs_x_marginal(density, mass),
-                                 density.nv)
-    x = np.empty(n)
+    e = rosenblatt_sample(BilinearSampler(density, mass), pairs)
+    del pairs
+    f_like = np.empty(n)
     for c in _chunks(n):
-        x[c] = sample_marginal_x(marginal, pairs[c, 0])
-    ix = periodic_cell(x, density.domain.x_min, density.dx, density.nx)[0]
-    order = np.argsort(ix, kind="stable")
-    # starts[i] markers lie in the rows before row i, so row i's are
-    # order[starts[i]:starts[i + 1]]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(ix, minlength=density.nx))))
-    del ix
-    v = np.empty_like(x)
-    g_like = np.empty_like(x)
-    for first, end in _row_blocks(density.nx):
-        block = order[starts[first]:starts[end]]
-        if block.size == 0:
-            continue
-        rows = density.values[np.arange(first, end + 1) % density.nx]
-        np.abs(rows, out=rows)
-        rows /= mass
-        s = marginal.holding(rows, first)
-        for c in _chunks(block.size):
-            idx = block[c]
-            xs = x[idx]
-            v[idx] = vs = sample_conditional_v(s, xs, pairs[idx, 1])
-            g_like[idx] = s.density_at(xs, vs)
-    del pairs, order
-    f_like = np.empty_like(x)
-    for c in _chunks(n):
-        f_like[c] = density.bilinear_at(x[c], v[c])
-    return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)
+        f_like[c] = density.bilinear_at(e.x[c], e.v[c])
+    return ParticleEnsemble(x=e.x, v=e.v, f_like=f_like, g_like=e.g_like)
 
 
 def forward_cdf(s: BilinearSampler, x, v):
     """The forward map (x, v) -> (G_X(x), G_{X=x,V}(v)) onto [0,1]^2.
 
-    Companion of the inverse sampler, for a sampler that holds every row
-    (:func:`build_sampler`'s); where the column mass vanishes the
+    Companion of the inverse sampler, on the tables of every row
+    (:func:`_block_tables`); where the column mass vanishes the
     conditional coordinate is reported as 0.
     """
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    values, cum_cols = _block_tables(s, 0, s.nx - 1)
     # x on a bounded grid of nx + 1 nodes: x_max is in the last cell, not the first
     ix, fx = bounded_cell(x, s.domain.x_min, s.dx, s.nx + 1)
     ixp = (ix + 1) % s.nx
@@ -370,9 +372,9 @@ def forward_cdf(s: BilinearSampler, x, v):
     u_x = s.cum_x[ix] + _cell_cdf(a, b, fx, s.dx)
 
     j, fv = bounded_cell(v, s.domain.v_min, s.dv, s.nv)
-    delta = (1.0 - fx) * s.cum_cols[ix, j] + fx * s.cum_cols[ixp, j]
-    gamma0 = (1.0 - fx) * s.values[ix, j] + fx * s.values[ixp, j]
-    gamma1 = (1.0 - fx) * s.values[ix, j + 1] + fx * s.values[ixp, j + 1]
+    delta = (1.0 - fx) * cum_cols[ix, j] + fx * cum_cols[ixp, j]
+    gamma0 = (1.0 - fx) * values[ix, j] + fx * values[ixp, j]
+    gamma1 = (1.0 - fx) * values[ix, j + 1] + fx * values[ixp, j + 1]
     gx_here = (1.0 - fx) * a + fx * b
     col_mass = delta + _cell_cdf(gamma0, gamma1, fv, s.dv)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -524,7 +526,6 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     x = domain.x_min + _invert_x_cdf(ic, u_x)
 
     v = np.empty_like(u_v)
-    gv = np.empty_like(u_v)
     bulk = u_v < (1.0 - ic.n_b) if ic.n_b > 0 else np.ones(u_v.shape, dtype=bool)
     u_bulk = u_v[bulk] / (1.0 - ic.n_b)
     v0, z0 = _truncated_gaussian_ppf(u_bulk, 0.0, 1.0, domain.v_min, domain.v_max)

@@ -136,7 +136,8 @@ def poisson_fourier(s: SpectralState, warn_nonneutral: bool = True) -> np.ndarra
     law dE/dx = q*(rho - 1) with E = -Phi' and the zero mode pinned, and
     returns E at the collocation points.  Warns, on every call, when the
     mean density departs from the unit neutralizing background.  The
-    solve is a memo of ``values`` (see ``SpectralState``).
+    solve is a memo of ``values`` (see ``SpectralState``): until it is
+    rebound, every call returns the same read-only array.
     """
     e, nonneutral = s.memo(_solve_fourier, ("values",))
     if warn_nonneutral and nonneutral:
@@ -154,8 +155,9 @@ def _solve_fourier(s: SpectralState):
     nonzero = kx != 0.0
     phi_hat[nonzero] = Q * rho_hat[nonzero] / kx[nonzero] ** 2
     # the background only affects the zero mode, which is pinned anyway
-    e_hat = -1j * kx * phi_hat
-    return np.fft.irfft(e_hat, s.nx), nonneutral
+    e = np.fft.irfft(-1j * kx * phi_hat, s.nx)
+    e.flags.writeable = False
+    return e, nonneutral
 
 
 def kick_v(s: SpectralState, dt: float) -> SpectralState:

@@ -203,14 +203,26 @@ def spline_eval_reference(coeffs, x, x_min, dx, n_f, order):
     return out
 
 
+def _sampling_density_reference(s):
+    """|density| / mass of a ``vpqmc.sampling.BilinearSampler`` as one
+    whole grid."""
+    from vpqmc.core import GriddedDensity
+
+    return GriddedDensity(s.domain, np.abs(s.density.values) / s.mass)
+
+
 def sample_conditional_v_dense_reference(s, x, u_v):
     """The conditional inversion of ``vpqmc.sampling.sample_conditional_v``
-    by the dense route: the whole n x nv table of interpolated cumulative
-    sums, and the cell as the count of entries not above the target, minus
-    one.  The cell lookup and the in-cell root are the package's own."""
+    by the dense route: |density| / mass and its per-column cumulative
+    table over the whole grid (:func:`cum_cols_concatenate_reference`),
+    the whole n x nv table of interpolated cumulative sums, and the cell
+    as the count of entries not above the target, minus one.  The cell
+    lookup and the in-cell root are the package's own."""
     from vpqmc.core import periodic_cell
     from vpqmc.sampling import ZeroConditional, _invert_cell_quadratic
 
+    g = _sampling_density_reference(s)
+    values, cum_cols = g.values, cum_cols_concatenate_reference(g)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u_v, dtype=float))
     if x.shape != u.shape:
@@ -221,19 +233,18 @@ def sample_conditional_v_dense_reference(s, x, u_v):
     if np.any(gx_here <= 0.0):
         raise ZeroConditional("conditional density requested on a zero-mass column")
     target = gx_here * u
-    delta = (1.0 - fx)[:, None] * s.cum_cols[ix] + fx[:, None] * s.cum_cols[ixp]
+    delta = (1.0 - fx)[:, None] * cum_cols[ix] + fx[:, None] * cum_cols[ixp]
     j = np.clip(np.sum(delta <= target[:, None], axis=1) - 1, 0, s.nv - 2)
     rows = np.arange(x.size)
-    gamma0 = (1.0 - fx) * s.values[ix, j] + fx * s.values[ixp, j]
-    gamma1 = (1.0 - fx) * s.values[ix, j + 1] + fx * s.values[ixp, j + 1]
+    gamma0 = (1.0 - fx) * values[ix, j] + fx * values[ixp, j]
+    gamma1 = (1.0 - fx) * values[ix, j + 1] + fx * values[ixp, j + 1]
     frac = _invert_cell_quadratic(gamma0, gamma1, target - delta[rows, j], s.dv)
     return s.domain.v_min + (j + frac) * s.dv
 
 
 def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
     """(x, v, g_like) of the inverse Rosenblatt map, computed chunk by chunk
-    with the dense conditional table."""
-    from vpqmc.core import GriddedDensity
+    in input order with the dense conditional table."""
     from vpqmc.sampling import sample_marginal_x
 
     pairs = np.asarray(pairs, dtype=float)
@@ -243,14 +254,13 @@ def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
         hi = min(lo + chunk, pairs.shape[0])
         xs[lo:hi] = sample_marginal_x(s, pairs[lo:hi, 0])
         vs[lo:hi] = sample_conditional_v_dense_reference(s, xs[lo:hi], pairs[lo:hi, 1])
-    return xs, vs, np.asarray(GriddedDensity(s.domain, s.values).bilinear_at(xs, vs))
+    return xs, vs, np.asarray(_sampling_density_reference(s).bilinear_at(xs, vs))
 
 
 def cum_cols_concatenate_reference(g):
-    """The per-column trapezoid partial sums of ``BilinearSampler.cum_cols``
-    as separate arrays: the cell pieces, their cumsum, and a zero column
-    joined on by concatenation.  ``g`` is a gridded density or a sampler
-    that holds every row."""
+    """The per-column trapezoid partial sums along v of the gridded density
+    ``g``, as separate arrays: the cell pieces, their cumsum, and a zero
+    column joined on by concatenation."""
     vals = g.values
     piece = 0.5 * g.dv * (vals[:, :-1] + vals[:, 1:])
     return np.concatenate([np.zeros((g.nx, 1)), np.cumsum(piece, axis=1)], axis=1)
@@ -258,20 +268,18 @@ def cum_cols_concatenate_reference(g):
 
 def sample_gridded_density_unchunked_reference(density, sequence, n):
     """(x, v, g_like, f_like) of ``vpqmc.sampling.sample_gridded_density``
-    in one pass over all n markers, with the sampler built first and its
-    ``cum_cols`` from :func:`cum_cols_concatenate_reference`."""
-    import dataclasses
-
+    in one pass over all n markers in input order: the whole normalized
+    grid first, the conditional inversion by
+    :func:`sample_conditional_v_dense_reference`."""
     from vpqmc.core import normalize_to_sampling_density
     from vpqmc.lowdisc import generate_pairs
-    from vpqmc.sampling import (build_sampler, sample_conditional_v,
-                                sample_marginal_x)
+    from vpqmc.sampling import build_sampler, sample_marginal_x
 
     g = normalize_to_sampling_density(density)
-    s = dataclasses.replace(build_sampler(g), cum_cols=cum_cols_concatenate_reference(g))
+    s = build_sampler(g)
     pairs = generate_pairs(sequence, n)
     x = sample_marginal_x(s, pairs[:, 0])
-    v = sample_conditional_v(s, x, pairs[:, 1])
+    v = sample_conditional_v_dense_reference(s, x, pairs[:, 1])
     return x, v, g.bilinear_at(x, v), density.bilinear_at(x, v)
 
 

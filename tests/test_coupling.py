@@ -7,7 +7,7 @@ import pytest
 from oracles import ks_statistic_two_sample, ks_statistic_uniform
 from vpqmc.core import InitialCondition, PhaseSpaceDomain
 from vpqmc.coupling import handoff, run_coupled, run_pic
-from vpqmc.lowdisc import Sobol
+from vpqmc.lowdisc import Sobol, generate_pairs
 from vpqmc import pic, sampling, spectral
 
 MAXWELL = InitialCondition(epsilon=0.0, k=0.5)
@@ -96,6 +96,34 @@ def test_handoff_peak_memory_is_one_fine_grid_markers_and_one_row_block():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_rosenblatt_sample_peak_memory_is_one_fine_grid_markers_and_one_row_block():
+    # the public path, rosenblatt_sample(build_sampler(g), pairs), with the
+    # budget of the handoff above: the padded density, normalized in place,
+    # is the only fine grid, and the sampler builds the conditional tables
+    # one row block at a time.  A whole-grid cum_cols (8.4 MB here) does
+    # not fit
+    state = _maxwell_state(32, 32)
+    n_pad, n_p = 32, 20_000
+    grid = spectral.zero_pad(state, n_pad).values
+    block_bytes = 2 * (2 * sampling.ROWS) * grid.shape[1] * 8
+    bound = grid.nbytes + 7 * 8 * n_p + 32 * 8 * sampling.CHUNK + block_bytes
+    assert bound < 2 * grid.nbytes
+    del grid
+    tracemalloc.start()
+    try:
+        g = spectral.zero_pad(state, n_pad)
+        values = g.values
+        np.abs(values, out=values)
+        values /= g.mass()
+        pairs = generate_pairs(Sobol(skip=1), n_p)
+        e = sampling.rosenblatt_sample(sampling.build_sampler(g), pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    assert e.n_p == n_p
 
 
 def test_handoff_padding_statistically_indistinguishable():

@@ -15,7 +15,7 @@ from vpqmc.pic import (FixedPointDiverged, IntegratorKind, SelfConsistentField,
                        total_mass)
 from vpqmc.lowdisc import Sobol, generate_pairs
 from vpqmc.sampling import its_tensor_product
-from vpqmc.spectral import SpectralState
+from vpqmc.spectral import SpectralState, poisson_fourier
 
 L = 2 * np.pi
 
@@ -463,6 +463,17 @@ def test_carrier_arrays_are_read_only_views():
             getattr(carrier, name)[0] = 2.0
     base[0] = 2.0  # a view: the caller's own array stays writable
     assert e.x[0] == 2.0
+
+
+def test_memo_arrays_are_read_only():
+    # a write into a memo's array would change what later calls return
+    e, dom = _landau_ensemble(100)
+    field = SelfConsistentField(SplinePoissonSolver.build(0.0, dom.length, 16))(e)
+    s = SpectralState(dom, np.ones((8, 8)))
+    for array in (field.coeffs, field.stencil.i, field.stencil.u,
+                  poisson_fourier(s, warn_nonneutral=False)):
+        with pytest.raises(ValueError):
+            array[0] = 2.0
 
 
 def test_each_memo_is_dropped_by_exactly_the_arrays_it_reads():

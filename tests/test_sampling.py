@@ -95,7 +95,7 @@ def test_zero_mass_leading_cells_skipped():
     # growing at x = 1 (density rises linearly across cell [1,2])
     x0 = sample_marginal_x(s, 0.0)
     assert 1.0 <= x0 <= 2.0
-    assert s.density_at(x0, 0.5) == pytest.approx(0.0, abs=1e-13)
+    assert s.density.bilinear_at(x0, 0.5) == pytest.approx(0.0, abs=1e-13)
     x = sample_marginal_x(s, np.random.default_rng(0).random(500))
     assert np.all(x >= 1.0)
 
@@ -201,13 +201,22 @@ def test_rosenblatt_sample_matches_chunked_dense_path_bitwise():
 
 
 @settings(max_examples=60, deadline=None)
-@given(nx=st.integers(2, 24), nv=st.integers(2, 40),
-       v_span=st.floats(0.1, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+@given(nx=st.one_of(st.integers(2, 24),
+                    st.integers(2 * sampling.ROWS - 1, 3 * sampling.ROWS + 3)),
+       nv=st.integers(2, 40), v_span=st.floats(0.1, 30.0),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_cum_cols_match_the_concatenate_form_bitwise(nx, nv, v_span, seed):
+    # each block's tables are the rows first..end (row nx is row 0) of the
+    # whole grid's |density| / mass and its concatenate-form cum_cols
     dom = PhaseSpaceDomain(0.0, 2.0, -0.5 * v_span, 0.5 * v_span)
     s = _random_sampler(seed, domain=dom, nx=nx, nv=nv)
-    np.testing.assert_array_equal(
-        _bits(s.cum_cols), _bits(oracles.cum_cols_concatenate_reference(s)))
+    whole = GriddedDensity(dom, np.abs(s.density.values) / s.mass)
+    cum_cols = oracles.cum_cols_concatenate_reference(whole)
+    for first, end in sampling._row_blocks(nx):
+        held = np.arange(first, end + 1) % nx
+        rows, block_cum_cols = sampling._block_tables(s, first, end)
+        np.testing.assert_array_equal(_bits(rows), _bits(whole.values[held]))
+        np.testing.assert_array_equal(_bits(block_cum_cols), _bits(cum_cols[held]))
 
 
 @pytest.mark.parametrize("sequence", [Sobol(skip=5), PseudoRandom(seed=11)])
@@ -318,7 +327,7 @@ def test_forward_cdf_corners_and_uniform():
 def test_forward_jacobian_equals_density():
     # central differences of the forward map, in-cell: det(DPi) = g(x, v)
     s = _random_sampler(12)
-    g = GriddedDensity(s.domain, s.values)
+    g = s.density
     rng = np.random.default_rng(13)
     h = 1e-4 * min(g.dx, g.dv)
     for _ in range(40):
@@ -339,7 +348,7 @@ def test_forward_jacobian_equals_density():
 def test_measure_preservation_box():
     # fraction of Sobol samples inside a fixed box vs the exact integral
     s = _random_sampler(14)
-    g = GriddedDensity(s.domain, s.values)
+    g = s.density
     pairs = generate_pairs(Sobol(skip=1), 100_000)
     e = rosenblatt_sample(s, pairs)
     box = (0.4, 1.3, -0.5, 0.9)
@@ -372,6 +381,24 @@ def test_ordering_matches_input():
     e = rosenblatt_sample(s, pairs)
     e2 = rosenblatt_sample(s, pairs[::-1])
     np.testing.assert_array_equal(e.x[::-1], e2.x)
+
+
+_BUMP = InitialCondition(epsilon=0.1, k=0.5, n_b=0.1, sigma_b=0.5, v_b=3.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s, x, y: eval_initial_f(_BUMP, x, y), id="eval_initial_f"),
+    pytest.param(lambda s, x, y: s.density.bilinear_at(x, y), id="bilinear_at"),
+    pytest.param(lambda s, x, y: sample_marginal_x(s, y), id="sample_marginal_x"),
+    pytest.param(sample_conditional_v, id="sample_conditional_v"),
+    pytest.param(lambda s, x, y: forward_cdf(s, x, y)[0], id="forward_cdf_x"),
+    pytest.param(lambda s, x, y: forward_cdf(s, x, y)[1], id="forward_cdf_v"),
+])
+def test_scalar_input_gives_a_value_of_shape_0(call):
+    s = _random_sampler(3)
+    got = call(s, 0.3, 0.4)
+    assert np.shape(got) == ()
+    assert got == call(s, np.array([0.3]), np.array([0.4]))[0]
 
 
 # --- tensor-product ITS -------------------------------------------------------
