@@ -186,7 +186,13 @@ def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v):
     package grid of nx x nv nodes over ``domain``."""
     ix, fx = periodic_cell(x, domain.x_min, domain.length / nx, nx)
     jv, fv = bounded_cell(v, domain.v_min, domain.v_span / (nv - 1), nv)
-    ixp = (ix + 1) % nx
+    return cell_stencil(ix, (ix + 1) % nx, fx, jv, fv)
+
+
+def cell_stencil(ix, ixp, fx, jv, fv):
+    """The four (i, j) nodes and bilinear weights of points in the cells
+    between rows ix and ixp and columns jv and jv + 1, at local
+    coordinates (fx, fv)."""
     nodes = ((ix, jv), (ixp, jv), (ix, jv + 1), (ixp, jv + 1))
     wgts = ((1 - fx) * (1 - fv), fx * (1 - fv), (1 - fx) * fv, fx * fv)
     return nodes, wgts
@@ -340,11 +346,20 @@ class ParticleEnsemble(Carrier):
 
     def weights(self) -> np.ndarray:
         """f_like / g_like, read-only and computed once per likelihood pair."""
+        return self.memo(_read_only_weights, ("f_like", "g_like"))
+
+    def _writable_weights(self) -> np.ndarray:
+        """The array behind ``weights()``, for the package's kernels only:
+        np.bincount copies a read-only weights array.  Never written."""
         return self.memo(_weights, ("f_like", "g_like"))
 
 
 def _weights(ensemble: ParticleEnsemble) -> np.ndarray:
-    w = ensemble.f_like / ensemble.g_like
+    return ensemble.f_like / ensemble.g_like
+
+
+def _read_only_weights(ensemble: ParticleEnsemble) -> np.ndarray:
+    w = ensemble._writable_weights().view()
     w.flags.writeable = False
     return w
 

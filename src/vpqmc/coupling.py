@@ -48,11 +48,11 @@ def run_pic(ensemble: ParticleEnsemble,
     ``t_max - t_start`` must be a whole number (>= 1) of ``dt`` steps
     (``core.whole_steps``) and ``out_stride`` >= 1, else ValueError before
     the first record.  The optional star-discrepancy probe runs on every
-    ``star_disc_period``-th emitted record.  Its exact sweep costs one pass
-    over the distinct v of the windowed subset (at most ``star_disc_cap``
-    markers) per distinct x, about seven numpy calls each, so it is
-    quadratic in the subset size and throttled separately from the cheap
-    moment diagnostics.
+    ``star_disc_period``-th emitted record.  Its exact sweep over the
+    windowed subset (at most ``star_disc_cap`` markers) costs four numpy
+    calls per marker over the y ranks above it, about n^2/4 rank pairs in
+    all, so it is quadratic in the subset size and throttled separately
+    from the cheap moment diagnostics.
 
     The entropy estimate, like the weights that the deposits, kinetic
     energy and mass read, is a memo of the likelihoods

@@ -10,6 +10,7 @@ bit-reproducible across platforms for a fixed seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -107,27 +108,38 @@ def generate_pairs(kind: SequenceKind, n: int) -> np.ndarray:
 
 
 def star_discrepancy(points: np.ndarray) -> float:
-    """Exact star discrepancy D* of a finite 2-D point set.
+    """Exact star discrepancy D* of a finite point set in [0, 1]^2.
 
-    Evaluates the two one-sided criteria at every critical corner (u, w)
-    with coordinates drawn from the point coordinates plus 1, counting the
-    closed box [0,u]x[0,w] against the open box [0,u)x[0,w):
+    The maximum of the two one-sided criteria over the critical corners
+    (u, w), coordinates drawn from the point coordinates plus 1, counting
+    the closed box [0,u]x[0,w] against the open box [0,u)x[0,w):
 
         D* = max over corners of max(closed/n - u*w, u*w - open/n).
 
-    Exact but quadratic: one pass over the m distinct w per distinct u,
-    O(n*m) corner evaluations in all (practical up to n of a few thousand).
-    The sweep visits u in ascending order and keeps one running count per
-    w rank, ``cnt[j+1]`` = number of points already passed with y <= w_j,
-    beside its fractions ``frac = cnt/n``.  For each u it takes the open
-    criterion from ``frac[:-1]`` (the points with x < u), adds the points
-    with x == u by one suffix increment of ``cnt`` per point (a bincount
-    and cumsum for a group of tied x), and takes the closed criterion from
-    ``frac[1:]``: about seven numpy calls over at most m + 1 elements per
-    u, into preallocated buffers.  The counts are whole numbers held
-    exactly in float64, so every corner value is ``u*w_j``, ``count/n``
-    and one subtraction, as in a direct evaluation; only the order of the
-    max reductions is free, and the result does not depend on it.
+    The sweep visits the distinct x in ascending order and keeps the y of
+    the k points already passed in one sorted buffer S, so that each rank
+    t is a count.  At x = u the closed corner (u, S[t]) is (t+1)/n -
+    u*S[t]; before the points at u go in, the open corner (u, S[t]) is
+    u*S[t] - t/n and the open corner (u, 1) is u - k/n.  Every other
+    corner computes to no more than one of these, as fl(u*w) is monotone
+    in w and fl(c - a) in a: between two passed y the closed count is
+    constant (its best corner is the lower y), and so is the open count
+    (its best corner is the upper y).  Among tied y the first rank carries
+    the true open count and the last the true closed count.  A rank's
+    closed value only falls as u grows and its open value only rises, so
+    each is taken only when a point lands at or below the rank: the open
+    value before, the closed value after, at that u; every open value is
+    taken once more at u = 1.  Every value taken is ``u*w``, ``count/n``
+    and one subtraction, as in a direct evaluation, so the result has its
+    bits.
+
+    One point at rank t moves the ranks t..k-1 only.  The buffer
+    interleaves -S[t] with S[t+1] (S[k] = 0), so one shift inserts the
+    point and one multiply by u, one subtraction of the interleaved
+    (-(t+1)/n, t/n) and one max take both values of the k - t ranks: four
+    numpy calls per point.  The points of a tied x go in by one merge,
+    between their open and closed values.  Quadratic at worst, about
+    n^2/4 rank pairs for points in random order; O(n) memory.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -135,47 +147,80 @@ def star_discrepancy(points: np.ndarray) -> float:
     n = pts.shape[0]
     if n == 0:
         raise EmptyPointSet("star discrepancy of an empty point set")
+    if not (pts.min() >= 0.0 and pts.max() <= 1.0):
+        raise ValueError("points must lie in [0, 1]^2")
 
-    xs = pts[:, 0]
-    ys = pts[:, 1]
-    ucands = np.unique(np.append(xs, 1.0))
-    wcands = np.unique(np.append(ys, 1.0))
-    m = wcands.size
-
+    xs, ys = pts[:, 0], pts[:, 1]
     order = np.argsort(xs, kind="stable")
-    # The points with x == ucands[i] are order[ends[i-1]:ends[i]]; their
-    # slots in cnt are their w rank plus one (read singly from the list).
-    ends = np.searchsorted(xs[order], ucands, side="right").tolist()
-    slot = np.searchsorted(wcands, ys[order]) + 1
-    slots = slot.tolist()
+    ys = ys[order]
+    ucands = np.unique(np.append(xs, 1.0))
+    # ends[i] points have x <= ucands[i], sizes[i] of them x == ucands[i]
+    # (mostly 1, a cached int, so the list costs no int objects).
+    ends = np.searchsorted(xs[order], ucands, side="right")
+    sizes = np.diff(ends, prepend=0).tolist()
+    # The open corners (u, 1), u minus the count of points with x < u.
+    best = float(np.max(ucands - np.concatenate(([0], ends[:-1])) / n))
 
-    cnt = np.zeros(m + 1)
-    frac = np.zeros(m + 1)
-    open_frac = frac[:-1]
-    closed_frac = frac[1:]
-    area = np.empty(m)
-    # Row 0 holds u*w_j - open/n and row 1 closed/n - u*w_j, so that one
-    # reduction takes the max of both criteria.
-    crit = np.empty((2, m))
-    over, under = crit
-    best = 0.0
-    lo = 0
-    for u, hi in zip(ucands.tolist(), ends):
-        np.multiply(u, wcands, out=area)
-        np.subtract(area, open_frac, out=over)
-        if hi > lo:
-            if hi - lo == 1:
-                r = slots[lo]
-                cnt[r:] += 1.0
-            else:
-                group = slot[lo:hi]
-                r = int(group.min())
-                cnt[r:] += np.cumsum(np.bincount(group - r,
-                                                 minlength=m + 1 - r))
-            np.divide(cnt[r:], n, out=frac[r:])
-        np.subtract(closed_frac, area, out=under)
-        best = max(best, np.maximum.reduce(crit, axis=None))
-        lo = hi
+    # pairs[2t] = -S[t] and pairs[2t+1] = S[t+1] for t < k, with S[k] = 0
+    # (its open value -k/n cannot win); table[2t] = -(t+1)/n and
+    # table[2t+1] = t/n.  After a point lands at rank t, u*pairs - table
+    # from 2t on holds the closed value of each rank and the open value
+    # of the rank above it, which moved up from there.
+    pairs = np.zeros(2 * n + 2)
+    table = np.empty(2 * n)
+    np.divide(np.arange(n), n, out=table[1::2])
+    np.divide(np.arange(-1, -n - 1, -1), n, out=table[0::2])
+    counts = table[1::2]  # t/n
+    crit = np.empty(2 * n)
+    passed = []  # S[:k] as a list, for bisect
+    y_list = ys.tolist()
+    last = ucands.size - 1
+    k = 0
+    for i, (u, size) in enumerate(zip(ucands.tolist(), sizes)):
+        if i == last and k:
+            # the open corners (1, S[t]) of every passed rank
+            here = crit[:k]
+            np.negative(pairs[:2 * k:2], out=here)
+            here -= counts[:k]
+            best = max(best, np.maximum.reduce(here))
+        if size == 1:
+            y = y_list[k]
+            if passed is None:
+                passed = np.negative(pairs[:2 * k:2]).tolist()
+            t = bisect_right(passed, y)
+            passed.insert(t, y)
+            pairs[2 * t + 2:2 * k + 4] = pairs[2 * t:2 * k + 2]
+            pairs[2 * t] = -y
+            pairs[2 * t + 1] = passed[t + 1] if t < k else 0.0
+            if t:
+                pairs[2 * t - 1] = y
+            k += 1
+            here = crit[:2 * (k - t)]
+            np.multiply(u, pairs[2 * t:2 * k], out=here)
+            np.subtract(here, table[2 * t:2 * k], out=here)
+            best = max(best, np.maximum.reduce(here))
+        elif size:
+            group = ys[k:k + size]
+            s = np.negative(pairs[:2 * k:2])
+            t = int(np.searchsorted(s, group.min(), side="right"))
+            if t < k:
+                # the open corners at u of the ranks that will move
+                here = crit[:k - t]
+                np.multiply(-u, pairs[2 * t:2 * k:2], out=here)
+                np.subtract(here, counts[t:k], out=here)
+                best = max(best, np.maximum.reduce(here))
+            s = np.concatenate((s, group))
+            s.sort(kind="stable")  # a merge of two sorted runs
+            k = s.size
+            np.negative(s, out=pairs[:2 * k:2])
+            pairs[1:2 * k - 1:2] = s[1:]
+            pairs[2 * k - 1] = 0.0
+            passed = None  # rebuilt when a single point next needs it
+            # the closed corners at u of the ranks that moved
+            here = crit[:k - t]
+            np.multiply(u, pairs[2 * t:2 * k:2], out=here)
+            np.subtract(here, table[2 * t:2 * k:2], out=here)
+            best = max(best, np.maximum.reduce(here))
     return float(best)
 
 

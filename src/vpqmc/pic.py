@@ -188,7 +188,7 @@ def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
     fixed (marker-index) order, so results do not depend on chunking.
     ``stencil`` is used when it is located at ``ensemble.x``.
     """
-    b = _stencil_at(stencil, solver, ensemble.x).deposit(ensemble.weights())
+    b = _stencil_at(stencil, solver, ensemble.x).deposit(ensemble._writable_weights())
     if ensemble.n_p > 0:
         b /= ensemble.n_p
     return Q * (b - solver.dx)

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import lowdisc
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
-                   PhaseSpaceDomain, SQRT_2PI, bilinear_stencil, bilinear_sum,
-                   bounded_cell, eval_initial_f, initial_x_density, nonzero_mass,
+                   PhaseSpaceDomain, SQRT_2PI, bilinear_sum, bounded_cell,
+                   cell_stencil, eval_initial_f, initial_x_density, nonzero_mass,
                    periodic_cell, v_trapezoid_weights)
 from .lowdisc import SequenceKind
 
@@ -231,18 +231,17 @@ def _block_tables(s: BilinearSampler, first: int, end: int):
     return rows, cum_cols
 
 
-def _invert_in_rows(s: BilinearSampler, rows, cum_cols, first: int, x, u):
-    """:func:`sample_conditional_v` at points x in the cells of the tables
-    from grid row ``first`` on: grid row ix is table row ix - first."""
-    nv, gx = s.nv, s.marginal_x_nodes
-    ix, fx = periodic_cell(x, s.domain.x_min, s.dx, s.nx)
-    gx_here = (1.0 - fx) * gx[ix] + fx * gx[(ix + 1) % s.nx]
+def _invert_in_rows(s: BilinearSampler, rows, cum_cols, gx_rows, ix, fx, u):
+    """:func:`sample_conditional_v` at points in the cells of the tables,
+    given by table row ix and local x coordinate fx; ``gx_rows`` is the
+    x-marginal at the table rows."""
+    nv = s.nv
+    gx_here = (1.0 - fx) * gx_rows[ix] + fx * gx_rows[ix + 1]
     if np.any(gx_here <= 0.0):
         raise ZeroConditional("conditional density requested on a zero-mass column")
 
     target = gx_here * u
     w0 = 1.0 - fx
-    ix -= first
     cum = cum_cols.ravel()
     row0 = ix * nv
     row1 = row0 + nv
@@ -252,7 +251,7 @@ def _invert_in_rows(s: BilinearSampler, rows, cum_cols, first: int, x, u):
 
     # n_le counts the j with delta_j <= target (a prefix of 0..nv-1), built
     # bit by bit from the highest power of two not above nv
-    n_le = np.zeros(x.shape, dtype=np.int64)
+    n_le = np.zeros(fx.shape, dtype=np.int64)
     step = 1 << (nv.bit_length() - 1)
     while step:
         probe = n_le + step
@@ -267,14 +266,11 @@ def _invert_in_rows(s: BilinearSampler, rows, cum_cols, first: int, x, u):
     return s.domain.v_min + (j + frac) * s.dv
 
 
-def _bilinear_in_rows(s: BilinearSampler, rows, first: int, x, v):
-    """The bilinear value at (x, v) of the table of grid rows from ``first`` on."""
-    nodes, wgts = bilinear_stencil(s.domain, s.nx, s.nv, x, v)
-    # the four nodes share two row-index arrays: made table rows in place
-    ix, ixp = nodes[0][0], nodes[1][0]
-    ix -= first
-    np.add(ix, 1, out=ixp)
-    return bilinear_sum(rows, nodes, wgts)
+def _bilinear_in_rows(s: BilinearSampler, rows, ix, fx, v):
+    """The bilinear value at (x, v) of the table, x given by its table row
+    ix and local coordinate fx."""
+    jv, fv = bounded_cell(v, s.domain.v_min, s.dv, s.nv)
+    return bilinear_sum(rows, *cell_stencil(ix, ix + 1, fx, jv, fv))
 
 
 def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
@@ -300,12 +296,14 @@ def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
         if block.size == 0:
             continue
         rows, cum_cols = _block_tables(s, first, end)
+        gx_rows = s.marginal_x_nodes[np.arange(first, end + 1) % s.nx]
         for c in _chunks(block.size):
             idx = block[c]
-            xs = x[idx]
-            v[idx] = vs = _invert_in_rows(s, rows, cum_cols, first, xs, u[idx])
+            ix, fx = periodic_cell(x[idx], s.domain.x_min, s.dx, s.nx)
+            ix -= first  # grid row ix is table row ix - first
+            v[idx] = vs = _invert_in_rows(s, rows, cum_cols, gx_rows, ix, fx, u[idx])
             if with_density:
-                g[idx] = _bilinear_in_rows(s, rows, first, xs, vs)
+                g[idx] = _bilinear_in_rows(s, rows, ix, fx, vs)
         del rows, cum_cols  # before the next block's are built
     return v, g
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,54 @@ _BITWISE_CASES = {
 def test_matches_histogram_sweep_bitwise(name):
     pts = _BITWISE_CASES[name]
     assert star_discrepancy(pts) == star_discrepancy_histogram_sweep(pts)
+
+
+def _tied_sets(rng, count):
+    """Small point sets with ties in x, in y or in both (on lattices that
+    hold 0 and 1 themselves), with every point repeated, or on one x or
+    one y."""
+    for case in range(count):
+        n = int(rng.integers(1, 30))
+        pts = rng.random((n, 2))
+        levels = int(rng.integers(1, 7))
+        on_lattice = np.round(pts * levels) / levels  # 0 and 1 included
+        kind = case % 7
+        if kind in (0, 2):
+            pts[:, 0] = on_lattice[:, 0]
+        if kind in (1, 2):
+            pts[:, 1] = on_lattice[:, 1]
+        if kind == 3:
+            pts = np.repeat(pts[:max(1, n // 3)], 3, axis=0)
+        if kind == 4:
+            pts[:, 0] = rng.choice([0.0, 1.0, pts[0, 0]])
+        if kind == 5:
+            pts[:, 1] = rng.choice([0.0, 1.0, pts[0, 1]])
+        yield pts
+
+
+def test_matches_histogram_sweep_bitwise_on_tied_sets():
+    rng = np.random.default_rng(19)
+    for pts in _tied_sets(rng, 1400):
+        assert star_discrepancy(pts) == star_discrepancy_histogram_sweep(pts), pts
+
+
+def test_sweep_memory_is_linear():
+    # an n x m corner table at n = 4000 would be 128 MB
+    pts = generate_pairs(PseudoRandom(seed=3), 4000)
+    star_discrepancy(pts)  # numpy loads some modules on first use
+    tracemalloc.start()
+    try:
+        star_discrepancy(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_points_outside_unit_square_rejected():
+    for bad in ([[0.5, 1.5]], [[-0.1, 0.5]], [[np.nan, 0.5]]):
+        with pytest.raises(ValueError):
+            star_discrepancy(np.array(bad))
 
 
 def test_permutation_invariance_and_range():
