@@ -1,13 +1,14 @@
 """Spectral-to-PIC handoff and the coupled run driver.
 
 The handoff zero-pads the spectral state onto a fine grid and draws the
-ensemble from its absolute value normalized to unit mass by the bilinear
-inverse transform (``sampling.rosenblatt_sample``, which builds its
-tables one block of rows at a time, so the padded density is the only
-fine grid).  g_like comes from the sampling density, f_like from the
-bilinear interpolant of the padded (signed) density, so markers in
-negative-f regions carry negative weights and the PIC segment continues
-as close as possible to the spectral solution.  The PIC field is
+ensemble by the bilinear inverse transform of its absolute value over
+its mass (``sampling.rosenblatt_sample`` of a ``BilinearSampler``, which
+works out that mass and builds its tables one block of rows at a time,
+so the padded density is the only fine grid).  In the same pass g_like
+comes from the sampling density and f_like from the bilinear
+interpolant of the padded (signed) density, so markers in negative-f
+regions carry negative weights and the PIC segment continues as close
+as possible to the spectral solution.  The PIC field is
 re-estimated from the sampled markers at the switch time; no field
 coefficients cross the interface.
 """

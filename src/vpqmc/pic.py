@@ -230,12 +230,12 @@ def field_energy(field: FieldSolution) -> float:
 class SelfConsistentField:
     """Callable field machinery: deposit the ensemble, solve, return the field.
 
-    The field is a memo of the ensemble's (x, f_like, g_like) and its
-    stencil a memo of x alone (``core.Carrier.memo``): a call returns the
-    field already built from the same three arrays without depositing
-    again, and a deposit locates the positions afresh only when x has
-    been rebound.  Being shared, the field's coefficients and the
-    stencil's arrays are read-only.
+    The field is a memo of the ensemble's (x, f_like, g_like)
+    (``core.Carrier.memo``): a call returns the field already built from
+    the same three arrays without depositing again.  Each deposit locates
+    the positions afresh, and the field keeps that stencil for
+    evaluations at the same x.  Being shared, the field's coefficients
+    and the stencil's arrays are read-only.
     """
 
     def __init__(self, solver: SplinePoissonSolver):
@@ -244,11 +244,8 @@ class SelfConsistentField:
     def __call__(self, ensemble: ParticleEnsemble) -> FieldSolution:
         return ensemble.memo(self._solve, ("x", "f_like", "g_like"))
 
-    def _locate(self, ensemble: ParticleEnsemble) -> SplineStencil:
-        return SplineStencil(self.solver, ensemble.x)
-
     def _solve(self, ensemble: ParticleEnsemble) -> FieldSolution:
-        stencil = ensemble.memo(self._locate, ("x",))
+        stencil = SplineStencil(self.solver, ensemble.x)
         b = deposit_rhs(ensemble, self.solver, stencil)
         return solve_poisson_fem(self.solver, b)._replace(stencil=stencil)
 

@@ -8,16 +8,15 @@ Two routes to a marker ensemble:
 
 * :class:`BilinearSampler` performs the exact dimension-by-dimension
   inversion (marginal CDF in x, then the conditional CDF in v given x)
-  of |density| / mass for an arbitrary signed bilinear gridded density;
-  each one-cell CDF piece is a monotone quadratic with a closed-form
-  root.  The conditional inversion has one implementation, a loop over
-  blocks of grid rows that holds one block's tables at a time: both
-  :func:`rosenblatt_sample` and :func:`sample_conditional_v` run it, and
-  :func:`sample_gridded_density` (the handoff's sampler) is
-  :func:`rosenblatt_sample` with f_like looked up on the signed density.
-  The forward Rosenblatt map :func:`forward_cdf` verifies the inverse:
-  it sends the samples back to their uniform pairs, and its Jacobian
-  determinant equals the density itself.
+  of |density| / mass for an arbitrary signed bilinear gridded density,
+  working out the mass itself; each one-cell CDF piece is a monotone
+  quadratic with a closed-form root.  The conditional inversion has one
+  implementation, a loop over blocks of grid rows that holds one block's
+  tables at a time: :func:`sample_conditional_v` runs it, and so does
+  :func:`rosenblatt_sample`, which reads both likelihoods in the same
+  pass.  The forward Rosenblatt map :func:`forward_cdf` verifies the
+  inverse: it sends the samples back to their uniform pairs, and its
+  Jacobian determinant equals the sampling density itself.
 """
 
 from __future__ import annotations
@@ -85,28 +84,30 @@ def _checked_pairs(pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("pairs must be a nonempty (n, 2) array")
+    # written so that NaN fails
+    if not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
+        raise ValueError("pairs must lie in [0, 1]^2")
     return pairs
 
 
 @dataclass(frozen=True)
 class BilinearSampler:
-    """Exact inverse-transform sampler of |density| / mass (mass 1.0 for
-    :func:`build_sampler`): holds the x marginal of the whole grid and its
-    trapezoid partial sums, and builds the conditional tables one block of
-    rows at a time (:func:`_block_tables`).  Immutable, so sampling is
-    pure and thread-safe."""
+    """Exact inverse-transform sampler of |density| / mass, mass the
+    trapezoid mass of |density|: holds the mass, the x marginal of the
+    whole grid and its trapezoid partial sums, and builds the conditional
+    tables one block of rows at a time (:func:`_block_tables`).
+    Immutable, so sampling is pure and thread-safe."""
 
     density: GriddedDensity
-    mass: float
+    mass: float = field(init=False)
     marginal_x_nodes: np.ndarray = field(init=False)
     cum_x: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        gx = _abs_x_marginal(self.density, self.mass)
-        total = float(self.dx * np.sum(gx))
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"sampling density mass {total!r} is not 1 within 1e-12")
+        mass = nonzero_mass(float(self.dx * np.sum(_abs_x_marginal(self.density))))
+        gx = _abs_x_marginal(self.density, mass)  # an inf node gives inf/inf
         cell = 0.5 * self.dx * (gx + np.roll(gx, -1))
+        object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "marginal_x_nodes", gx)
         object.__setattr__(self, "cum_x", np.concatenate(([0.0], np.cumsum(cell))))
 
@@ -138,9 +139,10 @@ def _check_nonnegative(values):
 
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
-    """The sampler of a nonnegative gridded density of unit mass."""
+    """The sampler of a nonnegative gridded density of any positive mass:
+    it samples g / mass, and f_like / g_like is that mass."""
     _check_nonnegative(g.values)
-    return BilinearSampler(g, 1.0)
+    return BilinearSampler(g)
 
 
 def sample_marginal_x(s: BilinearSampler, u_x):
@@ -179,7 +181,7 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     """
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(u_v, dtype=float))
-    v, _ = _conditional_by_row_blocks(s, x.ravel(), u.ravel(), with_density=False)
+    v = _conditional_by_row_blocks(s, x.ravel(), u.ravel(), with_density=False)[0]
     return v.reshape(x.shape)
 
 
@@ -266,22 +268,17 @@ def _invert_in_rows(s: BilinearSampler, rows, cum_cols, gx_rows, ix, fx, u):
     return s.domain.v_min + (j + frac) * s.dv
 
 
-def _bilinear_in_rows(s: BilinearSampler, rows, ix, fx, v):
-    """The bilinear value at (x, v) of the table, x given by its table row
-    ix and local coordinate fx."""
-    jv, fv = bounded_cell(v, s.domain.v_min, s.dv, s.nv)
-    return bilinear_sum(rows, *cell_stencil(ix, ix + 1, fx, jv, fv))
-
-
 def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
-    """v = G_{X=x,V}^{-1}(u) at each point, and the bilinear |density| /
-    mass at each (x, v) if ``with_density``, else None.
+    """v = G_{X=x,V}^{-1}(u) at each point and, if ``with_density``, the
+    bilinear density (f) and |density| / mass (g) at each (x, v), else
+    None for both.
 
     The points are sorted by their x cell; for each block of rows from
     :func:`_row_blocks` that holds points, the tables of the block and
     the row after it are built and its points mapped ``CHUNK`` at a time.
-    Every step is elementwise, so the results have the bits of one pass
-    over whole-grid tables.
+    One stencil per chunk reads g from the table rows and f from the
+    grid.  Every step is elementwise, so the results have the bits of one
+    pass over whole-grid tables.
     """
     ix = periodic_cell(x, s.domain.x_min, s.dx, s.nx)[0]
     order = np.argsort(ix, kind="stable")
@@ -290,7 +287,7 @@ def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
     starts = np.concatenate(([0], np.cumsum(np.bincount(ix, minlength=s.nx))))
     del ix
     v = np.empty(x.shape)
-    g = np.empty(x.shape) if with_density else None
+    f, g = (np.empty(x.shape), np.empty(x.shape)) if with_density else (None, None)
     for first, end in _row_blocks(s.nx):
         block = order[starts[first]:starts[end]]
         if block.size == 0:
@@ -300,57 +297,48 @@ def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
         for c in _chunks(block.size):
             idx = block[c]
             ix, fx = periodic_cell(x[idx], s.domain.x_min, s.dx, s.nx)
-            ix -= first  # grid row ix is table row ix - first
-            v[idx] = vs = _invert_in_rows(s, rows, cum_cols, gx_rows, ix, fx, u[idx])
+            row = ix - first  # grid row ix is table row ix - first
+            v[idx] = vs = _invert_in_rows(s, rows, cum_cols, gx_rows, row, fx, u[idx])
             if with_density:
-                g[idx] = _bilinear_in_rows(s, rows, ix, fx, vs)
+                jv, fv = bounded_cell(vs, s.domain.v_min, s.dv, s.nv)
+                g[idx] = bilinear_sum(rows, *cell_stencil(row, row + 1, fx, jv, fv))
+                f[idx] = bilinear_sum(s.density.values,
+                                      *cell_stencil(ix, (ix + 1) % s.nx, fx, jv, fv))
         del rows, cum_cols  # before the next block's are built
-    return v, g
+    return v, f, g
 
 
 def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble:
-    """Map uniform pairs through the inverse Rosenblatt transform.
+    """Map uniform pairs in [0, 1]^2 through the inverse Rosenblatt transform.
 
-    Output ordering matches the input pair ordering.  x comes from the
-    marginal inversion in chunks of ``CHUNK``, then v and g_like one block
-    of rows at a time (:func:`_conditional_by_row_blocks`).  Live at once:
-    the density, the n pairs, the length-n x, v, g_like and sort index,
-    one block's two tables (at most 2*ROWS rows each) and one chunk's
-    temporaries.  g_like is the bilinear |density| / mass at the samples,
-    and f_like is g_like itself (unit weights): two read-only views of
-    one array (:class:`~vpqmc.core.Carrier`).
+    Output ordering matches the input pair ordering.  f_like is the
+    bilinear (signed) density at the samples, so markers where it is
+    negative carry negative weights, and g_like the bilinear |density| /
+    mass.  x comes from the marginal inversion in chunks of ``CHUNK``,
+    then v and both likelihoods one block of rows at a time
+    (:func:`_conditional_by_row_blocks`).  Live at once: the density, the
+    length-n u_v, x, v, f_like, g_like and sort index, one block's two
+    tables (at most 2*ROWS rows each) and one chunk's temporaries; the
+    pairs too, unless the caller passed them inline.
     """
     pairs = _checked_pairs(pairs)
     x = np.empty(pairs.shape[0])
     for c in _chunks(x.size):
         x[c] = sample_marginal_x(s, pairs[c, 0])
-    v, g_like = _conditional_by_row_blocks(s, x, pairs[:, 1], with_density=True)
-    return ParticleEnsemble(x=x, v=v, f_like=g_like, g_like=g_like)
+    u = pairs[:, 1].copy()
+    del pairs  # the last reference when the caller passed them inline
+    v, f_like, g_like = _conditional_by_row_blocks(s, x, u, with_density=True)
+    return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)
 
 
 def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
                            n: int) -> ParticleEnsemble:
-    """Draw n markers from a signed gridded density.
-
-    The markers are ``rosenblatt_sample(BilinearSampler(density, mass),
-    pairs)``, mass the trapezoid mass of |density| from row blocks, with
-    f_like the bilinear value of ``density`` itself, so markers where it
-    is negative carry negative weights.  The results have the bits of
-    ``rosenblatt_sample(build_sampler(normalize_to_sampling_density(
-    density)), pairs)`` with f_like replaced, but no second grid is made:
-    beside ``density``, the memory is what :func:`rosenblatt_sample`
-    holds, and the pairs are dropped before f_like is looked up, ``CHUNK``
-    markers at a time.  For a 1024 x 1025 float grid (8 MiB) and n = 1e5
-    the traced peak of a handoff is 14.8 MiB.
+    """Draw n markers from a signed gridded density: the first n pairs of
+    ``sequence`` through ``rosenblatt_sample(BilinearSampler(density),
+    pairs)``.  No second grid is made.  For a 1024 x 1025 float grid
+    (8 MiB) and n = 1e5 the traced peak of a handoff is 14.9 MiB.
     """
-    pairs = lowdisc.generate_pairs(sequence, n)
-    mass = nonzero_mass(float(density.dx * np.sum(_abs_x_marginal(density))))
-    e = rosenblatt_sample(BilinearSampler(density, mass), pairs)
-    del pairs
-    f_like = np.empty(n)
-    for c in _chunks(n):
-        f_like[c] = density.bilinear_at(e.x[c], e.v[c])
-    return ParticleEnsemble(x=e.x, v=e.v, f_like=f_like, g_like=e.g_like)
+    return rosenblatt_sample(BilinearSampler(density), lowdisc.generate_pairs(sequence, n))
 
 
 def forward_cdf(s: BilinearSampler, x, v):

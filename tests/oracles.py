@@ -268,15 +268,15 @@ def cum_cols_concatenate_reference(g):
 
 def sample_gridded_density_unchunked_reference(density, sequence, n):
     """(x, v, g_like, f_like) of ``vpqmc.sampling.sample_gridded_density``
-    in one pass over all n markers in input order: the whole normalized
-    grid first, the conditional inversion by
-    :func:`sample_conditional_v_dense_reference`."""
-    from vpqmc.core import normalize_to_sampling_density
+    in one pass over all n markers in input order: the whole sampling
+    grid |density| / mass first, the conditional inversion by
+    :func:`sample_conditional_v_dense_reference`, and each likelihood
+    looked up afresh on its whole grid."""
     from vpqmc.lowdisc import generate_pairs
-    from vpqmc.sampling import build_sampler, sample_marginal_x
+    from vpqmc.sampling import BilinearSampler, sample_marginal_x
 
-    g = normalize_to_sampling_density(density)
-    s = build_sampler(g)
+    s = BilinearSampler(density)
+    g = _sampling_density_reference(s)
     pairs = generate_pairs(sequence, n)
     x = sample_marginal_x(s, pairs[:, 0])
     v = sample_conditional_v_dense_reference(s, x, pairs[:, 1])

@@ -489,7 +489,6 @@ def test_each_memo_is_dropped_by_exactly_the_arrays_it_reads():
     assert moved.stencil.x is e.x
     e.f_like = e.f_like * 0.75
     assert fields(e) is not moved
-    assert fields(e).stencil is moved.stencil  # the stencil reads x alone
 
 
 @settings(max_examples=40, deadline=None)

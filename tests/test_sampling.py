@@ -256,6 +256,52 @@ def test_sample_gridded_density_by_row_blocks_matches_the_unchunked_form_bitwise
     assert np.any(e.f_like < 0)
 
 
+def test_rosenblatt_f_like_is_the_signed_density_bitwise():
+    # both likelihoods come from one cell lookup per marker: f_like has the
+    # bits of a fresh lookup on the signed grid, and g_like is |f| / mass
+    values = np.random.default_rng(47).standard_normal((2 * sampling.ROWS + 3, 21)) + 0.2
+    density = GriddedDensity(PhaseSpaceDomain(-1.0, 2.0, -3.0, 4.0), values)
+    s = sampling.BilinearSampler(density)
+    e = rosenblatt_sample(s, generate_pairs(Sobol(skip=7), sampling.CHUNK + 77))
+    np.testing.assert_array_equal(_bits(e.f_like), _bits(density.bilinear_at(e.x, e.v)))
+    np.testing.assert_array_equal(
+        _bits(e.g_like),
+        _bits(GriddedDensity(density.domain, np.abs(values) / s.mass).bilinear_at(e.x, e.v)))
+    assert np.any(e.f_like < 0)
+    assert s.mass == pytest.approx(GriddedDensity(density.domain, np.abs(values)).mass(),
+                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e-3, 7.3])
+def test_build_sampler_normalizes_any_positive_mass(c):
+    g = _random_sampler(23, nx=13, nv=19).density
+    pairs = np.random.default_rng(24).random((2000, 2))
+    want = rosenblatt_sample(build_sampler(g), pairs)
+    got = rosenblatt_sample(build_sampler(GriddedDensity(g.domain, c * g.values)), pairs)
+    for a, b in ((got.x, want.x), (got.v, want.v), (got.g_like, want.g_like)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got.f_like, c * want.f_like, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sample", [
+    pytest.param(lambda pairs: rosenblatt_sample(_random_sampler(5), pairs),
+                 id="rosenblatt_sample"),
+    pytest.param(lambda pairs: its_tensor_product(_BUMP, pairs, _landau_domain(_BUMP)),
+                 id="its_tensor_product"),
+    pytest.param(lambda pairs: uniform_sample(_BUMP, pairs, _landau_domain(_BUMP)),
+                 id="uniform_sample"),
+])
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, np.nextafter(1.0, 2.0), -np.inf])
+def test_pairs_outside_the_unit_square_are_rejected(sample, bad):
+    pairs = np.array([[0.5, 0.5], [0.0, 1.0], [0.25, 0.75]])
+    sample(pairs)
+    for k in range(2):
+        broken = pairs.copy()
+        broken[1, k] = bad
+        with pytest.raises(ValueError, match=r"^pairs must lie in \[0, 1\]\^2$"):
+            sample(broken)
+
+
 def _unit_spaced(rows):
     """A density on a unit-spaced grid of len(rows) x 2 nodes over v in
     [0, 1] whose x marginal is ``rows``."""
