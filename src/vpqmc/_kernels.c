@@ -1,0 +1,209 @@
+/* Compiled marker loops of vpqmc, loaded through ctypes by _kernels.py.
+
+   Each loop keeps the evaluation order of the numpy form it replaced, so
+   its results carry the same bits: IEEE double arithmetic, no fused
+   multiply-add (the build passes -ffp-contract=off) and no reassociation.
+   Every array is C-contiguous; the caller allocates the outputs. */
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* Cell index in 0..n-1 and local coordinate of each x on the periodic
+   grid x_min + i*h: with t = (x - x_min) / h, the floor of t taken
+   modulo n (the sign of n, as Python's %) and t minus that floor.  A
+   floor outside the int64 range, NaN or +-inf counts as INT64_MIN, the
+   value numpy's float-to-int64 cast gives on x86-64 (in C the cast would
+   be undefined), so the local coordinate is then t + 2^63.  In range,
+   the floor is the truncation, less one below a negative fraction (a
+   double with a fraction is below 2^52 in magnitude). */
+void vp_periodic_cell(int64_t m, const double *x, double x_min, double h,
+                      int64_t n, int64_t *cell, double *u)
+{
+    for (int64_t k = 0; k < m; k++) {
+        double t = (x[k] - x_min) / h;
+        int64_t i = INT64_MIN;
+        if (t >= -0x1p63 && t < 0x1p63) {
+            i = (int64_t)t;
+            if ((double)i > t)
+                i--;
+        }
+        u[k] = t - (double)i;
+        if (i < 0 || i >= n) {
+            i %= n;
+            if (i < 0)
+                i += n;
+        }
+        cell[k] = i;
+    }
+}
+
+/* x_min + (x - x_min) mod length with numpy's float remainder: fmod,
+   shifted by length when its sign differs from length's, and a zero
+   remainder signed as length; NaN and +-inf give NaN.  Skipped where
+   x - x_min already lies in [0, length), where it is the identity. */
+void vp_wrap(int64_t m, const double *x, double x_min, double length,
+             double *out)
+{
+    for (int64_t k = 0; k < m; k++) {
+        double r = x[k] - x_min;
+        if (!(r >= 0.0 && r < length)) {
+            double mod = fmod(r, length);
+            if (mod != 0.0) {
+                if ((length < 0.0) != (mod < 0.0))
+                    mod += length;
+            } else {
+                mod = copysign(0.0, length);
+            }
+            r = mod;
+        }
+        out[k] = x_min + r;
+    }
+}
+
+/* The four power moments sum_k w_k u_k^p (p = 0..3) of each of n cells,
+   into the rows of the zeroed (4, n) array moments, accumulated in marker
+   order as np.bincount does; w u^p is ((w*u)*u)*u. */
+void vp_deposit_moments(int64_t m, const int64_t *cell, const double *u,
+                        const double *w, int64_t n, double *moments)
+{
+    for (int64_t k = 0; k < m; k++) {
+        double *col = moments + cell[k];
+        double wu = w[k];
+        col[0] += wu;
+        wu *= u[k];
+        col[n] += wu;
+        wu *= u[k];
+        col[2 * n] += wu;
+        wu *= u[k];
+        col[3 * n] += wu;
+    }
+}
+
+/* Horner in u of the (rows, n) table poly at each marker's cell: row p
+   holds each cell's coefficient of u^p, the highest row goes first. */
+void vp_horner(int64_t m, const int64_t *cell, const double *u, int64_t rows,
+               int64_t n, const double *poly, double *out)
+{
+    for (int64_t k = 0; k < m; k++) {
+        const double *col = poly + cell[k];
+        double acc = col[(rows - 1) * n];
+        for (int64_t p = rows - 2; p >= 0; p--)
+            acc = acc * u[k] + col[p * n];
+        out[k] = acc;
+    }
+}
+
+/* The first index of the sorted s[0..k) whose value exceeds y. */
+static int64_t upper_bound(const double *s, int64_t k, double y)
+{
+    int64_t lo = 0, hi = k;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (s[mid] <= y)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The values a point with y at x = u takes as it goes into the sorted y
+   values s[0..k) of the points passed, at rank t: its own closed corner
+   (u, y), (t+1)/n - u*y, and for each rank r >= t, which moves up to
+   r + 1, the open corner (u, s[r]) before the move, u*s[r] - r/n, and
+   the closed one after, (r+2)/n - u*s[r]; counts[r] = r/n.  The two
+   maxima are kept apart, so neither waits on the other. */
+static double sweep_point(double u, double y, double *s, int64_t k,
+                          const double *counts, double best)
+{
+    int64_t t = upper_bound(s, k, y);
+    double closed = counts[t + 1] - u * y;
+    for (int64_t r = k - 1; r >= t; r--) {
+        double p = u * s[r];
+        double v = p - counts[r];
+        if (v > best)
+            best = v;
+        v = counts[r + 2] - p;
+        if (v > closed)
+            closed = v;
+        s[r + 1] = s[r];
+    }
+    s[t] = y;
+    return closed > best ? closed : best;
+}
+
+/* The same for the m > 1 points with y values g at one x = u: the open
+   corners of every rank that will move, from the lowest landing rank t
+   on, then all m points go in, then the closed corners of the ranks
+   from t on. */
+static double sweep_group(double u, const double *g, int64_t m, double *s,
+                          int64_t k, const double *counts, double best)
+{
+    double lo = g[0];
+    for (int64_t j = 1; j < m; j++)
+        if (g[j] < lo)
+            lo = g[j];
+    int64_t t = upper_bound(s, k, lo);
+    for (int64_t r = t; r < k; r++) {
+        double v = u * s[r] - counts[r];
+        if (v > best)
+            best = v;
+    }
+    for (int64_t j = 0; j < m; j++, k++) {
+        int64_t at = upper_bound(s, k, g[j]);
+        memmove(s + at + 1, s + at, (size_t)(k - at) * sizeof(double));
+        s[at] = g[j];
+    }
+    for (int64_t r = t; r < k; r++) {
+        double v = counts[r + 1] - u * s[r];
+        if (v > best)
+            best = v;
+    }
+    return best;
+}
+
+/* One step of the sweep: the points ys[0..m) at x = u go in. */
+static double sweep_step(double u, const double *ys, int64_t m, double *s,
+                         int64_t k, const double *counts, double best)
+{
+    if (m == 1)
+        return sweep_point(u, ys[0], s, k, counts, best);
+    return sweep_group(u, ys, m, s, k, counts, best);
+}
+
+/* Exact star discrepancy of n >= 1 points in [0, 1]^2 by the
+   passed-points sweep (lowdisc.star_discrepancy): xs ascending, ys in
+   the same order, counts[r] = r/n for r = 0..n, and s room for n values.
+   The distinct x go in ascending order, the points of one x together;
+   each u also takes its open corner (u, 1), u - (count of x < u)/n, and
+   at u = 1 every passed rank takes its open corner (1, s[r]) before the
+   points at x = 1 go in. */
+double vp_star_discrepancy(int64_t n, const double *xs, const double *ys,
+                           const double *counts, double *s)
+{
+    double best = -INFINITY;
+    int64_t k = 0;
+    while (k < n && xs[k] < 1.0) {
+        double u = xs[k];
+        int64_t end = k + 1;
+        while (end < n && xs[end] == u)
+            end++;
+        double v = u - counts[k];
+        if (v > best)
+            best = v;
+        best = sweep_step(u, ys + k, end - k, s, k, counts, best);
+        k = end;
+    }
+    for (int64_t r = 0; r < k; r++) {
+        double v = s[r] - counts[r]; /* u * s[r] at u = 1 */
+        if (v > best)
+            best = v;
+    }
+    double v = 1.0 - counts[k];
+    if (v > best)
+        best = v;
+    if (k < n)
+        best = sweep_step(1.0, ys + k, n - k, s, k, counts, best);
+    return best;
+}

@@ -18,6 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _kernels
+
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
@@ -161,14 +163,19 @@ def v_trapezoid_weights(nv: int) -> np.ndarray:
 
 def periodic_cell(x, x_min: float, h: float, n: int):
     """Cell index i in 0..n-1 and local coordinate in [0, 1] of x on the
-    periodic grid x_min + i*h (n cells, the last one wrapping)."""
+    periodic grid x_min + i*h (n cells, the last one wrapping).
+
+    With t = (x - x_min) / h, i is floor(t) mod n and the coordinate
+    t - floor(t); a NaN or infinite t (or a floor beyond the int64 range)
+    takes the floor as -2**63, so its coordinate is t + 2**63."""
+    if n < 1:
+        raise ValueError("a periodic grid needs at least one cell")
     x = np.asarray(x, dtype=float)
-    u = np.subtract(x, x_min, out=np.empty(x.shape))
-    u /= h
-    i = np.floor(u, out=np.empty(x.shape, np.int64), casting="unsafe")
-    u -= i
-    if i.size and (i.min() < 0 or i.max() >= n):  # the modulo is the slow pass
-        i %= n
+    i = np.empty(x.shape, np.int64)
+    u = np.empty(x.shape)
+    x = np.ascontiguousarray(x)
+    _kernels.periodic_cell(x.size, x.ctypes.data, x_min, h, n, i.ctypes.data,
+                           u.ctypes.data)
     return i, u
 
 
@@ -346,20 +353,11 @@ class ParticleEnsemble(Carrier):
 
     def weights(self) -> np.ndarray:
         """f_like / g_like, read-only and computed once per likelihood pair."""
-        return self.memo(_read_only_weights, ("f_like", "g_like"))
-
-    def _writable_weights(self) -> np.ndarray:
-        """The array behind ``weights()``, for the package's kernels only:
-        np.bincount copies a read-only weights array.  Never written."""
         return self.memo(_weights, ("f_like", "g_like"))
 
 
 def _weights(ensemble: ParticleEnsemble) -> np.ndarray:
-    return ensemble.f_like / ensemble.g_like
-
-
-def _read_only_weights(ensemble: ParticleEnsemble) -> np.ndarray:
-    w = ensemble._writable_weights().view()
+    w = ensemble.f_like / ensemble.g_like
     w.flags.writeable = False
     return w
 

@@ -50,8 +50,8 @@ def run_pic(ensemble: ParticleEnsemble,
     (``core.whole_steps``) and ``out_stride`` >= 1, else ValueError before
     the first record.  The optional star-discrepancy probe runs on every
     ``star_disc_period``-th emitted record.  Its exact sweep over the
-    windowed subset (at most ``star_disc_cap`` markers) costs four numpy
-    calls per marker over the y ranks above it, about n^2/4 rank pairs in
+    windowed subset (at most ``star_disc_cap`` markers) takes one compiled
+    pass per marker over the y ranks above it, about n^2/4 rank pairs in
     all, so it is quadratic in the subset size and throttled separately
     from the cheap moment diagnostics.
 

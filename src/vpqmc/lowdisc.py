@@ -10,12 +10,12 @@ bit-reproducible across platforms for a fixed seed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from . import _kernels
 from .core import ParticleEnsemble
 
 
@@ -133,12 +133,11 @@ def star_discrepancy(points: np.ndarray) -> float:
     and one subtraction, as in a direct evaluation, so the result has its
     bits.
 
-    One point at rank t moves the ranks t..k-1 only.  The buffer
-    interleaves -S[t] with S[t+1] (S[k] = 0), so one shift inserts the
-    point and one multiply by u, one subtraction of the interleaved
-    (-(t+1)/n, t/n) and one max take both values of the k - t ranks: four
-    numpy calls per point.  The points of a tied x go in by one merge,
-    between their open and closed values.  Quadratic at worst, about
+    The sweep is one compiled loop (``_kernels.c``) over S.  A binary
+    search finds a point's rank, and one pass over the ranks above it
+    shifts them up and takes the open value before and the closed value
+    after.  The points of a tied x go in together, between one pass of
+    open values and one of closed values.  Quadratic at worst, about
     n^2/4 rank pairs for points in random order; O(n) memory.
     """
     pts = np.asarray(points, dtype=float)
@@ -150,78 +149,12 @@ def star_discrepancy(points: np.ndarray) -> float:
     if not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValueError("points must lie in [0, 1]^2")
 
-    xs, ys = pts[:, 0], pts[:, 1]
-    order = np.argsort(xs, kind="stable")
-    ys = ys[order]
-    ucands = np.unique(np.append(xs, 1.0))
-    # ends[i] points have x <= ucands[i], sizes[i] of them x == ucands[i]
-    # (mostly 1, a cached int, so the list costs no int objects).
-    ends = np.searchsorted(xs[order], ucands, side="right")
-    sizes = np.diff(ends, prepend=0).tolist()
-    # The open corners (u, 1), u minus the count of points with x < u.
-    best = float(np.max(ucands - np.concatenate(([0], ends[:-1])) / n))
-
-    # pairs[2t] = -S[t] and pairs[2t+1] = S[t+1] for t < k, with S[k] = 0
-    # (its open value -k/n cannot win); table[2t] = -(t+1)/n and
-    # table[2t+1] = t/n.  After a point lands at rank t, u*pairs - table
-    # from 2t on holds the closed value of each rank and the open value
-    # of the rank above it, which moved up from there.
-    pairs = np.zeros(2 * n + 2)
-    table = np.empty(2 * n)
-    np.divide(np.arange(n), n, out=table[1::2])
-    np.divide(np.arange(-1, -n - 1, -1), n, out=table[0::2])
-    counts = table[1::2]  # t/n
-    crit = np.empty(2 * n)
-    passed = []  # S[:k] as a list, for bisect
-    y_list = ys.tolist()
-    last = ucands.size - 1
-    k = 0
-    for i, (u, size) in enumerate(zip(ucands.tolist(), sizes)):
-        if i == last and k:
-            # the open corners (1, S[t]) of every passed rank
-            here = crit[:k]
-            np.negative(pairs[:2 * k:2], out=here)
-            here -= counts[:k]
-            best = max(best, np.maximum.reduce(here))
-        if size == 1:
-            y = y_list[k]
-            if passed is None:
-                passed = np.negative(pairs[:2 * k:2]).tolist()
-            t = bisect_right(passed, y)
-            passed.insert(t, y)
-            pairs[2 * t + 2:2 * k + 4] = pairs[2 * t:2 * k + 2]
-            pairs[2 * t] = -y
-            pairs[2 * t + 1] = passed[t + 1] if t < k else 0.0
-            if t:
-                pairs[2 * t - 1] = y
-            k += 1
-            here = crit[:2 * (k - t)]
-            np.multiply(u, pairs[2 * t:2 * k], out=here)
-            np.subtract(here, table[2 * t:2 * k], out=here)
-            best = max(best, np.maximum.reduce(here))
-        elif size:
-            group = ys[k:k + size]
-            s = np.negative(pairs[:2 * k:2])
-            t = int(np.searchsorted(s, group.min(), side="right"))
-            if t < k:
-                # the open corners at u of the ranks that will move
-                here = crit[:k - t]
-                np.multiply(-u, pairs[2 * t:2 * k:2], out=here)
-                np.subtract(here, counts[t:k], out=here)
-                best = max(best, np.maximum.reduce(here))
-            s = np.concatenate((s, group))
-            s.sort(kind="stable")  # a merge of two sorted runs
-            k = s.size
-            np.negative(s, out=pairs[:2 * k:2])
-            pairs[1:2 * k - 1:2] = s[1:]
-            pairs[2 * k - 1] = 0.0
-            passed = None  # rebuilt when a single point next needs it
-            # the closed corners at u of the ranks that moved
-            here = crit[:k - t]
-            np.multiply(u, pairs[2 * t:2 * k:2], out=here)
-            np.subtract(here, table[2 * t:2 * k:2], out=here)
-            best = max(best, np.maximum.reduce(here))
-    return float(best)
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
+    counts = np.arange(n + 1) / n
+    passed = np.empty(n)
+    return _kernels.star_discrepancy(n, xs.ctypes.data, ys.ctypes.data,
+                                     counts.ctypes.data, passed.ctypes.data)
 
 
 @dataclass(frozen=True)

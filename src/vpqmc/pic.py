@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _kernels
 from .core import Q, Q_OVER_M, RUTH3, ParticleEnsemble, periodic_cell
 
 
@@ -103,52 +104,54 @@ class SplineStencil:
 
     Holds each position's cell ``i`` and local coordinate ``u`` (from
     :func:`core.periodic_cell`, read-only), so the charge deposit and
-    every spline evaluation at the same positions share one lookup.  The
-    kernels index by ``_cells``, a writable alias of ``i``, because
-    np.bincount and np.take copy a read-only index array.  Both kernels read
-    the one coefficient table ``_BSPLINE3``: the deposit applies it to
-    per-cell power moments of the weights, the evaluation applies its
+    every spline evaluation at the same positions share one lookup.  Both
+    read the one coefficient table ``_BSPLINE3``: the deposit applies it
+    to per-cell power moments of the weights, the evaluation applies its
     transpose to the coefficients and runs Horner in u at the positions.
+    The per-marker loops of both are compiled (``_kernels.c``) and read
+    the read-only arrays in place.
     """
 
     def __init__(self, solver: SplinePoissonSolver, x: np.ndarray):
         self.solver = solver
-        self._cells, self.u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
-        self.i = self._cells.view()
+        self.i, self.u = periodic_cell(x, solver.x_min, solver.dx, solver.n_f)
         self.i.flags.writeable = self.u.flags.writeable = False
         self.x = x
 
     def deposit(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k N_j(x_k) for every basis function j.
 
-        The power moments sum_k weights_k u_k^p of each cell (p = 0..3)
-        times the table give each offset's contribution by the marker's
-        own cell; each is then added to its neighbour's entry (a
-        rotation, so no entry repeats).
+        The power moments sum_k weights_k u_k^p of each cell (p = 0..3),
+        summed in marker order, times the table give each offset's
+        contribution by the marker's own cell; each is then added to its
+        neighbour's entry (a rotation, so no entry repeats).
         """
         n = self.solver.n_f
-        moments = np.empty((4, n))
-        wu = weights
-        for p in range(4):
-            if p:
-                wu = wu * self.u
-            moments[p] = np.bincount(self._cells, weights=wu, minlength=n)
+        weights = np.ascontiguousarray(weights, dtype=float)
+        if weights.shape != self.u.shape:
+            raise ValueError("one weight per located position is needed")
+        moments = np.zeros((4, n))
+        _kernels.deposit_moments(self.u.size, self.i.ctypes.data, self.u.ctypes.data,
+                                 weights.ctypes.data, n, moments.ctypes.data)
         b = np.zeros(n)
         for k, row in enumerate(_BSPLINE3 @ moments):
             b[self.solver.neighbours[k:k + n]] += row
         return b
 
     def evaluate(self, coeffs: np.ndarray, order: int) -> np.ndarray:
-        """The order-th u-derivative of sum_j coeffs_j N_j at the positions."""
+        """The order-th u-derivative of sum_j coeffs_j N_j at the positions
+        (order 0 to 3)."""
+        if not 0 <= order <= 3:
+            raise ValueError("a cubic has derivatives of order 0 to 3")
         n = self.solver.n_f
         window = sliding_window_view(coeffs[self.solver.neighbours], n)
         poly = _BSPLINE3.T @ window          # row p: each cell's u^p coefficient
         for _ in range(order):
             poly = poly[1:] * np.arange(1.0, len(poly))[:, None]
-        out = np.take(poly[-1], self._cells)
-        for row in poly[-2::-1]:
-            out *= self.u
-            out += np.take(row, self._cells)
+        poly = np.ascontiguousarray(poly)
+        out = np.empty(self.u.shape)
+        _kernels.horner(out.size, self.i.ctypes.data, self.u.ctypes.data, len(poly), n,
+                        poly.ctypes.data, out.ctypes.data)
         return out
 
 
@@ -188,7 +191,7 @@ def deposit_rhs(ensemble: ParticleEnsemble, solver: SplinePoissonSolver,
     fixed (marker-index) order, so results do not depend on chunking.
     ``stencil`` is used when it is located at ``ensemble.x``.
     """
-    b = _stencil_at(stencil, solver, ensemble.x).deposit(ensemble._writable_weights())
+    b = _stencil_at(stencil, solver, ensemble.x).deposit(ensemble.weights())
     if ensemble.n_p > 0:
         b /= ensemble.n_p
     return Q * (b - solver.dx)
@@ -251,15 +254,15 @@ class SelfConsistentField:
 
 
 def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
-    """Rebind x to ``x_min + np.mod(x - x_min, length)``, running the
-    modulo only where it changes something: on ``[0, length)`` it returns
-    its argument exactly, and after a stage almost every marker is there.
-    The markers outside (NaN included, as np.mod sees it) are found once,
-    by index."""
-    r = ensemble.x - x_min
-    outside = np.flatnonzero(~((r >= 0.0) & (r < length)))
-    r[outside] = np.mod(r[outside], length)
-    ensemble.x = x_min + r
+    """Rebind x to ``x_min + np.mod(x - x_min, length)``, with the bits of
+    numpy's float modulo (NaN included); the compiled loop skips the
+    modulo where ``x - x_min`` is already on ``[0, length)``, where it
+    returns its argument exactly, as it does for almost every marker
+    after a stage."""
+    x = np.ascontiguousarray(ensemble.x, dtype=float)
+    out = np.empty(x.shape)
+    _kernels.wrap(x.size, x.ctypes.data, x_min, length, out.ctypes.data)
+    ensemble.x = out
 
 
 def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) -> None:

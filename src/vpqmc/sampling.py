@@ -105,7 +105,9 @@ class BilinearSampler:
 
     def __post_init__(self):
         mass = nonzero_mass(float(self.dx * np.sum(_abs_x_marginal(self.density))))
-        gx = _abs_x_marginal(self.density, mass)  # an inf node gives inf/inf
+        if not math.isfinite(mass):  # an inf node, or a sum that overflows
+            raise ValueError("sampling density mass must be finite")
+        gx = _abs_x_marginal(self.density, mass)
         cell = 0.5 * self.dx * (gx + np.roll(gx, -1))
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "marginal_x_nodes", gx)

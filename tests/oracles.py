@@ -6,7 +6,10 @@ sweep for the star discrepancy, the sequential Gray-code recurrence for
 Sobol, the plasma dispersion function for the Landau rate, dense linear
 algebra for the mass solve, complex transforms and a hand-embedded
 Hermitian spectrum for the real-input spectral solver, scipy's erfcinv
-with a Newton step for the normal quantile.
+with a Newton step for the normal quantile.  The exceptions are the
+numpy forms of the package's compiled loops (``vpqmc/_kernels.c``): the
+same evaluation order in whole-array steps, which each loop must match
+bit for bit.
 """
 
 import numpy as np
@@ -65,6 +68,94 @@ def star_discrepancy_histogram_sweep(points):
         under = np.max(closed_cnt / n - area)
         best = max(best, over, under)
         lo = hi_closed
+    return float(best)
+
+
+def star_discrepancy_passed_points_reference(points):
+    """``vpqmc.lowdisc.star_discrepancy``'s passed-points sweep in numpy:
+    the y of the k points passed in the even slots of one interleaved
+    buffer, negated, with their upper neighbours in the odd slots, so
+    that per single point one shift inserts it and one multiply, one
+    subtraction of the interleaved (-(t+1)/n, t/n) and one max take the
+    closed value of each moved rank and the open value of the rank above
+    it.  The points of a tied x go in by one merge, between their open
+    and closed values.  The same values as the compiled sweep, so the
+    same bits."""
+    from bisect import bisect_right
+
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    xs, ys = pts[:, 0], pts[:, 1]
+    order = np.argsort(xs, kind="stable")
+    ys = ys[order]
+    ucands = np.unique(np.append(xs, 1.0))
+    # ends[i] points have x <= ucands[i], sizes[i] of them x == ucands[i]
+    # (mostly 1, a cached int, so the list costs no int objects).
+    ends = np.searchsorted(xs[order], ucands, side="right")
+    sizes = np.diff(ends, prepend=0).tolist()
+    # The open corners (u, 1), u minus the count of points with x < u.
+    best = float(np.max(ucands - np.concatenate(([0], ends[:-1])) / n))
+
+    # pairs[2t] = -S[t] and pairs[2t+1] = S[t+1] for t < k, with S[k] = 0
+    # (its open value -k/n cannot win); table[2t] = -(t+1)/n and
+    # table[2t+1] = t/n.  After a point lands at rank t, u*pairs - table
+    # from 2t on holds the closed value of each rank and the open value
+    # of the rank above it, which moved up from there.
+    pairs = np.zeros(2 * n + 2)
+    table = np.empty(2 * n)
+    np.divide(np.arange(n), n, out=table[1::2])
+    np.divide(np.arange(-1, -n - 1, -1), n, out=table[0::2])
+    counts = table[1::2]  # t/n
+    crit = np.empty(2 * n)
+    passed = []  # S[:k] as a list, for bisect
+    y_list = ys.tolist()
+    last = ucands.size - 1
+    k = 0
+    for i, (u, size) in enumerate(zip(ucands.tolist(), sizes)):
+        if i == last and k:
+            # the open corners (1, S[t]) of every passed rank
+            here = crit[:k]
+            np.negative(pairs[:2 * k:2], out=here)
+            here -= counts[:k]
+            best = max(best, np.maximum.reduce(here))
+        if size == 1:
+            y = y_list[k]
+            if passed is None:
+                passed = np.negative(pairs[:2 * k:2]).tolist()
+            t = bisect_right(passed, y)
+            passed.insert(t, y)
+            pairs[2 * t + 2:2 * k + 4] = pairs[2 * t:2 * k + 2]
+            pairs[2 * t] = -y
+            pairs[2 * t + 1] = passed[t + 1] if t < k else 0.0
+            if t:
+                pairs[2 * t - 1] = y
+            k += 1
+            here = crit[:2 * (k - t)]
+            np.multiply(u, pairs[2 * t:2 * k], out=here)
+            np.subtract(here, table[2 * t:2 * k], out=here)
+            best = max(best, np.maximum.reduce(here))
+        elif size:
+            group = ys[k:k + size]
+            s = np.negative(pairs[:2 * k:2])
+            t = int(np.searchsorted(s, group.min(), side="right"))
+            if t < k:
+                # the open corners at u of the ranks that will move
+                here = crit[:k - t]
+                np.multiply(-u, pairs[2 * t:2 * k:2], out=here)
+                np.subtract(here, counts[t:k], out=here)
+                best = max(best, np.maximum.reduce(here))
+            s = np.concatenate((s, group))
+            s.sort(kind="stable")  # a merge of two sorted runs
+            k = s.size
+            np.negative(s, out=pairs[:2 * k:2])
+            pairs[1:2 * k - 1:2] = s[1:]
+            pairs[2 * k - 1] = 0.0
+            passed = None  # rebuilt when a single point next needs it
+            # the closed corners at u of the ranks that moved
+            here = crit[:k - t]
+            np.multiply(u, pairs[2 * t:2 * k:2], out=here)
+            np.subtract(here, table[2 * t:2 * k:2], out=here)
+            best = max(best, np.maximum.reduce(here))
     return float(best)
 
 
@@ -200,6 +291,65 @@ def spline_eval_reference(coeffs, x, x_min, dx, n_f, order):
     out = np.zeros_like(u)
     for off, wgt in zip((-1, 0, 1, 2), bspline3_weights_reference(u, order)):
         out += coeffs[(i + off) % n_f] * wgt
+    return out
+
+
+def periodic_cell_reference(x, x_min, h, n):
+    """``vpqmc.core.periodic_cell`` in numpy: the floor cast to int64 (on
+    x86-64 a NaN, infinite or out-of-range floor casts to -2**63), the
+    coordinate less the cast floor, then the index modulo n where one is
+    out of range."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = np.subtract(x, x_min, out=np.empty(x.shape))
+        u /= h
+        i = np.floor(u, out=np.empty(x.shape, np.int64), casting="unsafe")
+        u -= i
+    if i.size and (i.min() < 0 or i.max() >= n):
+        i %= n
+    return i, u
+
+
+def wrap_reference(x, x_min, length):
+    """``vpqmc.pic._wrap``'s positions by numpy's float modulo."""
+    with np.errstate(invalid="ignore"):
+        return x_min + np.mod(np.asarray(x, dtype=float) - x_min, length)
+
+
+def spline_deposit_bincount_reference(stencil, weights):
+    """``vpqmc.pic.SplineStencil.deposit`` in numpy: each power moment by
+    np.bincount over the stencil's cells (which sums in marker order),
+    with w u^p as ((w*u)*u)*u, then the same table product and rotation."""
+    from vpqmc.pic import _BSPLINE3
+
+    n = stencil.solver.n_f
+    moments = np.empty((4, n))
+    wu = weights
+    for p in range(4):
+        if p:
+            wu = wu * stencil.u
+        moments[p] = np.bincount(stencil.i, weights=wu, minlength=n)
+    b = np.zeros(n)
+    for k, row in enumerate(_BSPLINE3 @ moments):
+        b[stencil.solver.neighbours[k:k + n]] += row
+    return b
+
+
+def spline_evaluate_take_reference(stencil, coeffs, order):
+    """``vpqmc.pic.SplineStencil.evaluate`` in numpy: the same per-cell
+    polynomial table, then Horner in u over np.take of its rows."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    from vpqmc.pic import _BSPLINE3
+
+    n = stencil.solver.n_f
+    window = sliding_window_view(coeffs[stencil.solver.neighbours], n)
+    poly = _BSPLINE3.T @ window
+    for _ in range(order):
+        poly = poly[1:] * np.arange(1.0, len(poly))[:, None]
+    out = np.take(poly[-1], stencil.i)
+    for row in poly[-2::-1]:
+        out *= stencil.u
+        out += np.take(row, stencil.i)
     return out
 
 

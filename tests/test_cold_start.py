@@ -1,11 +1,16 @@
-"""Runs never load scipy; only ``vpqmc reconstruct`` does.
+"""Runs never load scipy; only ``vpqmc reconstruct`` does.  The compiled
+kernels are built once into the package's ``__pycache__``, and a cached
+import loads them without starting a process.
 
-The test process itself has scipy loaded, so the runs go in a fresh
-interpreter, which reports the scipy modules it holds after them.
+The test process itself has scipy and subprocess loaded, so the runs and
+imports go in fresh interpreters, which report what they hold.  The
+build tests work on a copy of the package, so the real cache is
+untouched.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -14,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import vpqmc
+from vpqmc import _kernels
 
 _SCRIPT = textwrap.dedent("""
     import json, sys
@@ -72,3 +78,62 @@ def test_reconstruct_still_works(fresh_interpreter):
     assert "scipy.linalg" in report["scipy_after_reconstruct"]
     assert "scipy.sparse.linalg" in report["scipy_after_reconstruct"]
     assert (out / "osde.grid").exists() and (out / "interp.grid").exists()
+
+
+_IMPORT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import vpqmc.driver
+    from vpqmc.lowdisc import star_discrepancy
+    assert star_discrepancy(np.array([[0.5, 0.5]])) == 0.75
+    print("subprocess" in sys.modules)
+""")
+
+
+def _fresh_import(package_root, **env_changes):
+    env = dict(os.environ, PYTHONPATH=str(package_root), **env_changes)
+    return subprocess.Popen([sys.executable, "-c", _IMPORT], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of the package's sources, with no cache, under tmp_path."""
+    shutil.copytree(Path(vpqmc.__file__).parent, tmp_path / "vpqmc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def _cache_files(root):
+    cache = root / "vpqmc" / "__pycache__"
+    return sorted(p.name for p in cache.iterdir() if not p.name.endswith(".pyc"))
+
+
+def test_racing_first_imports_build_one_library_then_load_it(package_copy):
+    # two first imports at once (the cache is written even when bytecode
+    # is not): each either builds and moves a whole library into place
+    # under the one name, or loads the one already there
+    procs = [_fresh_import(package_copy, PYTHONDONTWRITEBYTECODE="1") for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    built = _cache_files(package_copy)
+    assert len(built) == 1 and built[0].startswith("_kernels-") and built[0].endswith(".so")
+    mtime = (package_copy / "vpqmc" / "__pycache__" / built[0]).stat().st_mtime_ns
+
+    # a cached import loads the library as it is and starts no process
+    proc = _fresh_import(package_copy)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.split() == ["False"]
+    assert _cache_files(package_copy) == built
+    assert (package_copy / "vpqmc" / "__pycache__" / built[0]).stat().st_mtime_ns == mtime
+
+
+def test_a_failed_build_raises_import_error_with_the_command(package_copy):
+    proc = _fresh_import(package_copy, PATH="")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode != 0
+    assert "ImportError: building the vpqmc kernels failed: " in err
+    assert " ".join([_kernels.COMPILER, *_kernels.FLAGS]) in err
+    assert _cache_files(package_copy) == []

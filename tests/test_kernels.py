@@ -1,0 +1,162 @@
+"""The compiled loops of ``vpqmc/_kernels.c`` against their numpy forms in
+``oracles.py``, bit for bit (compared as uint64 words)."""
+
+import numpy as np
+import pytest
+
+import oracles
+from test_lowdisc import _BITWISE_CASES, _tied_sets
+from test_pic import _edge_positions
+from vpqmc import pic
+from vpqmc.core import ParticleEnsemble, periodic_cell
+from vpqmc.lowdisc import PseudoRandom, Sobol, generate_pairs, star_discrepancy
+
+L = 4 * np.pi
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def _strided(a):
+    """``a`` as a non-contiguous view with the same values."""
+    wide = np.empty((a.size, 2))
+    wide[:, 0] = a
+    return wide[:, 0]
+
+
+# --- cell lookup ----------------------------------------------------------------
+
+def _cell_inputs(x_min, h, n):
+    length = n * h
+    edges = [x_min, x_min + length, np.nextafter(x_min + length, -np.inf),
+             np.nextafter(x_min + length, np.inf), np.nextafter(x_min, -np.inf),
+             np.nextafter(x_min, np.inf), x_min + h, np.nextafter(x_min + h, -np.inf),
+             -0.0, 0.0, -1e-300, np.nan, np.inf, -np.inf, 1e19, -1e19, 2.0 ** 63 * h,
+             -(2.0 ** 63) * h, 1e308, -1e308]
+    rng = np.random.default_rng(11)
+    spread = rng.uniform(x_min - 5 * length, x_min + 5 * length, 500)
+    return np.concatenate([edges, spread, _edge_positions(x_min, length)])
+
+
+@pytest.mark.parametrize("x_min, h, n", [(0.0, L / 32, 32), (-1.3, L / 16, 16),
+                                         (2.5, 0.7, 193), (0.0, 1.0, 1)])
+def test_periodic_cell_matches_numpy_form_bitwise(x_min, h, n):
+    x = _cell_inputs(x_min, h, n)
+    for arg in (x, _read_only(x), _strided(x)):
+        i, u = periodic_cell(arg, x_min, h, n)
+        want_i, want_u = oracles.periodic_cell_reference(x, x_min, h, n)
+        _same_bits(i, want_i)
+        _same_bits(u, want_u)
+        assert i.min() >= 0 and i.max() < n
+
+
+def test_periodic_cell_needs_a_cell():
+    with pytest.raises(ValueError, match="at least one cell"):
+        periodic_cell(np.ones(3), 0.0, 1.0, 0)
+
+
+def test_periodic_cell_of_non_finite_input():
+    # a NaN or infinite coordinate takes the floor as -2**63
+    i, u = periodic_cell(np.array([np.nan, np.inf, -np.inf]), 0.0, 0.5, 193)
+    np.testing.assert_array_equal(i, (-(2 ** 63)) % 193)
+    assert np.isnan(u[0]) and u[1] == np.inf and u[2] == -np.inf
+
+
+@pytest.mark.parametrize("shape", [(0,), (), (3, 4)])
+def test_periodic_cell_keeps_the_input_shape(shape):
+    x = np.random.default_rng(12).uniform(-3, 3, shape)
+    i, u = periodic_cell(x, -0.5, 0.25, 8)
+    want_i, want_u = oracles.periodic_cell_reference(x, -0.5, 0.25, 8)
+    assert i.shape == u.shape == shape
+    _same_bits(i, want_i)
+    _same_bits(u, want_u)
+
+
+# --- wrap -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("x_min", [0.0, -1.3])
+def test_wrap_of_non_finite_and_huge_positions_bitwise(x_min):
+    x = np.concatenate([[np.nan, np.inf, -np.inf, 1e300, -1e300, -1e-300, -0.0],
+                        _edge_positions(x_min, L)])
+    for arg in (x, _strided(x)):
+        e = ParticleEnsemble(x=arg, v=np.zeros(x.size), f_like=np.ones(x.size),
+                             g_like=np.ones(x.size))
+        pic._wrap(e, x_min, L)
+        _same_bits(e.x, oracles.wrap_reference(x, x_min, L))
+
+
+# --- spline deposit and evaluation ------------------------------------------------
+
+def _stencil(x_min, n_f, n):
+    solver = pic.SplinePoissonSolver.build(x_min, L, n_f)
+    x = _edge_positions(x_min, L, n)[:n] if n else np.empty(0)
+    return pic.SplineStencil(solver, x)
+
+
+@pytest.mark.parametrize("x_min, n_f", [(0.0, 16), (-1.3, 32), (2.5, 7)])
+@pytest.mark.parametrize("n", [0, 1, 5000])
+def test_deposit_matches_bincount_form_bitwise(x_min, n_f, n):
+    stencil = _stencil(x_min, n_f, n)
+    w = np.random.default_rng(13).standard_normal(n)
+    want = oracles.spline_deposit_bincount_reference(stencil, w)
+    for arg in (w, _read_only(w), _strided(w)):
+        _same_bits(stencil.deposit(arg), want)
+
+
+def test_deposit_rejects_weights_of_another_length():
+    stencil = _stencil(0.0, 16, 10)
+    with pytest.raises(ValueError, match="one weight per"):
+        stencil.deposit(np.ones(9))
+
+
+@pytest.mark.parametrize("x_min, n_f", [(0.0, 16), (-1.3, 32), (2.5, 7)])
+@pytest.mark.parametrize("n", [0, 1, 5000])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_evaluate_matches_take_form_bitwise(x_min, n_f, n, order):
+    stencil = _stencil(x_min, n_f, n)
+    c = np.random.default_rng(14).standard_normal(n_f)
+    want = oracles.spline_evaluate_take_reference(stencil, c, order)
+    for arg in (c, _read_only(c), _strided(c)):
+        _same_bits(stencil.evaluate(arg, order), want)
+
+
+def test_evaluate_rejects_an_order_beyond_the_cubic():
+    stencil = _stencil(0.0, 16, 10)
+    with pytest.raises(ValueError, match="order 0 to 3"):
+        stencil.evaluate(np.ones(16), 4)
+
+
+# --- star discrepancy -------------------------------------------------------------
+
+def _star_cases():
+    rng = np.random.default_rng(15)
+    yield from _BITWISE_CASES.values()
+    for seed in range(20):
+        yield generate_pairs(PseudoRandom(seed=seed), int(rng.integers(1, 600)))
+    for skip in (1, 7, 1 << 18):
+        yield generate_pairs(Sobol(skip=skip), 1000)
+    yield from _tied_sets(rng, 350)
+    sizes = rng.integers(1, 41, 40)  # tied groups of 1 to 40 points
+    tied = np.repeat(rng.random(40), sizes)
+    yield np.column_stack([tied, rng.random(tied.size)])
+    yield np.column_stack([rng.random(tied.size), tied])
+    yield np.array([[0.5, 0.5]])
+    yield np.array([[1.0, 1.0]])
+    yield np.array([[1.0, 0.25], [0.5, 1.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def test_star_discrepancy_matches_numpy_sweep_bitwise():
+    for pts in _star_cases():
+        got = star_discrepancy(pts)
+        assert type(got) is float
+        want = oracles.star_discrepancy_passed_points_reference(pts)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), pts
