@@ -6,7 +6,8 @@ edited source builds anew and every later import only loads it (through
 ctypes; ``subprocess`` is imported by a build alone).  The cache is
 written whatever ``PYTHONDONTWRITEBYTECODE`` says.  A build goes to a
 temporary name in the same directory and ``os.replace`` moves it into
-place, so imports racing to build it each load a whole library.  There is
+place, so imports racing to build it each load a whole library; then the
+libraries of older sources there are deleted.  There is
 no fallback: if the build fails, the import raises ImportError with the
 compiler command and its output.
 """
@@ -31,6 +32,7 @@ def _library_path() -> str:
 
 
 def _build(path: str) -> None:
+    import glob
     import subprocess
     import tempfile
 
@@ -56,6 +58,13 @@ def _build(path: str) -> None:
     finally:
         if os.path.exists(tmp):  # not moved into place
             os.unlink(tmp)
+    # the libraries of older sources (a racing build's .tmp is its own)
+    for old in glob.glob(os.path.join(cache, "_kernels-*.so")):
+        if old != path:
+            try:
+                os.unlink(old)
+            except FileNotFoundError:  # a racing build removed it first
+                pass
 
 
 def _load() -> ctypes.CDLL:

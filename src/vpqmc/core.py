@@ -29,7 +29,8 @@ class AllZeroDensity(ValueError):
 
 @dataclass(frozen=True)
 class PhaseSpaceDomain:
-    """Periodic-in-x, velocity-truncated phase-space box [x_min,x_max]x[v_min,v_max]."""
+    """Periodic-in-x, velocity-truncated phase-space box [x_min,x_max]x[v_min,v_max]
+    with finite bounds."""
 
     x_min: float
     x_max: float
@@ -37,6 +38,9 @@ class PhaseSpaceDomain:
     v_max: float
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "v_min", "v_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if not self.v_max > self.v_min:
@@ -100,12 +104,14 @@ class InitialCondition:
     f(x, v) = (1 - epsilon*cos(k*x))/sqrt(2*pi)
               * [(1-n_b) exp(-v^2/2) + (n_b/sigma_b) exp(-(v-v_b)^2/(2 sigma_b^2))]
 
+    Every parameter is finite.
+
     Parameters
     ----------
     epsilon : float
         Perturbation amplitude.
     k : float
-        Perturbation wavenumber; the spatial period is L = 2*pi/k.
+        Perturbation wavenumber, > 0; the spatial period is L = 2*pi/k.
     n_b : float
         Bump fraction in [0, 1).
     sigma_b : float
@@ -121,10 +127,13 @@ class InitialCondition:
     v_b: float = 0.0
 
     def __post_init__(self):
+        for name in ("epsilon", "k", "sigma_b", "v_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.k > 0:
-            raise ValueError("wavenumber k must be positive")
+            raise ValueError("k must be > 0")
         if not self.sigma_b > 0:
-            raise ValueError("sigma_b must be positive")
+            raise ValueError("sigma_b must be > 0")
         if not (0.0 <= self.n_b < 1.0):
             raise ValueError("n_b must lie in [0, 1)")
 

@@ -243,14 +243,11 @@ def _validate(cfg: RunConfig, explicit) -> None:
             whole_steps(cfg.t_max, cfg.dt)
         except ValueError:
             problems.append("t_max must be a whole number (>= 1) of dt steps")
-    if not cfg.k > 0:
-        problems.append("k must be > 0")
-    if not cfg.sigma_b > 0:
-        problems.append("sigma_b must be > 0")
-    if not (0 <= cfg.n_b < 1):
-        problems.append("n_b must lie in [0, 1)")
-    if not cfg.v_max > cfg.v_min:
-        problems.append("v_max must exceed v_min")
+    try:  # the physics; the domain divides by k, so it comes second
+        cfg.initial_condition()
+        cfg.domain()
+    except ValueError as exc:
+        problems.append(str(exc))
     problems += _too_small(vars(cfg))
     reads = _reads(cfg)
     if "sobol_skip" in reads:

@@ -8,8 +8,9 @@ pieces: the deposit applies the table to per-cell power moments of the
 marker weights, the evaluation applies its transpose to the coefficients,
 so each is the adjoint of the other.  The circulant stiffness matrix is
 inverted spectrally with the constant null space pinned to zero mean.
-Pushers advance the ensemble by rebinding its read-only arrays to new
-ones; the dissipative explicit Euler variants rescale the likelihoods by
+Pushers rebind the ensemble's read-only arrays to new ones; symplectic
+Euler and RUTH3 are kick-first splits from one table, run by one stage
+loop.  The dissipative explicit Euler variants rescale the likelihoods by
 the one-step flow determinant, all other kinds leave them untouched.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .core import Q, Q_OVER_M, RUTH3, ParticleEnsemble, periodic_cell
+from .core import Q, Q_OVER_M, RUTH3, ParticleEnsemble, SplitCoefficients, periodic_cell
 
 
 class FixedPointDiverged(RuntimeError):
@@ -253,16 +254,23 @@ class SelfConsistentField:
         return solve_poisson_fem(self.solver, b)._replace(stencil=stencil)
 
 
-def _wrap(ensemble: ParticleEnsemble, x_min: float, length: float):
-    """Rebind x to ``x_min + np.mod(x - x_min, length)``, with the bits of
-    numpy's float modulo (NaN included); the compiled loop skips the
-    modulo where ``x - x_min`` is already on ``[0, length)``, where it
-    returns its argument exactly, as it does for almost every marker
-    after a stage."""
-    x = np.ascontiguousarray(ensemble.x, dtype=float)
-    out = np.empty(x.shape)
+def _wrap(x, x_min: float, length: float, out=None) -> np.ndarray:
+    """``x_min + np.mod(x - x_min, length)`` in a new array, or in ``out``
+    (which may be x itself), with the bits of numpy's float modulo (NaN
+    included); the compiled loop skips the modulo where ``x - x_min`` is
+    already on ``[0, length)``, where it returns its argument exactly, as
+    it does for almost every marker after a stage."""
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty(x.shape) if out is None else out
     _kernels.wrap(x.size, x.ctypes.data, x_min, length, out.ctypes.data)
-    ensemble.x = out
+    return out
+
+
+#: Kick-first fractions of the split kinds: symplectic Euler drifts, then kicks.
+_SPLITS = {
+    IntegratorKind.SYMPLECTIC_EULER: SplitCoefficients(drift=(1.0, 0.0), kick=(0.0, 1.0)),
+    IntegratorKind.RUTH3: RUTH3,
+}
 
 
 def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) -> None:
@@ -274,11 +282,13 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
     rebind of a likelihood.
 
     ``fields`` is the field machinery: a callable mapping the current
-    ensemble to a field object with E(x) and dE(x).  Positions wrap into
-    the period of a :class:`SelfConsistentField`'s solver; field machinery
-    without a solver leaves them unwrapped.  The implicit midpoint kind
-    iterates the particle-field fixed point to 1e-12 in the max norm of
-    position increments.
+    ensemble to a field object with E(x) and dE(x).  Every position
+    update is one ``move``, which wraps into the period of a
+    :class:`SelfConsistentField`'s solver (other machinery leaves x
+    unwrapped).  Each stage of a split kind (``_SPLITS``) kicks by d*dt,
+    then drifts by c*dt; a zero fraction skips its half.  The implicit
+    midpoint kind iterates the particle-field fixed point to 1e-12 in the
+    max norm of position increments.
 
     Likelihood bookkeeping: the volume-preserving kinds leave f_like and
     g_like untouched; ExplicitEuler divides g_like by the one-step flow
@@ -286,42 +296,32 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
     likelihoods, keeping the weights unchanged.
     """
     qm = Q_OVER_M
-    if isinstance(fields, SelfConsistentField):
-        x_min = fields.solver.x_min
-        length = fields.solver.length
-    else:
-        x_min, length = None, None
+    solver = fields.solver if isinstance(fields, SelfConsistentField) else None
 
-    def wrap():
-        if x_min is not None:
-            _wrap(ensemble, x_min, length)
+    def move(carrier, x):
+        # x is the caller's new array: a wrapped copy would add a marker array
+        carrier.x = x if solver is None else _wrap(x, solver.x_min, solver.length, x)
+
+    if kind in _SPLITS:
+        for c, d in zip(*_SPLITS[kind]):
+            # no field local: it would keep the last stage's positions alive
+            # through the next deposit
+            if d:
+                ensemble.v = ensemble.v + d * dt * qm * fields(ensemble).E(ensemble.x)
+            if c:
+                move(ensemble, ensemble.x + c * dt * ensemble.v)
+        return
 
     if kind in (IntegratorKind.EXPLICIT_EULER, IntegratorKind.EXPLICIT_EULER2):
         field = fields(ensemble)
         e_old = field.E(ensemble.x)
         de_old = field.dE(ensemble.x)
         det = 1.0 - dt * dt * qm * de_old
-        ensemble.x = ensemble.x + dt * ensemble.v
+        move(ensemble, ensemble.x + dt * ensemble.v)
         ensemble.v = ensemble.v + dt * qm * e_old
         ensemble.g_like = ensemble.g_like / det
         if kind is IntegratorKind.EXPLICIT_EULER2:
             ensemble.f_like = ensemble.f_like / det
-        wrap()
-        return
-
-    if kind is IntegratorKind.SYMPLECTIC_EULER:
-        ensemble.x = ensemble.x + dt * ensemble.v
-        wrap()
-        ensemble.v = ensemble.v + dt * qm * fields(ensemble).E(ensemble.x)
-        return
-
-    if kind is IntegratorKind.RUTH3:
-        for c, d in zip(RUTH3.drift, RUTH3.kick):
-            # no field local: it would keep the last stage's positions alive
-            # through the next deposit
-            ensemble.v = ensemble.v + d * dt * qm * fields(ensemble).E(ensemble.x)
-            ensemble.x = ensemble.x + c * dt * ensemble.v
-            wrap()
         return
 
     if kind is IntegratorKind.IMPLICIT_MIDPOINT:
@@ -336,18 +336,15 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
                 if resid <= _FIXED_POINT_TOL:
                     break
             x_half_prev = x_half
-            trial.x = x_half
-            if x_min is not None:
-                _wrap(trial, x_min, length)
+            move(trial, x_half.copy())  # x_half_prev stays unwrapped
             field = fields(trial)
             v_half = v_n + 0.5 * dt * qm * field.E(trial.x)
         else:
             raise FixedPointDiverged("implicit midpoint fixed point stalled",
                                      _FIXED_POINT_CAP, resid)
         e_half = field.E(trial.x)
-        ensemble.x = x_n + dt * v_half
+        move(ensemble, x_n + dt * v_half)
         ensemble.v = v_n + dt * qm * e_half
-        wrap()
         return
 
     raise ValueError(f"unknown integrator kind {kind!r}")

@@ -316,6 +316,71 @@ def wrap_reference(x, x_min, length):
         return x_min + np.mod(np.asarray(x, dtype=float) - x_min, length)
 
 
+def push_reference(kind, ensemble, fields, dt):
+    """``vpqmc.pic.push`` with a separate branch per kind, as written
+    before its split kinds shared one stage loop: symplectic Euler drifts,
+    wraps and kicks; RUTH3 kicks then drifts per stage; each position is
+    wrapped by ``wrap_reference`` after it is rebound, under a
+    ``SelfConsistentField`` only.  The numpy form of one kick/drift stage:
+    ``push`` must match it bit for bit."""
+    from dataclasses import replace
+    from vpqmc.core import Q_OVER_M, RUTH3
+    from vpqmc.pic import (_FIXED_POINT_CAP, _FIXED_POINT_TOL, FixedPointDiverged,
+                           IntegratorKind, SelfConsistentField)
+
+    qm = Q_OVER_M
+    solver = fields.solver if isinstance(fields, SelfConsistentField) else None
+
+    def wrap(carrier):
+        if solver is not None:
+            carrier.x = wrap_reference(carrier.x, solver.x_min, solver.length)
+
+    if kind in (IntegratorKind.EXPLICIT_EULER, IntegratorKind.EXPLICIT_EULER2):
+        field = fields(ensemble)
+        e_old = field.E(ensemble.x)
+        det = 1.0 - dt * dt * qm * field.dE(ensemble.x)
+        ensemble.x = ensemble.x + dt * ensemble.v
+        ensemble.v = ensemble.v + dt * qm * e_old
+        ensemble.g_like = ensemble.g_like / det
+        if kind is IntegratorKind.EXPLICIT_EULER2:
+            ensemble.f_like = ensemble.f_like / det
+        wrap(ensemble)
+    elif kind is IntegratorKind.SYMPLECTIC_EULER:
+        ensemble.x = ensemble.x + dt * ensemble.v
+        wrap(ensemble)
+        ensemble.v = ensemble.v + dt * qm * fields(ensemble).E(ensemble.x)
+    elif kind is IntegratorKind.RUTH3:
+        for c, d in zip(RUTH3.drift, RUTH3.kick):
+            ensemble.v = ensemble.v + d * dt * qm * fields(ensemble).E(ensemble.x)
+            ensemble.x = ensemble.x + c * dt * ensemble.v
+            wrap(ensemble)
+    elif kind is IntegratorKind.IMPLICIT_MIDPOINT:
+        x_n = ensemble.x
+        v_n = v_half = ensemble.v
+        trial = replace(ensemble)
+        x_half_prev = None
+        for _ in range(_FIXED_POINT_CAP):
+            x_half = x_n + 0.5 * dt * v_half
+            if x_half_prev is not None:
+                resid = float(np.max(np.abs(x_half - x_half_prev)))
+                if resid <= _FIXED_POINT_TOL:
+                    break
+            x_half_prev = x_half
+            trial.x = x_half
+            wrap(trial)
+            field = fields(trial)
+            v_half = v_n + 0.5 * dt * qm * field.E(trial.x)
+        else:
+            raise FixedPointDiverged("reference fixed point stalled",
+                                     _FIXED_POINT_CAP, resid)
+        e_half = field.E(trial.x)
+        ensemble.x = x_n + dt * v_half
+        ensemble.v = v_n + dt * qm * e_half
+        wrap(ensemble)
+    else:
+        raise ValueError(f"unknown integrator kind {kind!r}")
+
+
 def spline_deposit_bincount_reference(stencil, weights):
     """``vpqmc.pic.SplineStencil.deposit`` in numpy: each power moment by
     np.bincount over the stencil's cells (which sums in marker order),

@@ -130,6 +130,24 @@ def test_racing_first_imports_build_one_library_then_load_it(package_copy):
     assert (package_copy / "vpqmc" / "__pycache__" / built[0]).stat().st_mtime_ns == mtime
 
 
+def test_a_rebuild_after_a_source_edit_leaves_one_library(package_copy):
+    # once the library of an edited source is in place, the old one is
+    # deleted; the cache holds that one library and no temporary file
+    def import_and_list():
+        proc = _fresh_import(package_copy)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        built = _cache_files(package_copy)
+        assert len(built) == 1 and built[0].startswith("_kernels-"), built
+        assert built[0].endswith(".so"), built
+        return built
+
+    before = import_and_list()
+    with open(package_copy / "vpqmc" / "_kernels.c", "a") as fh:
+        fh.write("\n/* edited */\n")
+    assert import_and_list() != before
+
+
 def test_a_failed_build_raises_import_error_with_the_command(package_copy):
     proc = _fresh_import(package_copy, PATH="")
     out, err = proc.communicate(timeout=120)

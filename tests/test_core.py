@@ -68,6 +68,23 @@ def test_invalid_parameters_rejected():
         PhaseSpaceDomain(0.0, 0.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("key", ["epsilon", "k", "sigma_b", "v_b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_initial_condition_rejects_non_finite_parameters(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        InitialCondition(**{"epsilon": 0.1, "k": 0.5, key: value})
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_domain_rejects_non_finite_bounds(index, value):
+    bounds = [0.0, 2.0, -1.0, 1.0]
+    bounds[index] = value
+    name = ("x_min", "x_max", "v_min", "v_max")[index]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        PhaseSpaceDomain(*bounds)
+
+
 def test_whole_steps():
     assert whole_steps(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
     assert whole_steps(50.0, 0.05) == 1000

@@ -85,6 +85,25 @@ def test_partial_last_step_rejected(tmp_path, capsys, args, message):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["solver=spectral", "epsilon=nan"], "epsilon must be finite"),
+    (["solver=spectral", "v_max=inf"], "v_max must be finite"),
+    (["solver=pic", "epsilon=inf"], "epsilon must be finite"),
+    (["solver=pic", "scenario=bump_on_tail", "sigma_b=inf"], "sigma_b must be finite"),
+    (["solver=pic", "scenario=bump_on_tail", "v_b=nan"], "v_b must be finite"),
+    (["solver=pic", "k=inf"], "k must be finite"),
+    (["solver=pic", "k=0"], "k must be > 0"),
+    (["solver=spectral", "v_min=1", "v_max=-1"], "v_max must exceed v_min"),
+])
+def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
+    # a non-finite physics key used to run to the end with NaN rows (or,
+    # for k=inf, fail with exit 1 after writing the echo)
+    outdir = tmp_path / "run"
+    assert cli_main(["run", *args, "dt=0.1", "t_max=0.2", f"outdir={outdir}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_whole_steps_within_rounding_accepted():
     # 0.3 / 0.1 is 2.9999999999999996 in binary floating point
     assert parse_config(None, ["dt=0.1", "t_max=0.3"]).t_max == 0.3

@@ -90,7 +90,7 @@ def test_wrap_of_non_finite_and_huge_positions_bitwise(x_min):
     for arg in (x, _strided(x)):
         e = ParticleEnsemble(x=arg, v=np.zeros(x.size), f_like=np.ones(x.size),
                              g_like=np.ones(x.size))
-        pic._wrap(e, x_min, L)
+        e.x = pic._wrap(e.x, x_min, L)
         _same_bits(e.x, oracles.wrap_reference(x, x_min, L))
 
 

@@ -156,7 +156,7 @@ def test_wrap_matches_full_modulo_bitwise(x_min):
     x = np.concatenate([x, x + x_min, np.random.default_rng(6).uniform(
         x_min - 3 * length, x_min + 3 * length, 200)])
     e = _ensemble(x, np.zeros_like(x))
-    pic._wrap(e, x_min, length)
+    e.x = pic._wrap(e.x, x_min, length)
     want = x_min + np.mod(x - x_min, length)
     np.testing.assert_array_equal(e.x.view(np.uint64), want.view(np.uint64))
 
@@ -174,7 +174,7 @@ def test_wrap_fast_path_and_its_fallbacks_bitwise(x_min, odd):
     if odd is not None:
         x = np.insert(x, 20, extra[odd])
     e = _ensemble(x, np.zeros_like(x))
-    pic._wrap(e, x_min, length)
+    e.x = pic._wrap(e.x, x_min, length)
     want = x_min + np.mod(x - x_min, length)
     np.testing.assert_array_equal(e.x.view(np.uint64), want.view(np.uint64))
 
@@ -548,6 +548,37 @@ def test_entropy_drifts_monotonically_under_euler2():
     for _ in range(5):
         push(IntegratorKind.RUTH3, e2, fields, 0.05)
     assert discrete_entropy(e2).value == s0
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("machinery", ["self_consistent", "frozen"])
+def test_push_matches_the_reference_bitwise(kind, machinery):
+    # three steps of every kind against the per-kind branches with the
+    # numpy wrap; the markers start on both sides of x_min and x_min + L,
+    # so the wrap moves some of them
+    x_min = -1.3
+    rng = np.random.default_rng(21)
+    n = 400
+    x = x_min + rng.uniform(-0.2, L + 0.2, n)
+    x[:4] = [x_min, np.nextafter(x_min, -np.inf), x_min + L, np.nextafter(x_min + L, 0)]
+    v = rng.uniform(-3.0, 3.0, n)
+    v[:4] = [-2.5, -1.0, 2.5, 1.0]
+    f = rng.uniform(0.5, 1.5, n)
+    g = rng.uniform(0.5, 1.5, n)
+    if machinery == "self_consistent":
+        fields = SelfConsistentField(SplinePoissonSolver.build(x_min, L, 16))
+    else:
+        fields = FrozenField(AnalyticField(lambda y: 0.3 * np.sin(y),
+                                           lambda y: 0.3 * np.cos(y)))
+    got, want = _ensemble(x, v, f, g), _ensemble(x, v, f, g)
+    for _ in range(3):
+        push(kind, got, fields, 0.2)
+        oracles.push_reference(kind, want, fields, 0.2)
+        for name in ("x", "v", "f_like", "g_like"):
+            np.testing.assert_array_equal(getattr(got, name).view(np.uint64),
+                                          getattr(want, name).view(np.uint64))
+    inside = (got.x >= x_min) & (got.x < x_min + L)
+    assert inside.all() if machinery == "self_consistent" else not inside.all()
 
 
 def test_positions_wrapped_into_period():
