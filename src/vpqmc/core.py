@@ -27,10 +27,16 @@ class AllZeroDensity(ValueError):
     """Raised when normalizing a density whose nodes are all zero."""
 
 
+def _non_finite(obj, *names) -> list:
+    """One "<name> must be finite" problem per non-finite attribute."""
+    return [f"{name} must be finite" for name in names
+            if not math.isfinite(getattr(obj, name))]
+
+
 @dataclass(frozen=True)
 class PhaseSpaceDomain:
     """Periodic-in-x, velocity-truncated phase-space box [x_min,x_max]x[v_min,v_max]
-    with finite bounds."""
+    with finite bounds; a broken rule raises ValueError naming every one."""
 
     x_min: float
     x_max: float
@@ -38,13 +44,14 @@ class PhaseSpaceDomain:
     v_max: float
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "v_min", "v_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if not self.v_max > self.v_min:
-            raise ValueError("v_max must exceed v_min")
+        problems = _non_finite(self, "x_min", "x_max", "v_min", "v_max")
+        if not problems:  # the order rules on finite bounds only
+            if not self.x_max > self.x_min:
+                problems.append("x_max must exceed x_min")
+            if not self.v_max > self.v_min:
+                problems.append("v_max must exceed v_min")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def length(self) -> float:
@@ -104,14 +111,16 @@ class InitialCondition:
     f(x, v) = (1 - epsilon*cos(k*x))/sqrt(2*pi)
               * [(1-n_b) exp(-v^2/2) + (n_b/sigma_b) exp(-(v-v_b)^2/(2 sigma_b^2))]
 
-    Every parameter is finite.
+    Every parameter is finite; a broken rule raises ValueError naming
+    every one.
 
     Parameters
     ----------
     epsilon : float
         Perturbation amplitude.
     k : float
-        Perturbation wavenumber, > 0; the spatial period is L = 2*pi/k.
+        Perturbation wavenumber, > 0; the spatial period L = 2*pi/k must
+        be finite.
     n_b : float
         Bump fraction in [0, 1).
     sigma_b : float
@@ -127,15 +136,18 @@ class InitialCondition:
     v_b: float = 0.0
 
     def __post_init__(self):
-        for name in ("epsilon", "k", "sigma_b", "v_b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.k > 0:
-            raise ValueError("k must be > 0")
-        if not self.sigma_b > 0:
-            raise ValueError("sigma_b must be > 0")
+        problems = _non_finite(self, "epsilon", "k", "sigma_b", "v_b")
+        if math.isfinite(self.k):
+            if not self.k > 0:
+                problems.append("k must be > 0")
+            elif not math.isfinite(self.length):
+                problems.append("k is too small: 2*pi/k overflows")
+        if math.isfinite(self.sigma_b) and not self.sigma_b > 0:
+            problems.append("sigma_b must be > 0")
         if not (0.0 <= self.n_b < 1.0):
-            raise ValueError("n_b must lie in [0, 1)")
+            problems.append("n_b must lie in [0, 1)")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def length(self) -> float:

@@ -228,6 +228,15 @@ def parse_config(path: Optional[str] = None,
     return cfg
 
 
+def _rule_problems(build) -> list:
+    """The problems that ``build()`` raises as a ValueError, or none."""
+    try:
+        build()
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
 def _validate(cfg: RunConfig, explicit) -> None:
     """Check cfg; ``explicit`` holds the keys set in the file or overrides,
     which must all be keys the run reads."""
@@ -243,11 +252,9 @@ def _validate(cfg: RunConfig, explicit) -> None:
             whole_steps(cfg.t_max, cfg.dt)
         except ValueError:
             problems.append("t_max must be a whole number (>= 1) of dt steps")
-    try:  # the physics; the domain divides by k, so it comes second
-        cfg.initial_condition()
-        cfg.domain()
-    except ValueError as exc:
-        problems.append(str(exc))
+    # the physics; the domain divides by k, so it is built only after the
+    # initial condition passes
+    problems += _rule_problems(cfg.initial_condition) or _rule_problems(cfg.domain)
     problems += _too_small(vars(cfg))
     reads = _reads(cfg)
     if "sobol_skip" in reads:

@@ -254,16 +254,17 @@ class SelfConsistentField:
         return solve_poisson_fem(self.solver, b)._replace(stencil=stencil)
 
 
-def _wrap(x, x_min: float, length: float, out=None) -> np.ndarray:
-    """``x_min + np.mod(x - x_min, length)`` in a new array, or in ``out``
-    (which may be x itself), with the bits of numpy's float modulo (NaN
-    included); the compiled loop skips the modulo where ``x - x_min`` is
-    already on ``[0, length)``, where it returns its argument exactly, as
-    it does for almost every marker after a stage."""
-    x = np.ascontiguousarray(x, dtype=float)
-    out = np.empty(x.shape) if out is None else out
-    _kernels.wrap(x.size, x.ctypes.data, x_min, length, out.ctypes.data)
-    return out
+def _wrap(x: np.ndarray, x_min: float, length: float) -> np.ndarray:
+    """Overwrite x with ``x_min + np.mod(x - x_min, length)`` and return
+    it, with the bits of numpy's float modulo (NaN included); the compiled
+    loop skips the modulo where ``x - x_min`` is already on
+    ``[0, length)``, where it returns its argument exactly, as it does for
+    almost every marker after a stage.  x must be a writable C-contiguous
+    float64 array."""
+    if not (x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable):
+        raise ValueError("wrap needs a writable C-contiguous float64 array")
+    _kernels.wrap(x.size, x.ctypes.data, x_min, length, x.ctypes.data)
+    return x
 
 
 #: Kick-first fractions of the split kinds: symplectic Euler drifts, then kicks.
@@ -299,8 +300,9 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
     solver = fields.solver if isinstance(fields, SelfConsistentField) else None
 
     def move(carrier, x):
-        # x is the caller's new array: a wrapped copy would add a marker array
-        carrier.x = x if solver is None else _wrap(x, solver.x_min, solver.length, x)
+        # x is the caller's new array, wrapped in place: a wrapped copy
+        # would add a marker array
+        carrier.x = x if solver is None else _wrap(x, solver.x_min, solver.length)
 
     if kind in _SPLITS:
         for c, d in zip(*_SPLITS[kind]):

@@ -93,6 +93,7 @@ def test_partial_last_step_rejected(tmp_path, capsys, args, message):
     (["solver=pic", "scenario=bump_on_tail", "v_b=nan"], "v_b must be finite"),
     (["solver=pic", "k=inf"], "k must be finite"),
     (["solver=pic", "k=0"], "k must be > 0"),
+    (["solver=pic", "k=1e-310"], "k is too small: 2*pi/k overflows"),
     (["solver=spectral", "v_min=1", "v_max=-1"], "v_max must exceed v_min"),
 ])
 def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
@@ -102,6 +103,16 @@ def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
     assert cli_main(["run", *args, "dt=0.1", "t_max=0.2", f"outdir={outdir}"]) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_every_broken_physics_rule_is_reported():
+    with pytest.raises(ValidationError) as info:
+        parse_config(None, ["k=0", "sigma_b=0", "n_b=1", "epsilon=nan"])
+    assert str(info.value) == ("epsilon must be finite; k must be > 0; "
+                               "sigma_b must be > 0; n_b must lie in [0, 1)")
+    with pytest.raises(ValidationError) as info:
+        parse_config(None, ["v_min=nan", "v_max=inf"])
+    assert str(info.value) == "v_min must be finite; v_max must be finite"
 
 
 def test_whole_steps_within_rounding_accepted():

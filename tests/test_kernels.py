@@ -90,8 +90,21 @@ def test_wrap_of_non_finite_and_huge_positions_bitwise(x_min):
     for arg in (x, _strided(x)):
         e = ParticleEnsemble(x=arg, v=np.zeros(x.size), f_like=np.ones(x.size),
                              g_like=np.ones(x.size))
-        e.x = pic._wrap(e.x, x_min, L)
+        e.x = pic._wrap(e.x.copy(), x_min, L)
         _same_bits(e.x, oracles.wrap_reference(x, x_min, L))
+
+
+def test_wrap_works_in_place_and_refuses_what_it_cannot_overwrite():
+    x = np.array([-1.0, 0.5, L + 1.0])
+    assert pic._wrap(x, 0.0, L) is x
+    _same_bits(x, oracles.wrap_reference(np.array([-1.0, 0.5, L + 1.0]), 0.0, L))
+    # the compiled loop writes x.size contiguous doubles at x's address
+    for bad in (_read_only([-1.0, L + 1.0]), _strided(np.array([-1.0, L + 1.0])),
+                np.array([-1.0, L + 1.0], dtype=np.float32)):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="writable C-contiguous float64"):
+            pic._wrap(bad, 0.0, L)
+        _same_bits(bad, before)
 
 
 # --- spline deposit and evaluation ------------------------------------------------

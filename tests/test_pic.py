@@ -156,7 +156,7 @@ def test_wrap_matches_full_modulo_bitwise(x_min):
     x = np.concatenate([x, x + x_min, np.random.default_rng(6).uniform(
         x_min - 3 * length, x_min + 3 * length, 200)])
     e = _ensemble(x, np.zeros_like(x))
-    e.x = pic._wrap(e.x, x_min, length)
+    e.x = pic._wrap(e.x.copy(), x_min, length)
     want = x_min + np.mod(x - x_min, length)
     np.testing.assert_array_equal(e.x.view(np.uint64), want.view(np.uint64))
 
@@ -174,7 +174,7 @@ def test_wrap_fast_path_and_its_fallbacks_bitwise(x_min, odd):
     if odd is not None:
         x = np.insert(x, 20, extra[odd])
     e = _ensemble(x, np.zeros_like(x))
-    e.x = pic._wrap(e.x, x_min, length)
+    e.x = pic._wrap(e.x.copy(), x_min, length)
     want = x_min + np.mod(x - x_min, length)
     np.testing.assert_array_equal(e.x.view(np.uint64), want.view(np.uint64))
 
