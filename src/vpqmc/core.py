@@ -293,9 +293,13 @@ def nonzero_mass(mass: float) -> float:
     ------
     AllZeroDensity
         If it is zero, i.e. every node of the density is zero.
+    ValueError
+        If it is not finite: an inf or NaN node, or a sum that overflows.
     """
     if mass == 0.0:
         raise AllZeroDensity("cannot normalize a density that vanishes at every node")
+    if not math.isfinite(mass):
+        raise ValueError("sampling density mass must be finite")
     return mass
 
 
@@ -307,6 +311,8 @@ def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:
     ------
     AllZeroDensity
         If every node of f is zero.
+    ValueError
+        If the mass of |f| is not finite.
     """
     absvals = np.abs(f.values)
     absvals /= nonzero_mass(GriddedDensity(f.domain, absvals).mass())

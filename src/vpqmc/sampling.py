@@ -10,13 +10,13 @@ Two routes to a marker ensemble:
   inversion (marginal CDF in x, then the conditional CDF in v given x)
   of |density| / mass for an arbitrary signed bilinear gridded density,
   working out the mass itself; each one-cell CDF piece is a monotone
-  quadratic with a closed-form root.  The conditional inversion has one
-  implementation, a loop over blocks of grid rows that holds one block's
-  tables at a time: :func:`sample_conditional_v` runs it, and so does
-  :func:`rosenblatt_sample`, which reads both likelihoods in the same
-  pass.  The forward Rosenblatt map :func:`forward_cdf` verifies the
-  inverse: it sends the samples back to their uniform pairs, and its
-  Jacobian determinant equals the sampling density itself.
+  quadratic with a closed-form root.  :func:`rosenblatt_sample` builds
+  the conditional tables one block of grid rows at a time and reads both
+  likelihoods in the same pass; the verification entry points
+  :func:`sample_conditional_v` and :func:`forward_cdf` (the forward map,
+  which sends the samples back to their uniform pairs) use the tables of
+  the whole grid.  All three read them through one column kernel,
+  :func:`_column`.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ class BilinearSampler:
 
     def __post_init__(self):
         mass = nonzero_mass(float(self.dx * np.sum(_abs_x_marginal(self.density))))
-        if not math.isfinite(mass):  # an inf node, or a sum that overflows
-            raise ValueError("sampling density mass must be finite")
         gx = _abs_x_marginal(self.density, mass)
         cell = 0.5 * self.dx * (gx + np.roll(gx, -1))
         object.__setattr__(self, "mass", mass)
@@ -170,7 +168,7 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     The conditional density is the linear interpolation between the two
     neighbouring grid columns; its cumulative table is the same
     interpolation of the per-column tables,
-    ``delta_j = (1-fx)*cum_cols[ix, j] + fx*cum_cols[ixp, j]``.  The cell
+    ``delta_j = (1-fx)*cum_cols[ix, j] + fx*cum_cols[ix + 1, j]``.  The cell
     is the rightmost j with ``delta_j <= target`` (ties go right), found
     by a vectorized bisection over j: about log2(nv) probes, each
     evaluating ``delta_j`` at one j per marker, so no n x nv table is
@@ -178,13 +176,14 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     rounding of the interpolation is monotone, so ``delta_j`` is
     nondecreasing in j in floating point and the bisection picks the same
     cell as counting every ``delta_j <= target``.  The points are mapped
-    by the row-block loop of :func:`rosenblatt_sample`.  Raises
-    :class:`ZeroConditional` where the marginal g_X(x) vanishes.
+    on the tables of the whole grid, which have the bits of the row blocks
+    of :func:`rosenblatt_sample`.  Raises :class:`ZeroConditional` where
+    the marginal g_X(x) vanishes.
     """
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(u_v, dtype=float))
-    v = _conditional_by_row_blocks(s, x.ravel(), u.ravel(), with_density=False)[0]
-    return v.reshape(x.shape)
+    ix, fx = periodic_cell(x, s.domain.x_min, s.dx, s.nx)
+    return _invert_in_rows(s, *_block_tables(s, 0, s.nx), ix, fx, u)
 
 
 def _chunks(n: int):
@@ -219,11 +218,12 @@ def _abs_x_marginal(density: GriddedDensity, mass: float = 1.0) -> np.ndarray:
 
 
 def _block_tables(s: BilinearSampler, first: int, end: int):
-    """|density| / mass at the grid rows first..end (row nx is row 0), and
-    ``cum_cols[i, j]``, the mass of its row i below node j: the cell
-    pieces 0.5*dv*(left + right) go into columns 1.., then an in-place
-    cumsum (no copy: output and input coincide)."""
-    rows = s.density.values[np.arange(first, end + 1) % s.nx]
+    """|density| / mass at the grid rows first..end (row nx is row 0),
+    ``cum_cols[i, j]``, the mass of its row i below node j (cell pieces
+    0.5*dv*(left + right) in columns 1.., then an in-place cumsum), and
+    the x marginal at those rows."""
+    held = np.arange(first, end + 1) % s.nx
+    rows = s.density.values[held]
     np.abs(rows, out=rows)
     rows /= s.mass
     cum_cols = np.empty(rows.shape)
@@ -232,27 +232,36 @@ def _block_tables(s: BilinearSampler, first: int, end: int):
     np.add(rows[:, :-1], rows[:, 1:], out=pieces)
     pieces *= 0.5 * s.dv
     np.cumsum(pieces, axis=1, out=pieces)
-    return rows, cum_cols
+    return rows, cum_cols, s.marginal_x_nodes[held]
+
+
+def _column(rows, gx_rows, ix, fx):
+    """g_X(x) at points between table rows ix and ix + 1 at local x
+    coordinate fx, interpolated from ``gx_rows``, and ``at(table, j)``,
+    column j of a table shaped like ``rows`` interpolated the same way."""
+    w0 = 1.0 - fx
+    nv = rows.shape[1]
+    row0 = ix * nv
+
+    def lerp(flat, i0, i1):
+        return w0 * flat[i0] + fx * flat[i1]
+
+    def at(table, j):
+        return lerp(table.ravel(), row0 + j, row0 + nv + j)
+
+    return lerp(gx_rows, ix, ix + 1), at
 
 
 def _invert_in_rows(s: BilinearSampler, rows, cum_cols, gx_rows, ix, fx, u):
-    """:func:`sample_conditional_v` at points in the cells of the tables,
-    given by table row ix and local x coordinate fx; ``gx_rows`` is the
-    x-marginal at the table rows."""
+    """:func:`sample_conditional_v` at points in the cells of the tables
+    of :func:`_block_tables`, given by table row ix and local x
+    coordinate fx."""
     nv = s.nv
-    gx_here = (1.0 - fx) * gx_rows[ix] + fx * gx_rows[ix + 1]
+    gx_here, at = _column(rows, gx_rows, ix, fx)
     if np.any(gx_here <= 0.0):
         raise ZeroConditional("conditional density requested on a zero-mass column")
 
     target = gx_here * u
-    w0 = 1.0 - fx
-    cum = cum_cols.ravel()
-    row0 = ix * nv
-    row1 = row0 + nv
-
-    def delta(j):
-        return w0 * cum[row0 + j] + fx * cum[row1 + j]
-
     # n_le counts the j with delta_j <= target (a prefix of 0..nv-1), built
     # bit by bit from the highest power of two not above nv
     n_le = np.zeros(fx.shape, dtype=np.int64)
@@ -260,20 +269,17 @@ def _invert_in_rows(s: BilinearSampler, rows, cum_cols, gx_rows, ix, fx, u):
     while step:
         probe = n_le + step
         j = np.minimum(probe, nv) - 1
-        n_le = np.where((probe <= nv) & (delta(j) <= target), probe, n_le)
+        n_le = np.where((probe <= nv) & (at(cum_cols, j) <= target), probe, n_le)
         step >>= 1
     j = np.clip(n_le - 1, 0, nv - 2)
-
-    gamma0 = w0 * rows[ix, j] + fx * rows[ix + 1, j]
-    gamma1 = w0 * rows[ix, j + 1] + fx * rows[ix + 1, j + 1]
-    frac = _invert_cell_quadratic(gamma0, gamma1, target - delta(j), s.dv)
+    frac = _invert_cell_quadratic(at(rows, j), at(rows, j + 1),
+                                  target - at(cum_cols, j), s.dv)
     return s.domain.v_min + (j + frac) * s.dv
 
 
-def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
-    """v = G_{X=x,V}^{-1}(u) at each point and, if ``with_density``, the
-    bilinear density (f) and |density| / mass (g) at each (x, v), else
-    None for both.
+def _conditional_by_row_blocks(s: BilinearSampler, x, u):
+    """v = G_{X=x,V}^{-1}(u) at each point, the bilinear density (f) and
+    |density| / mass (g) at each (x, v).
 
     The points are sorted by their x cell; for each block of rows from
     :func:`_row_blocks` that holds points, the tables of the block and
@@ -288,24 +294,21 @@ def _conditional_by_row_blocks(s: BilinearSampler, x, u, with_density: bool):
     # order[starts[i]:starts[i + 1]]
     starts = np.concatenate(([0], np.cumsum(np.bincount(ix, minlength=s.nx))))
     del ix
-    v = np.empty(x.shape)
-    f, g = (np.empty(x.shape), np.empty(x.shape)) if with_density else (None, None)
+    v, f, g = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     for first, end in _row_blocks(s.nx):
         block = order[starts[first]:starts[end]]
         if block.size == 0:
             continue
-        rows, cum_cols = _block_tables(s, first, end)
-        gx_rows = s.marginal_x_nodes[np.arange(first, end + 1) % s.nx]
+        rows, cum_cols, gx_rows = _block_tables(s, first, end)
         for c in _chunks(block.size):
             idx = block[c]
             ix, fx = periodic_cell(x[idx], s.domain.x_min, s.dx, s.nx)
             row = ix - first  # grid row ix is table row ix - first
             v[idx] = vs = _invert_in_rows(s, rows, cum_cols, gx_rows, row, fx, u[idx])
-            if with_density:
-                jv, fv = bounded_cell(vs, s.domain.v_min, s.dv, s.nv)
-                g[idx] = bilinear_sum(rows, *cell_stencil(row, row + 1, fx, jv, fv))
-                f[idx] = bilinear_sum(s.density.values,
-                                      *cell_stencil(ix, (ix + 1) % s.nx, fx, jv, fv))
+            jv, fv = bounded_cell(vs, s.domain.v_min, s.dv, s.nv)
+            g[idx] = bilinear_sum(rows, *cell_stencil(row, row + 1, fx, jv, fv))
+            f[idx] = bilinear_sum(s.density.values,
+                                  *cell_stencil(ix, (ix + 1) % s.nx, fx, jv, fv))
         del rows, cum_cols  # before the next block's are built
     return v, f, g
 
@@ -329,7 +332,7 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
         x[c] = sample_marginal_x(s, pairs[c, 0])
     u = pairs[:, 1].copy()
     del pairs  # the last reference when the caller passed them inline
-    v, f_like, g_like = _conditional_by_row_blocks(s, x, u, with_density=True)
+    v, f_like, g_like = _conditional_by_row_blocks(s, x, u)
     return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)
 
 
@@ -346,25 +349,19 @@ def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
 def forward_cdf(s: BilinearSampler, x, v):
     """The forward map (x, v) -> (G_X(x), G_{X=x,V}(v)) onto [0,1]^2.
 
-    Companion of the inverse sampler, on the tables of every row
-    (:func:`_block_tables`); where the column mass vanishes the
-    conditional coordinate is reported as 0.
+    Companion of the inverse sampler, on the tables of the whole grid
+    (:func:`_block_tables`), whose last row is the wrap row; where the
+    column mass vanishes the conditional coordinate is reported as 0.
     """
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    values, cum_cols = _block_tables(s, 0, s.nx - 1)
+    rows, cum_cols, gx_rows = _block_tables(s, 0, s.nx)
     # x on a bounded grid of nx + 1 nodes: x_max is in the last cell, not the first
     ix, fx = bounded_cell(x, s.domain.x_min, s.dx, s.nx + 1)
-    ixp = (ix + 1) % s.nx
-    a = s.marginal_x_nodes[ix]
-    b = s.marginal_x_nodes[ixp]
-    u_x = s.cum_x[ix] + _cell_cdf(a, b, fx, s.dx)
+    u_x = s.cum_x[ix] + _cell_cdf(gx_rows[ix], gx_rows[ix + 1], fx, s.dx)
 
     j, fv = bounded_cell(v, s.domain.v_min, s.dv, s.nv)
-    delta = (1.0 - fx) * cum_cols[ix, j] + fx * cum_cols[ixp, j]
-    gamma0 = (1.0 - fx) * values[ix, j] + fx * values[ixp, j]
-    gamma1 = (1.0 - fx) * values[ix, j + 1] + fx * values[ixp, j + 1]
-    gx_here = (1.0 - fx) * a + fx * b
-    col_mass = delta + _cell_cdf(gamma0, gamma1, fv, s.dv)
+    gx_here, at = _column(rows, gx_rows, ix, fx)
+    col_mass = at(cum_cols, j) + _cell_cdf(at(rows, j), at(rows, j + 1), fv, s.dv)
     with np.errstate(invalid="ignore", divide="ignore"):
         u_v = np.where(gx_here > 0.0, col_mass / np.where(gx_here > 0, gx_here, 1.0), 0.0)
     u_x = np.clip(u_x, 0.0, 1.0)
@@ -518,23 +515,17 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     u_bulk = u_v[bulk] / (1.0 - ic.n_b)
     v0, z0 = _truncated_gaussian_ppf(u_bulk, 0.0, 1.0, domain.v_min, domain.v_max)
     v[bulk] = v0
-
-    def _mix_density(vv, zb0, zbb):
-        out = (1.0 - ic.n_b) * np.exp(-0.5 * vv * vv) / (SQRT_2PI * zb0)
-        if ic.n_b > 0:
-            out = out + ic.n_b * np.exp(-0.5 * ((vv - ic.v_b) / ic.sigma_b) ** 2) \
-                / (SQRT_2PI * ic.sigma_b * zbb)
-        return out
-
     if ic.n_b > 0:
         tail = ~bulk
         u_tail = (u_v[tail] - (1.0 - ic.n_b)) / ic.n_b
         vb, zb = _truncated_gaussian_ppf(u_tail, ic.v_b, ic.sigma_b,
                                          domain.v_min, domain.v_max)
         v[tail] = vb
-    else:
-        zb = 1.0
-    gv = _mix_density(v, z0, zb)
+
+    gv = (1.0 - ic.n_b) * np.exp(-0.5 * v * v) / (SQRT_2PI * z0)
+    if ic.n_b > 0:
+        gv = gv + ic.n_b * np.exp(-0.5 * ((v - ic.v_b) / ic.sigma_b) ** 2) \
+            / (SQRT_2PI * ic.sigma_b * zb)
 
     g_like = initial_x_density(ic, x) * gv
     f_like = eval_initial_f(ic, x, v)

@@ -472,6 +472,33 @@ def rosenblatt_sample_chunked_reference(s, pairs, chunk=1 << 14):
     return xs, vs, np.asarray(_sampling_density_reference(s).bilinear_at(xs, vs))
 
 
+def forward_cdf_reference(s, x, v):
+    """The forward map of ``vpqmc.sampling.forward_cdf`` on whole-grid
+    tables of nx rows (:func:`cum_cols_concatenate_reference`), with the
+    next row of the last one addressed as row (ix + 1) % nx."""
+    from vpqmc.core import bounded_cell
+    from vpqmc.sampling import _cell_cdf
+
+    g = _sampling_density_reference(s)
+    values, cum_cols = g.values, cum_cols_concatenate_reference(g)
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    ix, fx = bounded_cell(x, s.domain.x_min, s.dx, s.nx + 1)
+    ixp = (ix + 1) % s.nx
+    a = s.marginal_x_nodes[ix]
+    b = s.marginal_x_nodes[ixp]
+    u_x = s.cum_x[ix] + _cell_cdf(a, b, fx, s.dx)
+
+    j, fv = bounded_cell(v, s.domain.v_min, s.dv, s.nv)
+    delta = (1.0 - fx) * cum_cols[ix, j] + fx * cum_cols[ixp, j]
+    gamma0 = (1.0 - fx) * values[ix, j] + fx * values[ixp, j]
+    gamma1 = (1.0 - fx) * values[ix, j + 1] + fx * values[ixp, j + 1]
+    gx_here = (1.0 - fx) * a + fx * b
+    col_mass = delta + _cell_cdf(gamma0, gamma1, fv, s.dv)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_v = np.where(gx_here > 0.0, col_mass / np.where(gx_here > 0, gx_here, 1.0), 0.0)
+    return np.clip(u_x, 0.0, 1.0), np.clip(u_v, 0.0, 1.0)
+
+
 def cum_cols_concatenate_reference(g):
     """The per-column trapezoid partial sums along v of the gridded density
     ``g``, as separate arrays: the cell pieces, their cumsum, and a zero

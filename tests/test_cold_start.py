@@ -155,3 +155,11 @@ def test_a_failed_build_raises_import_error_with_the_command(package_copy):
     assert "ImportError: building the vpqmc kernels failed: " in err
     assert " ".join([_kernels.COMPILER, *_kernels.FLAGS]) in err
     assert _cache_files(package_copy) == []
+
+
+def test_the_kernel_source_compiles_without_warnings():
+    # the import-time build shows compiler output only when it fails
+    cmd = [_kernels.COMPILER, "-fsyntax-only", "-std=c99", "-Wall", "-Wextra",
+           "-Wpedantic", "-Werror", _kernels._SOURCE]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

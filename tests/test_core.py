@@ -141,6 +141,17 @@ def test_normalize_all_zero_raises():
         normalize_to_sampling_density(_uniform_density(0.0, dom))
 
 
+@pytest.mark.parametrize("node, fill", [(np.inf, 1.0), (np.nan, 1.0), (1e308, 1e308)],
+                         ids=["inf_node", "nan_node", "mass_overflows"])
+def test_normalize_rejects_a_non_finite_mass(node, fill):
+    # each used to give NaN nodes or an all-zero grid without an error
+    dom = PhaseSpaceDomain(0.0, 2.0, 0.0, 1.0)
+    f = _uniform_density(fill, dom)
+    f.values[3, 4] = node
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="mass must be finite"):
+        normalize_to_sampling_density(f)
+
+
 # --- weights ----------------------------------------------------------------
 
 def test_weight_ratio():

@@ -214,9 +214,10 @@ def test_cum_cols_match_the_concatenate_form_bitwise(nx, nv, v_span, seed):
     cum_cols = oracles.cum_cols_concatenate_reference(whole)
     for first, end in sampling._row_blocks(nx):
         held = np.arange(first, end + 1) % nx
-        rows, block_cum_cols = sampling._block_tables(s, first, end)
+        rows, block_cum_cols, gx_rows = sampling._block_tables(s, first, end)
         np.testing.assert_array_equal(_bits(rows), _bits(whole.values[held]))
         np.testing.assert_array_equal(_bits(block_cum_cols), _bits(cum_cols[held]))
+        np.testing.assert_array_equal(_bits(gx_rows), _bits(s.marginal_x_nodes[held]))
 
 
 @pytest.mark.parametrize("sequence", [Sobol(skip=5), PseudoRandom(seed=11)])
@@ -370,6 +371,32 @@ def test_forward_cdf_corners_and_uniform():
     assert forward_cdf(s, 1.0, 0.0) == pytest.approx((0.5, 0.5), abs=1e-13)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_forward_cdf_matches_the_whole_grid_reference_bitwise(seed):
+    # a signed grid whose row `dead` is zero, so the column through its
+    # nodes has no mass; dx = 0.25 puts x_min + dead*dx exactly on a node
+    rng = np.random.default_rng(seed)
+    nx, nv = int(rng.integers(2, 14)), int(rng.integers(2, 24))
+    values = rng.standard_normal((nx, nv)) + 0.3
+    dead = int(rng.integers(nx))
+    values[dead] = 0.0
+    dom = PhaseSpaceDomain(-1.0, -1.0 + 0.25 * nx, -2.0, 2.5)
+    s = sampling.BilinearSampler(GriddedDensity(dom, values))
+    dead_x = dom.x_min + dead * s.dx
+    xs = np.concatenate([[dom.x_min, dom.x_max, dom.x_min - 0.3, dom.x_max + 0.7, dead_x],
+                         rng.uniform(dom.x_min, dom.x_max, 20)])
+    vs = np.concatenate([[dom.v_min, dom.v_max, dom.v_min - 1.0, dom.v_max + 1.0],
+                         rng.uniform(dom.v_min, dom.v_max, 20)])
+    x, v = np.meshgrid(xs, vs, indexing="ij")
+    ux, uv = forward_cdf(s, x, v)
+    want_ux, want_uv = oracles.forward_cdf_reference(s, x, v)
+    np.testing.assert_array_equal(_bits(ux), _bits(want_ux))
+    np.testing.assert_array_equal(_bits(uv), _bits(want_uv))
+    assert np.all(uv[4] == 0.0)
+    if dead == 0:  # x_max closes the wrap cell on row 0
+        assert np.all(uv[1] == 0.0)
+
+
 def test_forward_jacobian_equals_density():
     # central differences of the forward map, in-cell: det(DPi) = g(x, v)
     s = _random_sampler(12)
@@ -432,19 +459,32 @@ def test_ordering_matches_input():
 _BUMP = InitialCondition(epsilon=0.1, k=0.5, n_b=0.1, sigma_b=0.5, v_b=3.0)
 
 
-@pytest.mark.parametrize("call", [
+_POINTWISE = [
     pytest.param(lambda s, x, y: eval_initial_f(_BUMP, x, y), id="eval_initial_f"),
     pytest.param(lambda s, x, y: s.density.bilinear_at(x, y), id="bilinear_at"),
     pytest.param(lambda s, x, y: sample_marginal_x(s, y), id="sample_marginal_x"),
     pytest.param(sample_conditional_v, id="sample_conditional_v"),
     pytest.param(lambda s, x, y: forward_cdf(s, x, y)[0], id="forward_cdf_x"),
     pytest.param(lambda s, x, y: forward_cdf(s, x, y)[1], id="forward_cdf_v"),
-])
+]
+
+
+@pytest.mark.parametrize("call", _POINTWISE)
 def test_scalar_input_gives_a_value_of_shape_0(call):
     s = _random_sampler(3)
     got = call(s, 0.3, 0.4)
     assert np.shape(got) == ()
     assert got == call(s, np.array([0.3]), np.array([0.4]))[0]
+
+
+@pytest.mark.parametrize("call", _POINTWISE)
+def test_two_dimensional_input_keeps_its_shape(call):
+    s = _random_sampler(3)
+    x = np.linspace(0.1, 1.9, 12).reshape(3, 4)
+    y = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+    got = call(s, x, y)
+    assert np.shape(got) == (3, 4)
+    np.testing.assert_array_equal(_bits(got), _bits(call(s, x.ravel(), y.ravel())).reshape(3, 4))
 
 
 # --- tensor-product ITS -------------------------------------------------------
