@@ -117,7 +117,7 @@ class InitialCondition:
     Parameters
     ----------
     epsilon : float
-        Perturbation amplitude.
+        Perturbation amplitude in [-1, 1], so that f >= 0.
     k : float
         Perturbation wavenumber, > 0; the spatial period L = 2*pi/k must
         be finite.
@@ -137,6 +137,8 @@ class InitialCondition:
 
     def __post_init__(self):
         problems = _non_finite(self, "epsilon", "k", "sigma_b", "v_b")
+        if math.isfinite(self.epsilon) and not abs(self.epsilon) <= 1.0:
+            problems.append("epsilon must lie in [-1, 1]")
         if math.isfinite(self.k):
             if not self.k > 0:
                 problems.append("k must be > 0")

@@ -45,11 +45,12 @@ class FormatError(ValueError):
 CSV_HEADER = ("t", "segment", "field_energy", "kinetic_energy",
               "total_energy", "mass", "entropy", "star_disc", "hk_variation")
 
+# each preset's changes to the RunConfig defaults, which are landau's
 _SCENARIOS = {
-    # epsilon, k, n_b, sigma_b, v_b, v_min, v_max
-    "landau": (0.5, 0.5, 0.0, 1.0, 0.0, -6.5, 6.5),
-    "linear_landau": (0.01, 0.5, 0.0, 1.0, 0.0, -6.5, 6.5),
-    "bump_on_tail": (1e-3, 0.3, 0.1, 0.3, 4.5, -10.0, 10.0),
+    "landau": {},
+    "linear_landau": {"epsilon": 0.01},
+    "bump_on_tail": {"epsilon": 1e-3, "k": 0.3, "n_b": 0.1, "sigma_b": 0.3,
+                     "v_b": 4.5, "v_min": -10.0, "v_max": 10.0},
 }
 
 
@@ -218,9 +219,7 @@ def parse_config(path: Optional[str] = None,
     cfg = RunConfig()
     scenario = explicit.get("scenario", cfg.scenario)
     if scenario in _SCENARIOS:
-        eps, k, n_b, sigma_b, v_b, v_lo, v_hi = _SCENARIOS[scenario]
-        cfg = replace(cfg, scenario=scenario, epsilon=eps, k=k, n_b=n_b,
-                      sigma_b=sigma_b, v_b=v_b, v_min=v_lo, v_max=v_hi)
+        cfg = replace(cfg, scenario=scenario, **_SCENARIOS[scenario])
     elif scenario != "custom":
         raise ValidationError(f"unknown scenario '{scenario}'")
     cfg = replace(cfg, **explicit)
@@ -253,8 +252,12 @@ def _validate(cfg: RunConfig, explicit) -> None:
         except ValueError:
             problems.append("t_max must be a whole number (>= 1) of dt steps")
     # the physics; the domain divides by k, so it is built only after the
-    # initial condition passes
-    problems += _rule_problems(cfg.initial_condition) or _rule_problems(cfg.domain)
+    # initial condition passes, and both before the ITS velocity window
+    physics = _rule_problems(cfg.initial_condition) or _rule_problems(cfg.domain)
+    if not physics and cfg.solver == "pic" and cfg.sampling == "its":
+        physics = _rule_problems(lambda: sampling._velocity_components(
+            cfg.initial_condition(), cfg.domain()))
+    problems += physics
     problems += _too_small(vars(cfg))
     reads = _reads(cfg)
     if "sobol_skip" in reads:
@@ -581,11 +584,12 @@ def _dispatch(name: str, sub: _Subcommand, argv: List[str]) -> None:
     if sub.variant:
         key, reads = sub.variant
         choice = values[key]
-        if choice not in reads:
-            raise ValidationError(f"{key} '{choice}' not in {'|'.join(reads)}")
-        unread = [k for k in given if k in set().union(*reads.values()) - reads[choice]]
-        if unread:
-            problems.append(f"{', '.join(unread)} not read by {key}={choice}")
+        if choice not in reads:  # then which keys it reads is unknown
+            problems.append(f"{key} '{choice}' not in {'|'.join(reads)}")
+        else:
+            unread = [k for k in given if k in set().union(*reads.values()) - reads[choice]]
+            if unread:
+                problems.append(f"{', '.join(unread)} not read by {key}={choice}")
     if sub.check:
         problems += sub.check(values)
     if problems:

@@ -10,8 +10,9 @@ so each is the adjoint of the other.  The circulant stiffness matrix is
 inverted spectrally with the constant null space pinned to zero mean.
 Pushers rebind the ensemble's read-only arrays to new ones; symplectic
 Euler and RUTH3 are kick-first splits from one table, run by one stage
-loop.  The dissipative explicit Euler variants rescale the likelihoods by
-the one-step flow determinant, all other kinds leave them untouched.
+loop, and the other kinds share one final update.  The dissipative
+explicit Euler variants rescale the likelihoods by the one-step flow
+determinant, all other kinds leave them untouched.
 """
 
 from __future__ import annotations
@@ -287,9 +288,11 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
     update is one ``move``, which wraps into the period of a
     :class:`SelfConsistentField`'s solver (other machinery leaves x
     unwrapped).  Each stage of a split kind (``_SPLITS``) kicks by d*dt,
-    then drifts by c*dt; a zero fraction skips its half.  The implicit
-    midpoint kind iterates the particle-field fixed point to 1e-12 in the
-    max norm of position increments.
+    then drifts by c*dt; a zero fraction skips its half.  The other kinds
+    share one final update, x_n + dt*w and v_n + dt*(q/m)*e: explicit Euler
+    takes w = v_n and e = E(x_n); implicit midpoint the w and E of the last
+    iteration of its particle-field fixed point (one E each), run to 1e-12
+    in the max norm of position increments.
 
     Likelihood bookkeeping: the volume-preserving kinds leave f_like and
     g_like untouched; ExplicitEuler divides g_like by the one-step flow
@@ -314,42 +317,36 @@ def push(kind: IntegratorKind, ensemble: ParticleEnsemble, fields, dt: float) ->
                 move(ensemble, ensemble.x + c * dt * ensemble.v)
         return
 
+    x_n, v_n = ensemble.x, ensemble.v
     if kind in (IntegratorKind.EXPLICIT_EULER, IntegratorKind.EXPLICIT_EULER2):
         field = fields(ensemble)
-        e_old = field.E(ensemble.x)
-        de_old = field.dE(ensemble.x)
-        det = 1.0 - dt * dt * qm * de_old
-        move(ensemble, ensemble.x + dt * ensemble.v)
-        ensemble.v = ensemble.v + dt * qm * e_old
+        e = field.E(x_n)
+        det = 1.0 - dt * dt * qm * field.dE(x_n)
         ensemble.g_like = ensemble.g_like / det
         if kind is IntegratorKind.EXPLICIT_EULER2:
             ensemble.f_like = ensemble.f_like / det
-        return
-
-    if kind is IntegratorKind.IMPLICIT_MIDPOINT:
-        x_n = ensemble.x
-        v_n = v_half = ensemble.v
+        w = v_n
+    elif kind is IntegratorKind.IMPLICIT_MIDPOINT:
+        w = v_n
         trial = replace(ensemble)
         x_half_prev = None
-        for it in range(_FIXED_POINT_CAP):
-            x_half = x_n + 0.5 * dt * v_half
+        for _ in range(_FIXED_POINT_CAP):
+            x_half = x_n + 0.5 * dt * w
             if x_half_prev is not None:
                 resid = float(np.max(np.abs(x_half - x_half_prev)))
                 if resid <= _FIXED_POINT_TOL:
                     break
             x_half_prev = x_half
             move(trial, x_half.copy())  # x_half_prev stays unwrapped
-            field = fields(trial)
-            v_half = v_n + 0.5 * dt * qm * field.E(trial.x)
+            e = fields(trial).E(trial.x)
+            w = v_n + 0.5 * dt * qm * e
         else:
             raise FixedPointDiverged("implicit midpoint fixed point stalled",
                                      _FIXED_POINT_CAP, resid)
-        e_half = field.E(trial.x)
-        move(ensemble, x_n + dt * v_half)
-        ensemble.v = v_n + dt * qm * e_half
-        return
-
-    raise ValueError(f"unknown integrator kind {kind!r}")
+    else:
+        raise ValueError(f"unknown integrator kind {kind!r}")
+    move(ensemble, x_n + dt * w)
+    ensemble.v = v_n + dt * qm * e
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from . import lowdisc
 from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
                    PhaseSpaceDomain, SQRT_2PI, bilinear_sum, bounded_cell,
                    cell_stencil, eval_initial_f, initial_x_density, nonzero_mass,
-                   periodic_cell, v_trapezoid_weights)
+                   periodic_cell)
 from .lowdisc import SequenceKind
 
 
@@ -132,17 +132,13 @@ class BilinearSampler:
         return self.density.dv
 
 
-def _check_nonnegative(values):
-    # written so that NaN fails
-    if not np.all(values >= 0):
-        raise ValueError("sampling density must be nonnegative")
-
-
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
     """The sampler of a nonnegative gridded density of any positive mass:
     it samples g / mass, and f_like / g_like is that mass."""
-    _check_nonnegative(g.values)
-    return BilinearSampler(g)
+    s = BilinearSampler(g)  # a NaN node fails here, by its mass
+    if np.any(g.values < 0):
+        raise ValueError("sampling density must be nonnegative")
+    return s
 
 
 def sample_marginal_x(s: BilinearSampler, u_x):
@@ -204,16 +200,12 @@ def _row_blocks(nx: int):
 def _abs_x_marginal(density: GriddedDensity, mass: float = 1.0) -> np.ndarray:
     """The x-marginal nodes of |density| / mass, one block of rows at a
     time: the bits of ``GriddedDensity(domain, np.abs(values) /
-    mass).x_marginal_nodes()`` without either grid (x / 1.0 == x).
-    Raises ValueError if a node of |density| / mass is not >= 0 (NaN)."""
-    w = v_trapezoid_weights(density.nv)
+    mass).x_marginal_nodes()`` without a second whole grid (x / 1.0 == x)."""
     gx = np.empty(density.nx)
     for first, end in _row_blocks(density.nx):
         block = np.abs(density.values[first:end])
         block /= mass
-        _check_nonnegative(block)
-        np.matmul(block, w, out=gx[first:end])
-    gx *= density.dv
+        gx[first:end] = GriddedDensity(density.domain, block).x_marginal_nodes()
     return gx
 
 
@@ -485,12 +477,24 @@ def _std_normal_ppf(p):
     return z
 
 
-def _truncated_gaussian_ppf(u, mu, sigma, v_lo, v_hi):
-    """Quantile of N(mu, sigma^2) truncated to [v_lo, v_hi]."""
-    a = _std_normal_cdf((v_lo - mu) / sigma)
-    b = _std_normal_cdf((v_hi - mu) / sigma)
-    z = _std_normal_ppf(a + u * (b - a))
-    return np.clip(mu + sigma * z, v_lo, v_hi), (b - a)
+def _velocity_components(ic: InitialCondition, domain: PhaseSpaceDomain) -> list:
+    """(mu, sigma, CDF at v_min, mass in [v_min, v_max]) of each Gaussian
+    N(mu, sigma^2) that :func:`its_tensor_product` samples: the bulk
+    N(0, 1), then the bump N(v_b, sigma_b^2) when n_b > 0.  Raises
+    ValueError naming each one with no mass in [v_min, v_max], which its
+    truncated density would divide by."""
+    named = [("bulk", 0.0, 1.0)] + ([("bump", ic.v_b, ic.sigma_b)] if ic.n_b > 0 else [])
+    components, problems = [], []
+    for name, mu, sigma in named:
+        a = _std_normal_cdf((domain.v_min - mu) / sigma)
+        mass = _std_normal_cdf((domain.v_max - mu) / sigma) - a
+        if not mass > 0.0:
+            problems.append(f"the {name} Gaussian N({mu:g}, {sigma:g}^2) has no mass "
+                            f"in [v_min, v_max] = [{domain.v_min:g}, {domain.v_max:g}]")
+        components.append((mu, sigma, a, mass))
+    if problems:
+        raise ValueError("; ".join(problems))
+    return components
 
 
 def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
@@ -501,31 +505,32 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     two-Gaussian mixture, picking the component by stratifying u_v at the
     bump fraction and inverting the truncated component CDF.  g_like is
     the product of the two 1-D densities actually sampled from, so
-    f_like/g_like stays meaningful after truncation.
+    f_like/g_like stays meaningful after truncation.  A component with no
+    mass in [v_min, v_max] raises ValueError (:func:`_velocity_components`).
     """
     pairs = _checked_pairs(pairs)
     if abs(domain.length - ic.length) > 1e-9 * ic.length:
         raise ValueError("domain length must equal one perturbation period 2*pi/k")
+    components = _velocity_components(ic, domain)  # the bulk, then any bump
+
+    def truncated_ppf(u, mu, sigma, a, mass):
+        z = _std_normal_ppf(a + u * mass)
+        return np.clip(mu + sigma * z, domain.v_min, domain.v_max)
 
     u_x, u_v = pairs[:, 0], pairs[:, 1]
     x = domain.x_min + _invert_x_cdf(ic, u_x)
 
     v = np.empty_like(u_v)
     bulk = u_v < (1.0 - ic.n_b) if ic.n_b > 0 else np.ones(u_v.shape, dtype=bool)
-    u_bulk = u_v[bulk] / (1.0 - ic.n_b)
-    v0, z0 = _truncated_gaussian_ppf(u_bulk, 0.0, 1.0, domain.v_min, domain.v_max)
-    v[bulk] = v0
+    v[bulk] = truncated_ppf(u_v[bulk] / (1.0 - ic.n_b), *components[0])
     if ic.n_b > 0:
         tail = ~bulk
-        u_tail = (u_v[tail] - (1.0 - ic.n_b)) / ic.n_b
-        vb, zb = _truncated_gaussian_ppf(u_tail, ic.v_b, ic.sigma_b,
-                                         domain.v_min, domain.v_max)
-        v[tail] = vb
+        v[tail] = truncated_ppf((u_v[tail] - (1.0 - ic.n_b)) / ic.n_b, *components[1])
 
-    gv = (1.0 - ic.n_b) * np.exp(-0.5 * v * v) / (SQRT_2PI * z0)
+    gv = (1.0 - ic.n_b) * np.exp(-0.5 * v * v) / (SQRT_2PI * components[0][3])
     if ic.n_b > 0:
         gv = gv + ic.n_b * np.exp(-0.5 * ((v - ic.v_b) / ic.sigma_b) ** 2) \
-            / (SQRT_2PI * ic.sigma_b * zb)
+            / (SQRT_2PI * ic.sigma_b * components[1][3])
 
     g_like = initial_x_density(ic, x) * gv
     f_like = eval_initial_f(ic, x, v)

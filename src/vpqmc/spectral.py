@@ -242,7 +242,7 @@ def hk_variation(s: SpectralState) -> float:
     absolute values integrated by the periodic trapezoid rule.
     """
     f = s.values
-    fx = np.fft.irfft(1j * s.kappa_x()[:, None] * np.fft.rfft(f, axis=0), s.nx, axis=0)
+    fx = _shear(f, 1j * s.kappa_x()[:, None], 0)
 
     def ddv(a):
         return (-np.roll(a, -2, axis=1) + 8.0 * np.roll(a, -1, axis=1)

@@ -68,6 +68,19 @@ def test_invalid_parameters_rejected():
         PhaseSpaceDomain(0.0, 0.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("epsilon", [1.5, -1.5, np.nextafter(1.0, 2.0)])
+def test_epsilon_beyond_one_rejected(epsilon):
+    # f would be negative over part of the period, and the ITS x-CDF
+    # x - (eps/k) sin(kx) not monotone
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[-1, 1\]$"):
+        InitialCondition(epsilon=epsilon, k=0.5)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, -1.0])
+def test_epsilon_of_one_accepted(epsilon):
+    assert InitialCondition(epsilon=epsilon, k=0.5).epsilon == epsilon
+
+
 @pytest.mark.parametrize("key", ["epsilon", "k", "sigma_b", "v_b"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_initial_condition_rejects_non_finite_parameters(key, value):

@@ -95,6 +95,8 @@ def test_partial_last_step_rejected(tmp_path, capsys, args, message):
     (["solver=pic", "k=0"], "k must be > 0"),
     (["solver=pic", "k=1e-310"], "k is too small: 2*pi/k overflows"),
     (["solver=spectral", "v_min=1", "v_max=-1"], "v_max must exceed v_min"),
+    (["solver=pic", "epsilon=1.5"], "epsilon must lie in [-1, 1]"),
+    (["solver=spectral", "epsilon=-1.5"], "epsilon must lie in [-1, 1]"),
 ])
 def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
     # a non-finite physics key used to run to the end with NaN rows (or,
@@ -103,6 +105,24 @@ def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
     assert cli_main(["run", *args, "dt=0.1", "t_max=0.2", f"outdir={outdir}"]) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["v_min=40", "v_max=50"],
+     "the bulk Gaussian N(0, 1^2) has no mass in [v_min, v_max] = [40, 50]"),
+    (["scenario=custom", "n_b=0.5", "v_b=20"],
+     "the bump Gaussian N(20, 1^2) has no mass in [v_min, v_max] = [-6.5, 6.5]"),
+])
+def test_its_velocity_window_rule_is_usage_error(tmp_path, capsys, args, message):
+    # NaN rows (bulk) or all-zero rows with a RuntimeWarning (bump) used to
+    # be written with exit 0
+    outdir = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "sampling=its", *args, "n_p=64", "n_f=8",
+                     "dt=0.1", "t_max=0.2", f"outdir={outdir}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+    # uniform sampling divides by no Gaussian mass
+    assert parse_config(None, ["solver=pic", "sampling=uniform", *args])
 
 
 def test_every_broken_physics_rule_is_reported():
@@ -268,9 +288,12 @@ _VALUES = {
     "k": st.floats(0.01, 10.0),
     "n_b": st.floats(0.0, 0.99),
     "sigma_b": st.floats(0.01, 10.0),
-    "v_b": st.floats(-10.0, 10.0),
+    # every drawn velocity window holds the bulk, any drawn bump and the
+    # bump_on_tail preset's (v_b = 4.5), so that ITS sampling finds mass
+    # in both Gaussians
+    "v_b": st.floats(-0.5, 0.5),
     "v_min": st.floats(-20.0, -0.5),
-    "v_max": st.floats(0.5, 20.0),
+    "v_max": st.floats(4.5, 20.0),
     "nx": st.integers(2, 512),
     "nv": st.integers(2, 512),
     "n_f": st.integers(4, 512),
@@ -509,6 +532,7 @@ def _particle_dump(path):
 @pytest.mark.parametrize("args,problem", [
     (["n=10", "sobol_skip=0"], "sobol_skip must be >= 1"),
     (["n=10", "sequence=pseudorandom", "seed=-1"], "seed must be >= 0"),
+    (["n=0", "sequence=bogus"], "n must be >= 1; sequence 'bogus' not in sobol|pseudorandom"),
 ])
 def test_cli_sample_bounds_are_usage_errors(tmp_path, capsys, args, problem):
     src = tmp_path / "g.bin"
@@ -551,6 +575,7 @@ def test_cli_reconstruct_interp_picks_lam_for_empty_hat_functions(tmp_path):
     (["mode=interp", "lam=-1"], "lam must be >= 0"),
     (["mode=interp", "lam=nan"], "lam must be >= 0"),
     (["mode=spline"], "mode 'spline' not in osde|interp"),
+    (["nx=1", "mode=bogus"], "nx must be >= 2; mode 'bogus' not in osde|interp"),
 ])
 def test_cli_reconstruct_lam_rules_are_usage_errors(tmp_path, capsys, args, problem):
     # lam is read only by mode=interp, and never below 0

@@ -581,6 +581,26 @@ def test_push_matches_the_reference_bitwise(kind, machinery):
     assert inside.all() if machinery == "self_consistent" else not inside.all()
 
 
+def test_midpoint_evaluates_e_once_per_fixed_point_iteration(monkeypatch):
+    # the last iteration's field also kicks the final update, so no E is
+    # evaluated after the loop
+    class Counting(SelfConsistentField):
+        iterations = 0
+
+        def __call__(self, ensemble):
+            self.iterations += 1
+            return super().__call__(ensemble)
+
+    evaluations = []
+    eval_e = pic.eval_E
+    monkeypatch.setattr(pic, "eval_E", lambda field, x: evaluations.append(1) or eval_e(field, x))
+    e, dom = _landau_ensemble()
+    fields = Counting(SplinePoissonSolver.build(0.0, dom.length, 16))
+    push(IntegratorKind.IMPLICIT_MIDPOINT, e, fields, 0.1)
+    assert fields.iterations >= 2
+    assert len(evaluations) == fields.iterations
+
+
 def test_positions_wrapped_into_period():
     e, dom = _landau_ensemble(500)
     fields = SelfConsistentField(SplinePoissonSolver.build(0.0, dom.length, 16))

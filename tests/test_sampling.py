@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +36,21 @@ def _random_sampler(seed, domain=None, nx=9, nv=8):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sampler_rejects_a_non_finite_node(bad):
+    # core.nonzero_mass owns the rule for all three; a NaN node used to
+    # fail the sampler's own sign check first
     values = np.ones((4, 5))  # unit mass on the unit square
-    build_sampler(GriddedDensity(UNIT, values))
-    values[2, 3] = bad
-    with pytest.raises(ValueError, match="sampling density"):
+    for build in (sampling.BilinearSampler, build_sampler, normalize_to_sampling_density):
+        build(GriddedDensity(UNIT, values))
+        broken = values.copy()
+        broken[2, 3] = bad
+        with pytest.raises(ValueError, match="^sampling density mass must be finite$"):
+            build(GriddedDensity(UNIT, broken))
+
+
+def test_build_sampler_rejects_a_negative_node():
+    values = np.ones((4, 5))
+    values[1, 2] = -0.5
+    with pytest.raises(ValueError, match="^sampling density must be nonnegative$"):
         build_sampler(GriddedDensity(UNIT, values))
 
 
@@ -314,7 +327,7 @@ def _unit_spaced(rows):
 def test_sample_gridded_density_rejects_a_nan_node_by_row_blocks():
     rows = np.ones(3 * sampling.ROWS + 5)
     rows[-2] = np.nan
-    with pytest.raises(ValueError, match="^sampling density must be nonnegative$"):
+    with pytest.raises(ValueError, match="^sampling density mass must be finite$"):
         sampling.sample_gridded_density(_unit_spaced(rows), Sobol(), 100)
 
 
@@ -553,6 +566,21 @@ def test_its_bump_velocity_histogram():
     for probe in (-1.0, 0.0, 2.0, 4.5, 5.0):
         emp = np.mean(e.v <= probe)
         assert emp == pytest.approx(mix_cdf(probe), abs=3e-3)
+
+
+@pytest.mark.parametrize("ic, v_min, v_max, component", [
+    (InitialCondition(epsilon=0.5, k=0.5), 40.0, 50.0, "bulk Gaussian N(0, 1^2)"),
+    (InitialCondition(epsilon=0.5, k=0.5, n_b=0.5, v_b=20.0), -6.5, 6.5,
+     "bump Gaussian N(20, 1^2)"),
+], ids=["bulk", "bump"])
+def test_its_rejects_a_component_with_no_mass_in_the_window(ic, v_min, v_max, component):
+    # each used to divide by a zero truncated mass: NaN likelihoods for the
+    # bulk, zero weights (and a RuntimeWarning) for the bump
+    dom = PhaseSpaceDomain(0.0, ic.length, v_min, v_max)
+    pairs = generate_pairs(Sobol(skip=1), 64)
+    with pytest.raises(ValueError, match=rf"^the {re.escape(component)} has no mass "
+                       rf"in \[v_min, v_max\] = \[{v_min:g}, {v_max:g}\]$"):
+        its_tensor_product(ic, pairs, dom)
 
 
 def test_its_degenerate_perturbation_bisection_rescue():
