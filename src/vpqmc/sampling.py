@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -477,24 +478,43 @@ def _std_normal_ppf(p):
     return z
 
 
-def _velocity_components(ic: InitialCondition, domain: PhaseSpaceDomain) -> list:
-    """(mu, sigma, CDF at v_min, mass in [v_min, v_max]) of each Gaussian
-    N(mu, sigma^2) that :func:`its_tensor_product` samples: the bulk
-    N(0, 1), then the bump N(v_b, sigma_b^2) when n_b > 0.  Raises
-    ValueError naming each one with no mass in [v_min, v_max], which its
-    truncated density would divide by."""
+class _TruncatedGaussian(NamedTuple):
+    """N(mu, sigma^2) truncated to [v_min, v_max].  side is -1 for a
+    window above mu, read mirrored in the lower tail, where the CDF does
+    not cancel, and +1 otherwise; p0 is the CDF of side*(v - mu)/sigma at
+    v_min and mass the probability of the window."""
+    mu: float
+    sigma: float
+    side: float
+    p0: float
+    mass: float
+
+
+def _velocity_components(ic: InitialCondition, domain: PhaseSpaceDomain) -> dict:
+    """The :class:`_TruncatedGaussian` of each Gaussian that
+    :func:`its_tensor_product` samples: "bulk" N(0, 1), and "bump"
+    N(v_b, sigma_b^2) when n_b > 0.  Raises ValueError naming each one
+    with no mass in [v_min, v_max], which its truncated density would
+    divide by."""
     named = [("bulk", 0.0, 1.0)] + ([("bump", ic.v_b, ic.sigma_b)] if ic.n_b > 0 else [])
-    components, problems = [], []
+    components, problems = {}, []
     for name, mu, sigma in named:
-        a = _std_normal_cdf((domain.v_min - mu) / sigma)
-        mass = _std_normal_cdf((domain.v_max - mu) / sigma) - a
+        side = -1.0 if domain.v_min > mu else 1.0
+        p0 = _std_normal_cdf(side * (domain.v_min - mu) / sigma)
+        mass = side * (_std_normal_cdf(side * (domain.v_max - mu) / sigma) - p0)
         if not mass > 0.0:
             problems.append(f"the {name} Gaussian N({mu:g}, {sigma:g}^2) has no mass "
                             f"in [v_min, v_max] = [{domain.v_min:g}, {domain.v_max:g}]")
-        components.append((mu, sigma, a, mass))
+        components[name] = _TruncatedGaussian(mu, sigma, side, p0, mass)
     if problems:
         raise ValueError("; ".join(problems))
     return components
+
+
+def _truncated_gaussian_ppf(u, g: _TruncatedGaussian, domain: PhaseSpaceDomain):
+    """Invert the CDF of ``g`` at u in [0, 1], clipped to [v_min, v_max]."""
+    z = _std_normal_ppf(g.p0 + g.side * (u * g.mass))
+    return np.clip(g.mu + g.side * g.sigma * z, domain.v_min, domain.v_max)
 
 
 def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
@@ -511,26 +531,23 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     pairs = _checked_pairs(pairs)
     if abs(domain.length - ic.length) > 1e-9 * ic.length:
         raise ValueError("domain length must equal one perturbation period 2*pi/k")
-    components = _velocity_components(ic, domain)  # the bulk, then any bump
-
-    def truncated_ppf(u, mu, sigma, a, mass):
-        z = _std_normal_ppf(a + u * mass)
-        return np.clip(mu + sigma * z, domain.v_min, domain.v_max)
+    gaussians = _velocity_components(ic, domain)
 
     u_x, u_v = pairs[:, 0], pairs[:, 1]
     x = domain.x_min + _invert_x_cdf(ic, u_x)
 
     v = np.empty_like(u_v)
     bulk = u_v < (1.0 - ic.n_b) if ic.n_b > 0 else np.ones(u_v.shape, dtype=bool)
-    v[bulk] = truncated_ppf(u_v[bulk] / (1.0 - ic.n_b), *components[0])
+    v[bulk] = _truncated_gaussian_ppf(u_v[bulk] / (1.0 - ic.n_b), gaussians["bulk"], domain)
     if ic.n_b > 0:
         tail = ~bulk
-        v[tail] = truncated_ppf((u_v[tail] - (1.0 - ic.n_b)) / ic.n_b, *components[1])
+        v[tail] = _truncated_gaussian_ppf((u_v[tail] - (1.0 - ic.n_b)) / ic.n_b,
+                                          gaussians["bump"], domain)
 
-    gv = (1.0 - ic.n_b) * np.exp(-0.5 * v * v) / (SQRT_2PI * components[0][3])
+    gv = (1.0 - ic.n_b) * np.exp(-0.5 * v * v) / (SQRT_2PI * gaussians["bulk"].mass)
     if ic.n_b > 0:
         gv = gv + ic.n_b * np.exp(-0.5 * ((v - ic.v_b) / ic.sigma_b) ** 2) \
-            / (SQRT_2PI * ic.sigma_b * components[1][3])
+            / (SQRT_2PI * ic.sigma_b * gaussians["bump"].mass)
 
     g_like = initial_x_density(ic, x) * gv
     f_like = eval_initial_f(ic, x, v)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from harness import wrap_x
 from vpqmc.core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.core import DiagnosticsRecord
-from vpqmc import driver, pic
+from vpqmc import driver, pic, sampling
 from vpqmc.driver import (CSV_HEADER, FormatError, ParseError, RunConfig,
                           ValidationError, cli_main, parse_config, read_dump,
                           write_grid_dump, write_particle_dump,
@@ -288,12 +288,9 @@ _VALUES = {
     "k": st.floats(0.01, 10.0),
     "n_b": st.floats(0.0, 0.99),
     "sigma_b": st.floats(0.01, 10.0),
-    # every drawn velocity window holds the bulk, any drawn bump and the
-    # bump_on_tail preset's (v_b = 4.5), so that ITS sampling finds mass
-    # in both Gaussians
-    "v_b": st.floats(-0.5, 0.5),
+    "v_b": st.floats(-10.0, 10.0),
     "v_min": st.floats(-20.0, -0.5),
-    "v_max": st.floats(4.5, 20.0),
+    "v_max": st.floats(0.5, 20.0),
     "nx": st.integers(2, 512),
     "nv": st.integers(2, 512),
     "n_f": st.integers(4, 512),
@@ -333,7 +330,16 @@ def _explicit_keys(draw):
     if solver == "coupled":
         required["t0"] = draw(_VALUES["t0"])
     keys = draw(st.sets(st.sampled_from(sorted(reads - set(required)))))
-    return {**required, **{key: draw(_VALUES[key]) for key in sorted(keys)}}
+    explicit = {**required, **{key: draw(_VALUES[key]) for key in sorted(keys)}}
+    if solver == "pic" and explicit.get("sampling", "its") == "its":
+        # ITS sampling rejects a velocity window in which a drawn Gaussian
+        # has no mass; uniform sampling takes the same window
+        cfg = parse_config(None, [f"{key}={value}" for key, value
+                                  in {**explicit, "sampling": "uniform"}.items()])
+        if driver._rule_problems(lambda: sampling._velocity_components(
+                cfg.initial_condition(), cfg.domain())):
+            explicit["sampling"] = "uniform"
+    return explicit
 
 
 @settings(max_examples=150, deadline=None)

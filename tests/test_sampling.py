@@ -583,6 +583,18 @@ def test_its_rejects_a_component_with_no_mass_in_the_window(ic, v_min, v_max, co
         its_tensor_product(ic, pairs, dom)
 
 
+def test_its_samples_a_window_above_the_mean_through_the_mirrored_tail():
+    # the upper-tail CDF 1 - 6e-16 at v = 8 cancels: the window [8, 50]
+    # used to put 4096 markers on 7 velocities, with NaN weights at v = 50
+    ic = InitialCondition(epsilon=0.5, k=0.5)
+    pairs = generate_pairs(Sobol(skip=1), 4096)
+    up = its_tensor_product(ic, pairs, PhaseSpaceDomain(0.0, ic.length, 8.0, 50.0))
+    down = its_tensor_product(ic, pairs, PhaseSpaceDomain(0.0, ic.length, -50.0, -8.0))
+    assert np.unique(up.v).size == 4096
+    assert np.all((8.0 <= up.v) & (up.v <= 50.0))
+    np.testing.assert_allclose(up.weights(), down.weights(), rtol=1e-14)
+
+
 def test_its_degenerate_perturbation_bisection_rescue():
     # epsilon = 1 makes the spatial CDF derivative vanish at x = 0; Newton
     # stalls there and the bisection fallback must still hit 1e-13
