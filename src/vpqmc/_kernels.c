@@ -3,7 +3,9 @@
    Each loop keeps the evaluation order of the numpy form it replaced, so
    its results carry the same bits: IEEE double arithmetic, no fused
    multiply-add (the build passes -ffp-contract=off) and no reassociation.
-   Every array is C-contiguous; the caller allocates the outputs. */
+   Only a maximum of values that are never NaN is taken in another order,
+   as it is exact.  Every array is C-contiguous; the caller allocates the
+   outputs. */
 
 #include <math.h>
 #include <stdint.h>
@@ -94,6 +96,12 @@ void vp_horner(int64_t m, const int64_t *cell, const double *u, int64_t rows,
     }
 }
 
+/* The larger of a and b, neither of them NaN. */
+static double max2(double a, double b)
+{
+    return a > b ? a : b;
+}
+
 /* The first index of the sorted s[0..k) whose value exceeds y. */
 static int64_t upper_bound(const double *s, int64_t k, double y)
 {
@@ -108,35 +116,83 @@ static int64_t upper_bound(const double *s, int64_t k, double y)
     return lo;
 }
 
+/* The largest of best and u*s[r] - c[r] over the ranks r in [lo, hi)
+   (an open corner (u, s[r]) with c[r] = r/n), in four running maxima
+   that do not wait on each other. */
+static double open_max(double u, const double *s, const double *c,
+                       int64_t lo, int64_t hi, double best)
+{
+    double m0 = best, m1 = best, m2 = best, m3 = best;
+    int64_t r = lo;
+    for (; r + 4 <= hi; r += 4) {
+        m0 = max2(m0, u * s[r] - c[r]);
+        m1 = max2(m1, u * s[r + 1] - c[r + 1]);
+        m2 = max2(m2, u * s[r + 2] - c[r + 2]);
+        m3 = max2(m3, u * s[r + 3] - c[r + 3]);
+    }
+    for (; r < hi; r++)
+        m0 = max2(m0, u * s[r] - c[r]);
+    return max2(max2(m0, m1), max2(m2, m3));
+}
+
+/* The same for c[r] - u*s[r], a closed corner (u, s[r]) whose count is
+   c[r]. */
+static double closed_max(double u, const double *s, const double *c,
+                         int64_t lo, int64_t hi, double best)
+{
+    double m0 = best, m1 = best, m2 = best, m3 = best;
+    int64_t r = lo;
+    for (; r + 4 <= hi; r += 4) {
+        m0 = max2(m0, c[r] - u * s[r]);
+        m1 = max2(m1, c[r + 1] - u * s[r + 1]);
+        m2 = max2(m2, c[r + 2] - u * s[r + 2]);
+        m3 = max2(m3, c[r + 3] - u * s[r + 3]);
+    }
+    for (; r < hi; r++)
+        m0 = max2(m0, c[r] - u * s[r]);
+    return max2(max2(m0, m1), max2(m2, m3));
+}
+
 /* The values a point with y at x = u takes as it goes into the sorted y
    values s[0..k) of the points passed, at rank t: its own closed corner
    (u, y), (t+1)/n - u*y, and for each rank r >= t, which moves up to
    r + 1, the open corner (u, s[r]) before the move, u*s[r] - r/n, and
-   the closed one after, (r+2)/n - u*s[r]; counts[r] = r/n.  The two
-   maxima are kept apart, so neither waits on the other. */
+   the closed one after, (r+2)/n - u*s[r]; counts[r] = r/n.  One pass
+   over the ranks r >= t takes both, in four running maxima of each
+   kind, and then one memmove shifts the ranks up for y. */
 static double sweep_point(double u, double y, double *s, int64_t k,
                           const double *counts, double best)
 {
     int64_t t = upper_bound(s, k, y);
-    double closed = counts[t + 1] - u * y;
-    for (int64_t r = k - 1; r >= t; r--) {
-        double p = u * s[r];
-        double v = p - counts[r];
-        if (v > best)
-            best = v;
-        v = counts[r + 2] - p;
-        if (v > closed)
-            closed = v;
-        s[r + 1] = s[r];
+    double o0 = best, o1 = best, o2 = best, o3 = best;
+    double c0 = counts[t + 1] - u * y, c1 = c0, c2 = c0, c3 = c0;
+    int64_t r = t;
+    for (; r + 4 <= k; r += 4) {
+        double p0 = u * s[r], p1 = u * s[r + 1];
+        double p2 = u * s[r + 2], p3 = u * s[r + 3];
+        o0 = max2(o0, p0 - counts[r]);
+        o1 = max2(o1, p1 - counts[r + 1]);
+        o2 = max2(o2, p2 - counts[r + 2]);
+        o3 = max2(o3, p3 - counts[r + 3]);
+        c0 = max2(c0, counts[r + 2] - p0);
+        c1 = max2(c1, counts[r + 3] - p1);
+        c2 = max2(c2, counts[r + 4] - p2);
+        c3 = max2(c3, counts[r + 5] - p3);
     }
+    for (; r < k; r++) {
+        double p = u * s[r];
+        o0 = max2(o0, p - counts[r]);
+        c0 = max2(c0, counts[r + 2] - p);
+    }
+    memmove(s + t + 1, s + t, (size_t)(k - t) * sizeof(double));
     s[t] = y;
-    return closed > best ? closed : best;
+    return max2(max2(max2(o0, o1), max2(o2, o3)), max2(max2(c0, c1), max2(c2, c3)));
 }
 
 /* The same for the m > 1 points with y values g at one x = u: the open
    corners of every rank that will move, from the lowest landing rank t
-   on, then all m points go in, then the closed corners of the ranks
-   from t on. */
+   on, then all m points go in, then the closed corners (u, s[r]),
+   (r+1)/n - u*s[r], of the ranks from t on. */
 static double sweep_group(double u, const double *g, int64_t m, double *s,
                           int64_t k, const double *counts, double best)
 {
@@ -145,22 +201,13 @@ static double sweep_group(double u, const double *g, int64_t m, double *s,
         if (g[j] < lo)
             lo = g[j];
     int64_t t = upper_bound(s, k, lo);
-    for (int64_t r = t; r < k; r++) {
-        double v = u * s[r] - counts[r];
-        if (v > best)
-            best = v;
-    }
+    best = open_max(u, s, counts, t, k, best);
     for (int64_t j = 0; j < m; j++, k++) {
         int64_t at = upper_bound(s, k, g[j]);
         memmove(s + at + 1, s + at, (size_t)(k - at) * sizeof(double));
         s[at] = g[j];
     }
-    for (int64_t r = t; r < k; r++) {
-        double v = counts[r + 1] - u * s[r];
-        if (v > best)
-            best = v;
-    }
-    return best;
+    return closed_max(u, s, counts + 1, t, k, best);
 }
 
 /* One step of the sweep: the points ys[0..m) at x = u go in. */
@@ -189,21 +236,46 @@ double vp_star_discrepancy(int64_t n, const double *xs, const double *ys,
         int64_t end = k + 1;
         while (end < n && xs[end] == u)
             end++;
-        double v = u - counts[k];
-        if (v > best)
-            best = v;
+        best = max2(best, u - counts[k]);
         best = sweep_step(u, ys + k, end - k, s, k, counts, best);
         k = end;
     }
-    for (int64_t r = 0; r < k; r++) {
-        double v = s[r] - counts[r]; /* u * s[r] at u = 1 */
-        if (v > best)
-            best = v;
-    }
-    double v = 1.0 - counts[k];
-    if (v > best)
-        best = v;
+    best = open_max(1.0, s, counts, 0, k, best); /* 1.0 * s[r] is s[r] */
+    best = max2(best, 1.0 - counts[k]);
     if (k < n)
         best = sweep_step(1.0, ys + k, n - k, s, k, counts, best);
     return best;
+}
+
+/* The Sobol points with indices skip .. skip+n-1 (skip + n <= 2^32) of
+   the two-dimensional construction whose 32-bit direction integers are
+   v1[0..32) and v2[0..32), into the rows of the (n, 2) array out, each
+   scaled by 2^-32.  The first point is the XOR of the direction integers
+   over the set bits of gray(skip) = skip ^ (skip >> 1); as gray(i) and
+   gray(i-1) differ only in the lowest set bit of i, each next one is
+   x(i) = x(i-1) ^ v[ctz(i)] (Antonov and Saleev).  XOR is exact, so the
+   bits do not depend on the route. */
+void vp_sobol_pairs(int64_t skip, int64_t n, const uint64_t *v1,
+                    const uint64_t *v2, double *out)
+{
+    uint64_t gray = (uint64_t)skip ^ ((uint64_t)skip >> 1);
+    uint64_t a = 0, b = 0;
+    for (int bit = 0; gray; bit++, gray >>= 1) {
+        if (gray & 1) {
+            a ^= v1[bit];
+            b ^= v2[bit];
+        }
+    }
+    for (int64_t k = 0; k < n; k++) {
+        if (k > 0) {
+            uint64_t i = (uint64_t)(skip + k);
+            int bit = 0;
+            while (!(i >> bit & 1)) /* i > 0: one step on average */
+                bit++;
+            a ^= v1[bit];
+            b ^= v2[bit];
+        }
+        out[2 * k] = (double)a * 0x1p-32;
+        out[2 * k + 1] = (double)b * 0x1p-32;
+    }
 }

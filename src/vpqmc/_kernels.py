@@ -93,3 +93,4 @@ deposit_moments = _declare("vp_deposit_moments", None, _I64, _PTR, _PTR, _PTR, _
                            _PTR)
 horner = _declare("vp_horner", None, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR)
 star_discrepancy = _declare("vp_star_discrepancy", _F64, _I64, _PTR, _PTR, _PTR, _PTR)
+sobol_pairs = _declare("vp_sobol_pairs", None, _I64, _I64, _PTR, _PTR, _PTR)

@@ -65,28 +65,16 @@ _SOBOL_V2 = np.array([m << (_SOBOL_BITS - k) for k, m in enumerate(_SOBOL_M2, st
 
 
 def _sobol_pairs(skip: int, n: int) -> np.ndarray:
-    """Sobol points with indices skip .. skip+n-1 via the Gray-code formula
-    x_i = XOR of direction integers over the set bits of gray(i).
+    """Sobol points with indices skip .. skip+n-1 as an (n, 2) array.
 
-    The rounds shift ``gray`` down one bit at a time and reuse two work
-    buffers, and the scaled integers go straight into the (n, 2) output:
-    at most five uint64 arrays of length n are live at once."""
-    gray = np.arange(skip, skip + n, dtype=np.uint64)
-    gray ^= gray >> np.uint64(1)
-    a = np.zeros(n, dtype=np.uint64)
-    b = np.zeros(n, dtype=np.uint64)
-    mask = np.empty(n, dtype=np.uint64)
-    term = np.empty(n, dtype=np.uint64)
-    for bit in range(_SOBOL_BITS):
-        np.bitwise_and(gray, np.uint64(1), out=mask)
-        gray >>= np.uint64(1)
-        a ^= np.multiply(mask, _SOBOL_V1[bit], out=term)
-        b ^= np.multiply(mask, _SOBOL_V2[bit], out=term)
-    del gray, mask, term
-    scale = 2.0 ** -_SOBOL_BITS
+    One compiled loop (``_kernels.c``) takes the first point by the
+    Gray-code formula, x_skip = XOR of the direction integers over the
+    set bits of gray(skip), and each next one by the recurrence
+    x_{i+1} = x_i XOR V[lowest set bit of i+1], for both dimensions at
+    once; then scales by 2^-32.  No work array beyond the output."""
     out = np.empty((n, 2))
-    np.multiply(a, scale, out=out[:, 0])
-    np.multiply(b, scale, out=out[:, 1])
+    _kernels.sobol_pairs(skip, n, _SOBOL_V1.ctypes.data, _SOBOL_V2.ctypes.data,
+                         out.ctypes.data)
     return out
 
 
@@ -134,11 +122,14 @@ def star_discrepancy(points: np.ndarray) -> float:
     bits.
 
     The sweep is one compiled loop (``_kernels.c``) over S.  A binary
-    search finds a point's rank, and one pass over the ranks above it
-    shifts them up and takes the open value before and the closed value
-    after.  The points of a tied x go in together, between one pass of
-    open values and one of closed values.  Quadratic at worst, about
-    n^2/4 rank pairs for points in random order; O(n) memory.
+    search finds a point's rank t; one read-only pass over the ranks from
+    t on takes each one's open value before the point goes in and its
+    closed value after (its rank one higher), in four running maxima of
+    each kind, since a maximum of values that are never NaN is exact in
+    any order; then one memmove shifts those ranks up and y goes in at
+    t.  The points of a tied x go in together, between one pass of open
+    values and one of closed values.  Quadratic at worst, about n^2/4
+    rank pairs for points in random order; O(n) memory.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -182,9 +173,13 @@ def star_discrepancy_in_window(ensemble: ParticleEnsemble,
 
     Raises
     ------
+    ValueError
+        If ``cap`` is below 1 or the window has no extent.
     EmptyPointSet
         If no marker falls inside the window.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     x_lo, x_hi, v_lo, v_hi = (float(s) for s in window)
     if not (x_hi > x_lo and v_hi > v_lo):
         raise ValueError("window must have positive extent")

@@ -184,6 +184,25 @@ def sobol_pairs_sequential(skip, n):
     return np.array(out[:n])
 
 
+def sobol_pairs_rounds_reference(skip, n):
+    """``vpqmc.lowdisc._sobol_pairs`` in numpy: the Gray-code formula
+    x_i = XOR of direction integers over the set bits of gray(i), for all
+    n indices at once in one round per bit, then scaled by 2^-32."""
+    from vpqmc.lowdisc import _SOBOL_V1, _SOBOL_V2
+
+    gray = np.arange(skip, skip + n, dtype=np.uint64)
+    gray ^= gray >> np.uint64(1)
+    a = np.zeros(n, dtype=np.uint64)
+    b = np.zeros(n, dtype=np.uint64)
+    for bit in range(_SOBOL_V1.size):
+        mask = gray & np.uint64(1)
+        gray >>= np.uint64(1)
+        a ^= mask * _SOBOL_V1[bit]
+        b ^= mask * _SOBOL_V2[bit]
+    scale = 2.0 ** -_SOBOL_V1.size
+    return np.column_stack([a * scale, b * scale])
+
+
 def std_normal_ppf_erfcinv_newton(p):
     """Inverse standard-normal CDF: erfcinv, then one Newton step.
 

@@ -8,8 +8,10 @@ import oracles
 from test_lowdisc import _BITWISE_CASES, _tied_sets
 from test_pic import _edge_positions
 from vpqmc import pic
-from vpqmc.core import ParticleEnsemble, periodic_cell
-from vpqmc.lowdisc import PseudoRandom, Sobol, generate_pairs, star_discrepancy
+from vpqmc.core import InitialCondition, ParticleEnsemble, PhaseSpaceDomain, periodic_cell
+from vpqmc.lowdisc import (SOBOL_POINTS, PseudoRandom, Sobol, generate_pairs,
+                           star_discrepancy)
+from vpqmc.sampling import uniform_sample
 
 L = 4 * np.pi
 
@@ -148,7 +150,43 @@ def test_evaluate_rejects_an_order_beyond_the_cubic():
         stencil.evaluate(np.ones(16), 4)
 
 
+# --- Sobol pairs -------------------------------------------------------------------
+
+@pytest.mark.parametrize("skip, n", [
+    (1, 5000),
+    (SOBOL_POINTS - 3000, 3000),  # ends at index 2^32 - 1
+    (SOBOL_POINTS - 1, 1),
+    ((1 << 31) - 1500, 3000),  # across 2^31
+    ((1 << 5) - 1, 100), ((1 << 16) - 1, 100), ((1 << 31) - 1, 100),  # long trailing ones
+    (1, 1), (2, 1), (173, 1), ((1 << 32) - 2, 1),
+])
+def test_sobol_pairs_match_the_round_form_bitwise(skip, n):
+    got = generate_pairs(Sobol(skip=skip), n)
+    assert got.flags.c_contiguous
+    _same_bits(got, oracles.sobol_pairs_rounds_reference(skip, n))
+
+
+def test_sobol_pairs_refuse_an_index_beyond_the_construction():
+    generate_pairs(Sobol(skip=SOBOL_POINTS - 10), 10)
+    with pytest.raises(ValueError, match="32-bit construction"):
+        generate_pairs(Sobol(skip=SOBOL_POINTS - 10), 11)
+    with pytest.raises(ValueError, match="32-bit construction"):
+        generate_pairs(Sobol(skip=SOBOL_POINTS), 1)
+
+
 # --- star discrepancy -------------------------------------------------------------
+
+def _sobol_window_set(cap):
+    """The first ``cap`` markers of a uniform Sobol fill inside the window
+    of a discrepancy-tracking run, rescaled to the unit square."""
+    domain = PhaseSpaceDomain(0.0, L, -8.0, 8.0)
+    e = uniform_sample(InitialCondition(epsilon=0.5, k=0.5),
+                       generate_pairs(Sobol(skip=1), 250000), domain)
+    inside = (e.x >= 0.0) & (e.x <= 2.0) & (e.v >= -1.0) & (e.v <= 1.0)
+    pts = np.column_stack([e.x[inside] / 2.0, (e.v[inside] + 1.0) / 2.0])[:cap]
+    assert pts.shape == (cap, 2)
+    return pts
+
 
 def _star_cases():
     rng = np.random.default_rng(15)
@@ -157,6 +195,10 @@ def _star_cases():
         yield generate_pairs(PseudoRandom(seed=seed), int(rng.integers(1, 600)))
     for skip in (1, 7, 1 << 18):
         yield generate_pairs(Sobol(skip=skip), 1000)
+    for n in range(5, 13):  # every residue of the four-way loops
+        for _ in range(4):
+            yield rng.random((n, 2))
+    yield _sobol_window_set(4000)
     yield from _tied_sets(rng, 350)
     sizes = rng.integers(1, 41, 40)  # tied groups of 1 to 40 points
     tied = np.repeat(rng.random(40), sizes)

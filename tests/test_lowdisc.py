@@ -213,6 +213,13 @@ def test_window_selects_and_caps():
     assert res.n_used <= 500
 
 
+@pytest.mark.parametrize("cap", [0, -1, -5])
+def test_window_cap_below_one_rejected(cap):
+    e = _ensemble_from(np.linspace(0.1, 1.9, 10), np.linspace(-0.9, 0.9, 10))
+    with pytest.raises(ValueError, match=r"^cap must be >= 1$"):
+        star_discrepancy_in_window(e, (0.0, 2.0, -1.0, 1.0), cap=cap)
+
+
 def test_window_disjoint_raises():
     with pytest.raises(EmptyPointSet):
         star_discrepancy_in_window(_ensemble_from([0.1], [0.0]), (2.0, 3.0, -1, 1))
