@@ -116,40 +116,24 @@ static int64_t upper_bound(const double *s, int64_t k, double y)
     return lo;
 }
 
-/* The largest of best and u*s[r] - c[r] over the ranks r in [lo, hi)
-   (an open corner (u, s[r]) with c[r] = r/n), in four running maxima
-   that do not wait on each other. */
-static double open_max(double u, const double *s, const double *c,
-                       int64_t lo, int64_t hi, double best)
+/* The largest of best and sign*(u*s[r] - c[r]) over the ranks r in
+   [lo, hi), in four running maxima that do not wait on each other:
+   sign = +1 takes the open corners (u, s[r]) with c[r] = r/n, and
+   sign = -1 the closed ones whose count is c[r] (under round-to-nearest
+   -(p - c) is c - p exactly, and D* > 0, so a zero's sign never shows). */
+static double corner_max(double sign, double u, const double *s,
+                         const double *c, int64_t lo, int64_t hi, double best)
 {
     double m0 = best, m1 = best, m2 = best, m3 = best;
     int64_t r = lo;
     for (; r + 4 <= hi; r += 4) {
-        m0 = max2(m0, u * s[r] - c[r]);
-        m1 = max2(m1, u * s[r + 1] - c[r + 1]);
-        m2 = max2(m2, u * s[r + 2] - c[r + 2]);
-        m3 = max2(m3, u * s[r + 3] - c[r + 3]);
+        m0 = max2(m0, sign * (u * s[r] - c[r]));
+        m1 = max2(m1, sign * (u * s[r + 1] - c[r + 1]));
+        m2 = max2(m2, sign * (u * s[r + 2] - c[r + 2]));
+        m3 = max2(m3, sign * (u * s[r + 3] - c[r + 3]));
     }
     for (; r < hi; r++)
-        m0 = max2(m0, u * s[r] - c[r]);
-    return max2(max2(m0, m1), max2(m2, m3));
-}
-
-/* The same for c[r] - u*s[r], a closed corner (u, s[r]) whose count is
-   c[r]. */
-static double closed_max(double u, const double *s, const double *c,
-                         int64_t lo, int64_t hi, double best)
-{
-    double m0 = best, m1 = best, m2 = best, m3 = best;
-    int64_t r = lo;
-    for (; r + 4 <= hi; r += 4) {
-        m0 = max2(m0, c[r] - u * s[r]);
-        m1 = max2(m1, c[r + 1] - u * s[r + 1]);
-        m2 = max2(m2, c[r + 2] - u * s[r + 2]);
-        m3 = max2(m3, c[r + 3] - u * s[r + 3]);
-    }
-    for (; r < hi; r++)
-        m0 = max2(m0, c[r] - u * s[r]);
+        m0 = max2(m0, sign * (u * s[r] - c[r]));
     return max2(max2(m0, m1), max2(m2, m3));
 }
 
@@ -201,13 +185,13 @@ static double sweep_group(double u, const double *g, int64_t m, double *s,
         if (g[j] < lo)
             lo = g[j];
     int64_t t = upper_bound(s, k, lo);
-    best = open_max(u, s, counts, t, k, best);
+    best = corner_max(1.0, u, s, counts, t, k, best);
     for (int64_t j = 0; j < m; j++, k++) {
         int64_t at = upper_bound(s, k, g[j]);
         memmove(s + at + 1, s + at, (size_t)(k - at) * sizeof(double));
         s[at] = g[j];
     }
-    return closed_max(u, s, counts + 1, t, k, best);
+    return corner_max(-1.0, u, s, counts + 1, t, k, best);
 }
 
 /* One step of the sweep: the points ys[0..m) at x = u go in. */
@@ -240,7 +224,7 @@ double vp_star_discrepancy(int64_t n, const double *xs, const double *ys,
         best = sweep_step(u, ys + k, end - k, s, k, counts, best);
         k = end;
     }
-    best = open_max(1.0, s, counts, 0, k, best); /* 1.0 * s[r] is s[r] */
+    best = corner_max(1.0, 1.0, s, counts, 0, k, best); /* 1.0 * s[r] is s[r] */
     best = max2(best, 1.0 - counts[k]);
     if (k < n)
         best = sweep_step(1.0, ys + k, n - k, s, k, counts, best);

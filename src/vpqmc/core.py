@@ -8,6 +8,7 @@ velocity direction is bounded and includes both endpoints
 (``v_j = v_min + j * dv``, ``dv = (v_max - v_min) / (nv - 1)``).  All
 masses and marginals of gridded densities use the trapezoidal rule on
 this grid, which in the periodic direction reduces to the plain node sum.
+Its spacings and bilinear stencils are written once, in ``NodeGrid``.
 """
 
 from __future__ import annotations
@@ -211,14 +212,6 @@ def bounded_cell(v, v_min: float, h: float, n: int):
     return j, t - j
 
 
-def bilinear_stencil(domain: PhaseSpaceDomain, nx: int, nv: int, x, v):
-    """The four (i, j) nodes and bilinear weights at each (x, v) on the
-    package grid of nx x nv nodes over ``domain``."""
-    ix, fx = periodic_cell(x, domain.x_min, domain.length / nx, nx)
-    jv, fv = bounded_cell(v, domain.v_min, domain.v_span / (nv - 1), nv)
-    return cell_stencil(ix, (ix + 1) % nx, fx, jv, fv)
-
-
 def cell_stencil(ix, ixp, fx, jv, fv):
     """The four (i, j) nodes and bilinear weights of points in the cells
     between rows ix and ixp and columns jv and jv + 1, at local
@@ -236,8 +229,27 @@ def bilinear_sum(values: np.ndarray, nodes, wgts):
     return terms[0] + terms[1] + terms[2] + terms[3]
 
 
+class NodeGrid:
+    """The package grid convention (module docstring) of a subclass's
+    ``domain``, ``nx`` and ``nv``: node spacings and bilinear stencils."""
+
+    @property
+    def dx(self) -> float:
+        return self.domain.length / self.nx
+
+    @property
+    def dv(self) -> float:
+        return self.domain.v_span / (self.nv - 1)
+
+    def stencil(self, x, v):
+        """The four (i, j) nodes and bilinear weights at each (x, v)."""
+        ix, fx = periodic_cell(x, self.domain.x_min, self.dx, self.nx)
+        jv, fv = bounded_cell(v, self.domain.v_min, self.dv, self.nv)
+        return cell_stencil(ix, (ix + 1) % self.nx, fx, jv, fv)
+
+
 @dataclass(frozen=True)
-class GriddedDensity:
+class GriddedDensity(NodeGrid):
     """Node values of a phase-space density on the package grid convention.
 
     ``values[i, j]`` lives at ``(x_i, v_j)`` with x periodic-indexed
@@ -263,14 +275,6 @@ class GriddedDensity:
     def nv(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def dx(self) -> float:
-        return self.domain.length / self.nx
-
-    @property
-    def dv(self) -> float:
-        return self.domain.v_span / (self.nv - 1)
-
     def x_marginal_nodes(self) -> np.ndarray:
         """Trapezoid v-integral of each x column: g_X(x_i)."""
         return self.dv * (self.values @ v_trapezoid_weights(self.nv))
@@ -284,8 +288,7 @@ class GriddedDensity:
 
         Takes and returns arrays.
         """
-        return bilinear_sum(self.values,
-                            *bilinear_stencil(self.domain, self.nx, self.nv, x, v))
+        return bilinear_sum(self.values, *self.stencil(x, v))
 
 
 def nonzero_mass(mass: float) -> float:

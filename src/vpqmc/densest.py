@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (GriddedDensity, ParticleEnsemble, PhaseSpaceDomain,
-                   bilinear_stencil)
+from .core import GriddedDensity, NodeGrid, ParticleEnsemble, PhaseSpaceDomain
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -33,7 +32,7 @@ class SingularSystem(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True)
-class LinearSplineBasis2D:
+class LinearSplineBasis2D(NodeGrid):
     """Tensor-product hat basis on the package grid (periodic x, bounded v)."""
 
     domain: PhaseSpaceDomain
@@ -43,14 +42,6 @@ class LinearSplineBasis2D:
     def __post_init__(self):
         if self.nx < 2 or self.nv < 2:
             raise ValueError("need nx, nv >= 2")
-
-    @property
-    def dx(self) -> float:
-        return self.domain.length / self.nx
-
-    @property
-    def dv(self) -> float:
-        return self.domain.v_span / (self.nv - 1)
 
     def mass_x_row(self) -> np.ndarray:
         """First row of the circulant x mass matrix: dx*(2/3, 1/6, 0, ..., 1/6)."""
@@ -87,7 +78,7 @@ def cic_moments(basis: LinearSplineBasis2D, x: np.ndarray, v: np.ndarray,
     n = np.asarray(x).shape[0]
     omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
     flat = np.zeros(basis.nx * basis.nv)
-    nodes, wgts = bilinear_stencil(basis.domain, basis.nx, basis.nv, x, v)
+    nodes, wgts = basis.stencil(x, v)
     for (i, j), w in zip(nodes, wgts):
         flat += np.bincount(i * basis.nv + j, weights=omega * w,
                             minlength=flat.size)
@@ -133,7 +124,7 @@ def bilinear_ridge_fit(x, v, values, basis: LinearSplineBasis2D,
     values = np.asarray(values, dtype=float)
     n_s = x.shape[0]
     n_dof = basis.nx * basis.nv
-    nodes, wgts = bilinear_stencil(basis.domain, basis.nx, basis.nv, x, v)
+    nodes, wgts = basis.stencil(x, v)
     rows = np.concatenate([np.arange(n_s)] * 4)
     cols = np.concatenate([i * basis.nv + j for (i, j) in nodes])
     data = np.concatenate(list(wgts))

@@ -356,15 +356,48 @@ def write_particle_dump(path, ensemble: ParticleEnsemble,
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=1) + "\n")
 
 
+# the size keys of each dump kind, and the bounds of a sidecar's domain
+_SIZE_KEYS = {"grid": ("nx", "nv"), "particles": ("n_p",)}
+_BOUNDS = tuple(f.name for f in dataclass_fields(PhaseSpaceDomain))
+
+
+def _sidecar_problems(meta: dict) -> List[str]:
+    """One message per missing or ill-typed field of a sidecar object; a
+    JSON number loads as an int or a float (a bool is neither type).  An
+    unknown kind has no size keys; read_dump reports it."""
+    sizes = _SIZE_KEYS.get(meta.get("kind"), ())
+    problems = [f"sidecar lacks '{key}'" for key in ("kind", "domain", "t", *sizes)
+                if key not in meta]
+    problems += [f"sidecar '{key}' must be a nonnegative integer, got {meta[key]!r}"
+                 for key in sizes if key in meta
+                 and not (type(meta[key]) is int and meta[key] >= 0)]
+    domain = meta.get("domain")
+    if "domain" in meta and not (
+            isinstance(domain, dict) and sorted(domain) == sorted(_BOUNDS)
+            and all(type(bound) in (int, float) for bound in domain.values())):
+        problems.append(f"sidecar 'domain' must hold exactly the numbers "
+                        f"{', '.join(_BOUNDS)}, got {domain!r}")
+    if "t" in meta and type(meta["t"]) not in (int, float):
+        problems.append(f"sidecar 't' must be a number, got {meta['t']!r}")
+    return problems
+
+
 def read_dump(path):
     """Read a dump; returns ('grid', GriddedDensity, t) or
-    ('particles', ParticleEnsemble, domain, t)."""
+    ('particles', ParticleEnsemble, domain, t).  A sidecar that is not a
+    JSON object, lacks a field or holds one of the wrong type raises
+    FormatError naming each such field."""
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
         raise FormatError(f"missing sidecar {sidecar_file}")
     meta = json.loads(sidecar_file.read_text())
+    if not isinstance(meta, dict):
+        raise FormatError(f"sidecar {sidecar_file} must be a JSON object")
     if meta.get("dtype") != "<f8":
         raise FormatError(f"unsupported dtype {meta.get('dtype')!r}")
+    problems = _sidecar_problems(meta)
+    if problems:
+        raise FormatError("; ".join(problems))
     payload = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
     domain = PhaseSpaceDomain(**meta["domain"])
     if meta["kind"] == "grid":

@@ -48,15 +48,19 @@ _SOBOL_BITS = 32
 #: The points of the construction: n points after ``skip`` need skip + n <= SOBOL_POINTS.
 SOBOL_POINTS = 2 ** _SOBOL_BITS
 
-# Direction-number integers m_k for dimension 2, primitive polynomial
-# x + 1 (degree 1, Joe-Kuo initialization m_1 = 1, recurrence
-# m_k = m_{k-1} XOR 2*m_{k-1}).  Dimension 1 uses m_k = 1 (van der Corput).
-_SOBOL_M2 = (
-    1, 3, 5, 15, 17, 51, 85, 255, 257, 771, 1285, 3855, 4369, 13107,
-    21845, 65535, 65537, 196611, 327685, 983055, 1114129, 3342387,
-    5570645, 16711935, 16843009, 50529027, 84215045, 252645135,
-    286331153, 858993459, 1431655765, 4294967295,
-)
+
+def _direction_integers_x_plus_1(n: int) -> tuple:
+    """The first n direction-number integers m_k of the primitive
+    polynomial x + 1 (degree 1, Joe-Kuo initialization m_1 = 1,
+    recurrence m_k = m_{k-1} XOR 2*m_{k-1})."""
+    m = [1]
+    while len(m) < n:
+        m.append(m[-1] ^ (m[-1] << 1))
+    return tuple(m)
+
+
+# dimension 1 uses m_k = 1 (van der Corput), dimension 2 the polynomial x + 1
+_SOBOL_M2 = _direction_integers_x_plus_1(_SOBOL_BITS)
 
 _SOBOL_V1 = np.array([1 << (_SOBOL_BITS - k) for k in range(1, _SOBOL_BITS + 1)],
                      dtype=np.uint64)

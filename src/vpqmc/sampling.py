@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lowdisc
-from .core import (GriddedDensity, InitialCondition, ParticleEnsemble,
+from .core import (GriddedDensity, InitialCondition, NodeGrid, ParticleEnsemble,
                    PhaseSpaceDomain, SQRT_2PI, bilinear_sum, bounded_cell,
                    cell_stencil, eval_initial_f, initial_x_density, nonzero_mass,
                    periodic_cell)
@@ -92,7 +92,7 @@ def _checked_pairs(pairs) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BilinearSampler:
+class BilinearSampler(NodeGrid):
     """Exact inverse-transform sampler of |density| / mass, mass the
     trapezoid mass of |density|: holds the mass, the x marginal of the
     whole grid and its trapezoid partial sums, and builds the conditional
@@ -123,14 +123,6 @@ class BilinearSampler:
     @property
     def nv(self) -> int:
         return self.density.nv
-
-    @property
-    def dx(self) -> float:
-        return self.density.dx
-
-    @property
-    def dv(self) -> float:
-        return self.density.dv
 
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
@@ -402,7 +394,10 @@ def _invert_x_cdf(ic: InitialCondition, u: np.ndarray) -> np.ndarray:
 
 
 def _std_normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    """Phi(z) through erfc, which keeps its relative precision in the
+    lower tail, where 1 + erf(z/sqrt(2)) cancels; it underflows to 0 only
+    below z = -38.5."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 # Wichura's AS241 (PPND16), "The Percentage Points of the Normal

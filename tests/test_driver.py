@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,8 +111,8 @@ def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
 @pytest.mark.parametrize("args,message", [
     (["v_min=40", "v_max=50"],
      "the bulk Gaussian N(0, 1^2) has no mass in [v_min, v_max] = [40, 50]"),
-    (["scenario=custom", "n_b=0.5", "v_b=20"],
-     "the bump Gaussian N(20, 1^2) has no mass in [v_min, v_max] = [-6.5, 6.5]"),
+    (["scenario=custom", "n_b=0.5", "v_b=50"],
+     "the bump Gaussian N(50, 1^2) has no mass in [v_min, v_max] = [-6.5, 6.5]"),
 ])
 def test_its_velocity_window_rule_is_usage_error(tmp_path, capsys, args, message):
     # NaN rows (bulk) or all-zero rows with a RuntimeWarning (bump) used to
@@ -413,6 +414,60 @@ def test_dump_endianness_declared(tmp_path):
     (tmp_path / "grid.bin.json").write_text(json.dumps(meta))
     with pytest.raises(FormatError):
         read_dump(path)
+
+
+def _set(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+def _drop(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+_BOUNDS = {"x_min": 0.0, "x_max": 2.0, "v_min": -1.0, "v_max": 1.0}
+
+
+_BROKEN_SIDECARS = [
+    ("grid", lambda meta: [meta], "must be a JSON object"),
+    ("grid", _drop("kind"), "lacks 'kind'"),
+    ("grid", _drop("domain"), "lacks 'domain'"),
+    ("grid", _drop("t"), "lacks 't'"),
+    ("grid", _drop("nx"), "lacks 'nx'"),
+    ("particles", _drop("n_p"), "lacks 'n_p'"),
+    ("grid", _set("nx", "4"), "'nx' must be a nonnegative integer, got '4'"),
+    ("grid", _set("nx", 4.0), "'nx' must be a nonnegative integer, got 4.0"),
+    ("grid", _set("nx", True), "'nx' must be a nonnegative integer, got True"),
+    ("grid", lambda meta: {**meta, "nx": -4, "nv": -4}, "'nx' must be a nonnegative"),
+    ("particles", _set("n_p", "4"), "'n_p' must be a nonnegative integer"),
+    ("grid", _set("domain", {**_BOUNDS, "t_max": 1.0}), "'domain' must hold exactly"),
+    ("particles", _set("domain", {"x_min": 0.0, "x_max": 2.0}), "'domain' must hold"),
+    ("grid", _set("domain", [0.0, 2.0, -1.0, 1.0]), "'domain' must hold exactly"),
+    ("grid", _set("domain", {**_BOUNDS, "v_max": "1"}), "'domain' must hold exactly"),
+    ("grid", _set("t", "zero"), "'t' must be a number"),
+    ("particles", _set("t", None), "'t' must be a number"),
+]
+
+
+@pytest.mark.parametrize("kind, edit, field", _BROKEN_SIDECARS,
+                         ids=[f"{kind}: {field}" for kind, _, field in _BROKEN_SIDECARS])
+def test_read_dump_checks_its_sidecar(tmp_path, capsys, kind, edit, field):
+    # these used to raise KeyError, TypeError, AttributeError or a numpy
+    # ValueError, or a FormatError that read "nx": "4" as the size "4444"
+    dom = PhaseSpaceDomain(**_BOUNDS)
+    path = tmp_path / "dump.bin"
+    if kind == "grid":
+        write_grid_dump(path, GriddedDensity(dom, np.ones((4, 4))), t=0.0)
+    else:
+        ones = np.ones(4)
+        write_particle_dump(path, ParticleEnsemble(x=ones, v=ones, f_like=ones, g_like=ones),
+                            dom, t=0.0)
+    sidecar = tmp_path / "dump.bin.json"
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    with pytest.raises(FormatError, match=re.escape(field)):
+        read_dump(path)
+    command = "hk-variation" if kind == "grid" else "discrepancy"
+    assert cli_main([command, str(path)]) == 1
+    assert '"type": "FormatError"' in capsys.readouterr().err
 
 
 def test_timeseries_fixed_columns(tmp_path):

@@ -570,8 +570,8 @@ def test_its_bump_velocity_histogram():
 
 @pytest.mark.parametrize("ic, v_min, v_max, component", [
     (InitialCondition(epsilon=0.5, k=0.5), 40.0, 50.0, "bulk Gaussian N(0, 1^2)"),
-    (InitialCondition(epsilon=0.5, k=0.5, n_b=0.5, v_b=20.0), -6.5, 6.5,
-     "bump Gaussian N(20, 1^2)"),
+    (InitialCondition(epsilon=0.5, k=0.5, n_b=0.5, v_b=50.0), -6.5, 6.5,
+     "bump Gaussian N(50, 1^2)"),
 ], ids=["bulk", "bump"])
 def test_its_rejects_a_component_with_no_mass_in_the_window(ic, v_min, v_max, component):
     # each used to divide by a zero truncated mass: NaN likelihoods for the
@@ -581,6 +581,14 @@ def test_its_rejects_a_component_with_no_mass_in_the_window(ic, v_min, v_max, co
     with pytest.raises(ValueError, match=rf"^the {re.escape(component)} has no mass "
                        rf"in \[v_min, v_max\] = \[{v_min:g}, {v_max:g}\]$"):
         its_tensor_product(ic, pairs, dom)
+
+
+@pytest.mark.parametrize("z", [-8.0, -13.5, -20.0])
+def test_std_normal_cdf_keeps_its_relative_precision_in_the_lower_tail(z):
+    # 0.5*(1 + erf(z/sqrt(2))) cancels there: Phi(-8) came out 1.8% low,
+    # and Phi(-13.5) and Phi(-20) as 0
+    from scipy.special import ndtr
+    assert sampling._std_normal_cdf(z) == pytest.approx(ndtr(z), rel=1e-13, abs=0)
 
 
 def test_its_samples_a_window_above_the_mean_through_the_mirrored_tail():
