@@ -401,17 +401,11 @@ class DiagnosticsRecord:
     t: float
     field_energy: float
     kinetic_energy: float
-    total_energy: float
     total_mass: float
     entropy: float
     star_disc: Optional[float] = None
     hk_variation: Optional[float] = None
 
-    @classmethod
-    def make(cls, t, field_energy, kinetic_energy, total_mass, entropy,
-             star_disc=None, hk_variation=None) -> "DiagnosticsRecord":
-        return cls(t=float(t), field_energy=float(field_energy),
-                   kinetic_energy=float(kinetic_energy),
-                   total_energy=float(field_energy) + float(kinetic_energy),
-                   total_mass=float(total_mass), entropy=float(entropy),
-                   star_disc=star_disc, hk_variation=hk_variation)
+    @property
+    def total_energy(self) -> float:
+        return self.field_energy + self.kinetic_energy

@@ -72,7 +72,7 @@ def run_pic(ensemble: ParticleEnsemble,
         if star_disc_period > 0 and len(records) % star_disc_period == 0:
             star = lowdisc.star_discrepancy_in_window(
                 ensemble, star_disc_window, cap=star_disc_cap).d_star
-        rec = DiagnosticsRecord.make(
+        rec = DiagnosticsRecord(
             t=t,
             field_energy=pic.field_energy(fld),
             kinetic_energy=pic.kinetic_energy(ensemble),

@@ -171,9 +171,11 @@ def _parse_window(key: str, text: str) -> Tuple[float, float, float, float]:
         parts = tuple(float(p) for p in text.split(","))
     except ValueError:
         parts = ()
-    if len(parts) != 4 or not (parts[0] < parts[1] and parts[2] < parts[3]):
-        raise ParseError(f"{key} {text!r} needs four numbers x0,x1,v0,v1 with "
-                         "x0 < x1 and v0 < v1")
+    # a finite extent needs finite bounds: inf - x is inf, inf - inf nan
+    if len(parts) != 4 or not (0 < parts[1] - parts[0] < np.inf
+                               and 0 < parts[3] - parts[2] < np.inf):
+        raise ParseError(f"{key} {text!r} needs four finite numbers x0,x1,v0,v1 "
+                         "with x0 < x1, v0 < v1 and finite x1 - x0, v1 - v0")
     return parts  # type: ignore[return-value]
 
 
@@ -356,27 +358,34 @@ def write_particle_dump(path, ensemble: ParticleEnsemble,
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=1) + "\n")
 
 
-# the size keys of each dump kind, and the bounds of a sidecar's domain
-_SIZE_KEYS = {"grid": ("nx", "nv"), "particles": ("n_p",)}
+# the size keys of each dump kind with their least values, and the bounds
+# of a sidecar's domain
+_SIZE_KEYS = {"grid": {"nx": 2, "nv": 2}, "particles": {"n_p": 0}}
 _BOUNDS = tuple(f.name for f in dataclass_fields(PhaseSpaceDomain))
 
 
 def _sidecar_problems(meta: dict) -> List[str]:
-    """One message per missing or ill-typed field of a sidecar object; a
-    JSON number loads as an int or a float (a bool is neither type).  An
-    unknown kind has no size keys; read_dump reports it."""
-    sizes = _SIZE_KEYS.get(meta.get("kind"), ())
+    """One message per missing, ill-typed or out-of-range field of a
+    sidecar object; a JSON number loads as an int or a float (a bool is
+    neither type).  An unknown kind has no size keys; read_dump reports it."""
+    sizes = _SIZE_KEYS.get(meta.get("kind"), {})
     problems = [f"sidecar lacks '{key}'" for key in ("kind", "domain", "t", *sizes)
                 if key not in meta]
-    problems += [f"sidecar '{key}' must be a nonnegative integer, got {meta[key]!r}"
-                 for key in sizes if key in meta
-                 and not (type(meta[key]) is int and meta[key] >= 0)]
+    for key, least in sizes.items():
+        if key in meta and not (type(meta[key]) is int and meta[key] >= 0):
+            problems.append(f"sidecar '{key}' must be a nonnegative integer, "
+                            f"got {meta[key]!r}")
+        elif key in meta and meta[key] < least:
+            problems.append(f"sidecar '{key}' must be >= {least}, got {meta[key]}")
     domain = meta.get("domain")
     if "domain" in meta and not (
             isinstance(domain, dict) and sorted(domain) == sorted(_BOUNDS)
             and all(type(bound) in (int, float) for bound in domain.values())):
         problems.append(f"sidecar 'domain' must hold exactly the numbers "
                         f"{', '.join(_BOUNDS)}, got {domain!r}")
+    elif "domain" in meta:  # JSON's Infinity and NaN load as floats
+        problems += [f"sidecar 'domain': {problem}"
+                     for problem in _rule_problems(lambda: PhaseSpaceDomain(**domain))]
     if "t" in meta and type(meta["t"]) not in (int, float):
         problems.append(f"sidecar 't' must be a number, got {meta['t']!r}")
     return problems
@@ -385,12 +394,15 @@ def _sidecar_problems(meta: dict) -> List[str]:
 def read_dump(path):
     """Read a dump; returns ('grid', GriddedDensity, t) or
     ('particles', ParticleEnsemble, domain, t).  A sidecar that is not a
-    JSON object, lacks a field or holds one of the wrong type raises
-    FormatError naming each such field."""
+    JSON object, lacks a field or holds one of the wrong type or out of
+    range raises FormatError naming each such field."""
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
         raise FormatError(f"missing sidecar {sidecar_file}")
-    meta = json.loads(sidecar_file.read_text())
+    try:
+        meta = json.loads(sidecar_file.read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise FormatError(f"sidecar {sidecar_file} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"sidecar {sidecar_file} must be a JSON object")
     if meta.get("dtype") != "<f8":
@@ -423,14 +435,6 @@ def read_dump(path):
 def _spectral_state_from_grid(density: GriddedDensity, t: float) -> spectral.SpectralState:
     # drop the duplicated v wrap node of the package grid convention
     return spectral.SpectralState(density.domain, density.values[:, :-1].copy(), t)
-
-
-def _initial_ensemble(cfg: RunConfig) -> ParticleEnsemble:
-    pairs = lowdisc.generate_pairs(cfg.sequence_kind(), cfg.n_p)
-    ic, domain = cfg.initial_condition(), cfg.domain()
-    if cfg.sampling == "uniform":
-        return sampling.uniform_sample(ic, pairs, domain)
-    return sampling.its_tensor_product(ic, pairs, domain)
 
 
 def _run(cfg: RunConfig) -> Path:
@@ -471,8 +475,12 @@ def _solve(cfg: RunConfig, outdir: Path, timeseries: TextIO) -> None:
             on_record=on_record)
         write_grid_dump(outdir / "final_state.grid",
                         spectral.zero_pad(state, 1), state.t)
-    elif cfg.solver == "pic":
-        ensemble = _initial_ensemble(cfg)
+        return
+    if cfg.solver == "pic":
+        draw = (sampling.uniform_sample if cfg.sampling == "uniform"
+                else sampling.its_tensor_product)
+        # no name holds the pairs, so they are freed before the run starts
+        ensemble = draw(ic, lowdisc.generate_pairs(cfg.sequence_kind(), cfg.n_p), domain)
         solver = pic.SplinePoissonSolver.build(domain.x_min, domain.length, cfg.n_f)
         coupling.run_pic(
             ensemble, solver, cfg.integrator_kind(), cfg.dt, 0.0, cfg.t_max,
@@ -480,8 +488,6 @@ def _solve(cfg: RunConfig, outdir: Path, timeseries: TextIO) -> None:
             star_disc_period=cfg.star_disc_period,
             star_disc_window=cfg.window(), star_disc_cap=cfg.star_disc_cap,
             on_record=on_record)
-        write_particle_dump(outdir / "final_particles.dump", ensemble,
-                            domain, cfg.t_max)
     else:
         _, ensemble = coupling.run_coupled(
             ic, domain, cfg.nx, cfg.nv, cfg.dt, cfg.t_max,
@@ -489,8 +495,7 @@ def _solve(cfg: RunConfig, outdir: Path, timeseries: TextIO) -> None:
             sequence=cfg.sequence_kind(), kind=cfg.integrator_kind(),
             out_stride=cfg.output_stride, hk_period=cfg.hk_period,
             on_record=on_record)
-        write_particle_dump(outdir / "final_particles.dump", ensemble,
-                            domain, cfg.t_max)
+    write_particle_dump(outdir / "final_particles.dump", ensemble, domain, cfg.t_max)
 
 
 # ---------------------------------------------------------------------------

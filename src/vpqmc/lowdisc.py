@@ -178,15 +178,16 @@ def star_discrepancy_in_window(ensemble: ParticleEnsemble,
     Raises
     ------
     ValueError
-        If ``cap`` is below 1 or the window has no extent.
+        If ``cap`` is below 1 or the window has no positive, finite extent
+        (which a non-finite bound breaks).
     EmptyPointSet
         If no marker falls inside the window.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     x_lo, x_hi, v_lo, v_hi = (float(s) for s in window)
-    if not (x_hi > x_lo and v_hi > v_lo):
-        raise ValueError("window must have positive extent")
+    if not (0 < x_hi - x_lo < np.inf and 0 < v_hi - v_lo < np.inf):
+        raise ValueError("window must have positive, finite extent")
     inside = ((ensemble.x >= x_lo) & (ensemble.x <= x_hi)
               & (ensemble.v >= v_lo) & (ensemble.v <= v_hi))
     n_in = int(np.count_nonzero(inside))

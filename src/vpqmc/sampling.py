@@ -436,13 +436,6 @@ _AS241_FAR = (
      5.9983220655588793769e-1, 1.0))
 
 
-def _poly(coeffs, r):
-    out = np.full_like(r, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * r + c
-    return out
-
-
 def _std_normal_ppf(p):
     """Inverse standard-normal CDF by Wichura's AS241, vectorised.
 
@@ -457,7 +450,7 @@ def _std_normal_ppf(p):
     z = np.empty_like(p)
     qc = q[central]
     r = 0.180625 - qc * qc
-    z[central] = qc * _poly(_AS241_CENTRAL[0], r) / _poly(_AS241_CENTRAL[1], r)
+    z[central] = qc * np.polyval(_AS241_CENTRAL[0], r) / np.polyval(_AS241_CENTRAL[1], r)
     tail = ~central
     pt = p[tail]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -466,7 +459,7 @@ def _std_normal_ppf(p):
         for region, coeffs, shift in ((r <= 5.0, _AS241_NEAR, 1.6),
                                       (~(r <= 5.0), _AS241_FAR, 5.0)):
             rr = r[region] - shift
-            zt[region] = _poly(coeffs[0], rr) / _poly(coeffs[1], rr)
+            zt[region] = np.polyval(coeffs[0], rr) / np.polyval(coeffs[1], rr)
     # p = 0 and p = 1 give r = inf, where the far quotient is inf/inf
     zt[r == np.inf] = np.inf
     z[tail] = np.where(q[tail] < 0.0, -zt, zt)

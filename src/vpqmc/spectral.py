@@ -314,7 +314,7 @@ def grid_entropy(s: SpectralState) -> float:
 
 
 def diagnostics(s: SpectralState, with_hk: bool = False) -> DiagnosticsRecord:
-    return DiagnosticsRecord.make(
+    return DiagnosticsRecord(
         t=s.t,
         field_energy=field_energy(s),
         kinetic_energy=kinetic_energy(s),

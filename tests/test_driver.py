@@ -445,6 +445,16 @@ _BROKEN_SIDECARS = [
     ("grid", _set("domain", {**_BOUNDS, "v_max": "1"}), "'domain' must hold exactly"),
     ("grid", _set("t", "zero"), "'t' must be a number"),
     ("particles", _set("t", None), "'t' must be a number"),
+    # bytes are the sidecar's raw text; these raised JSONDecodeError, a plain
+    # ValueError from PhaseSpaceDomain or GriddedDensity's ValueError
+    ("grid", lambda meta: json.dumps(meta)[:-1].encode(), "is not valid JSON"),
+    ("particles", lambda meta: b"\xff" + json.dumps(meta).encode(), "is not valid JSON"),
+    ("grid", _set("domain", {**_BOUNDS, "x_max": -1.0}), "'domain': x_max must exceed x_min"),
+    ("particles", _set("domain", {**_BOUNDS, "v_min": float("-inf")}),
+     "'domain': v_min must be finite"),
+    ("grid", _set("domain", {**_BOUNDS, "x_min": float("nan")}), "'domain': x_min must be"),
+    ("grid", lambda meta: {**meta, "nx": 1, "nv": 16}, "'nx' must be >= 2, got 1"),
+    ("grid", lambda meta: {**meta, "nx": 16, "nv": 1}, "'nv' must be >= 2, got 1"),
 ]
 
 
@@ -462,7 +472,8 @@ def test_read_dump_checks_its_sidecar(tmp_path, capsys, kind, edit, field):
         write_particle_dump(path, ParticleEnsemble(x=ones, v=ones, f_like=ones, g_like=ones),
                             dom, t=0.0)
     sidecar = tmp_path / "dump.bin.json"
-    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    edited = edit(json.loads(sidecar.read_text()))
+    sidecar.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
     with pytest.raises(FormatError, match=re.escape(field)):
         read_dump(path)
     command = "hk-variation" if kind == "grid" else "discrepancy"
@@ -471,10 +482,10 @@ def test_read_dump_checks_its_sidecar(tmp_path, capsys, kind, edit, field):
 
 
 def test_timeseries_fixed_columns(tmp_path):
-    rec = DiagnosticsRecord.make(t=0.5, field_energy=1.0, kinetic_energy=2.0,
-                                 total_mass=3.0, entropy=-1.0)
-    rec2 = DiagnosticsRecord.make(t=1.0, field_energy=1.0, kinetic_energy=2.0,
-                                  total_mass=3.0, entropy=-1.0, star_disc=0.25)
+    rec = DiagnosticsRecord(t=0.5, field_energy=1.0, kinetic_energy=2.0,
+                            total_mass=3.0, entropy=-1.0)
+    rec2 = DiagnosticsRecord(t=1.0, field_energy=1.0, kinetic_energy=2.0,
+                             total_mass=3.0, entropy=-1.0, star_disc=0.25)
     path = tmp_path / "ts.csv"
     with open(path, "w") as fh:
         write_timeseries(fh, [("spectral", rec)], header=True)
@@ -776,6 +787,19 @@ def test_cli_bad_window_is_usage_error(tmp_path, capsys):
                      f"outdir={outdir}"]) == 2
     assert not outdir.exists()  # rejected before anything is written
     assert "star_disc_window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["0,inf,-1,1", "-inf,inf,-inf,inf", "-1e308,1e308,-1,1"])
+def test_a_window_is_four_finite_numbers(tmp_path, capsys, window):
+    # an infinite bound or extent rescaled every marker to u = 0: the run
+    # wrote star_disc = 1 in every row, or failed after writing its header
+    dump = _particle_dump(tmp_path / "p.dump")
+    assert cli_main(["discrepancy", str(dump), f"window={window}"]) == 2
+    outdir = tmp_path / "run"
+    assert cli_main(["run", "solver=pic", "star_disc_period=1", f"star_disc_window={window}",
+                     "n_p=50", "dt=0.1", "t_max=0.1", f"outdir={outdir}"]) == 2
+    assert not outdir.exists()
+    assert capsys.readouterr().err.count("needs four finite numbers") == 2
 
 
 def test_cli_help():

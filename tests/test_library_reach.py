@@ -18,6 +18,7 @@ or code block, and ``perfbench/run.py`` traces the names in its
   name passes it, by keyword or by position.
 * Every parameter of every library function, method and lambda is read
   (as an AST ``Name``) in its body.
+* Every name that a module-level import binds is read in its module.
 
 Code that only tests call, read or pass belongs in ``tests/``.
 """
@@ -252,3 +253,22 @@ def test_every_parameter_is_read():
             unread += [f"{path.stem}.{getattr(node, 'name', 'lambda')}:{node.lineno}({a.arg})"
                        for a in params if a.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _bound_names(node):
+    """The names that an import statement binds."""
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_read():
+    stale = []
+    for path in LIBRARY:
+        tree = TREES[path]
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        stale += [f"{path.stem}:{node.lineno}({name})" for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in _bound_names(node) if name not in read]
+    assert not stale, f"imports never read: {stale}"

@@ -220,6 +220,14 @@ def test_window_cap_below_one_rejected(cap):
         star_discrepancy_in_window(e, (0.0, 2.0, -1.0, 1.0), cap=cap)
 
 
+@pytest.mark.parametrize("window", [(0.0, np.inf, -1.0, 1.0), (-np.inf, np.inf, -1.0, 1.0),
+                                    (0.0, 2.0, -1.0, np.nan), (0.0, 2.0, -1e308, 1e308)])
+def test_window_must_have_positive_finite_extent(window):
+    e = _ensemble_from(np.linspace(0.1, 1.9, 10), np.linspace(-0.9, 0.9, 10))
+    with pytest.raises(ValueError, match=r"^window must have positive, finite extent$"):
+        star_discrepancy_in_window(e, window)
+
+
 def test_window_disjoint_raises():
     with pytest.raises(EmptyPointSet):
         star_discrepancy_in_window(_ensemble_from([0.1], [0.0]), (2.0, 3.0, -1, 1))
