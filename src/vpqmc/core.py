@@ -14,6 +14,7 @@ Its spacings and bilinear stencils are written once, in ``NodeGrid``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,10 +29,16 @@ class AllZeroDensity(ValueError):
     """Raised when normalizing a density whose nodes are all zero."""
 
 
+def finite(value) -> bool:
+    """Whether a real number is finite as a float: NaN, +-inf and an int
+    beyond the float range are not (``math.isfinite`` raises
+    OverflowError on such an int)."""
+    return abs(value) <= sys.float_info.max
+
+
 def _non_finite(obj, *names) -> list:
     """One "<name> must be finite" problem per non-finite attribute."""
-    return [f"{name} must be finite" for name in names
-            if not math.isfinite(getattr(obj, name))]
+    return [f"{name} must be finite" for name in names if not finite(getattr(obj, name))]
 
 
 @dataclass(frozen=True)
@@ -138,14 +145,14 @@ class InitialCondition:
 
     def __post_init__(self):
         problems = _non_finite(self, "epsilon", "k", "sigma_b", "v_b")
-        if math.isfinite(self.epsilon) and not abs(self.epsilon) <= 1.0:
+        if finite(self.epsilon) and not abs(self.epsilon) <= 1.0:
             problems.append("epsilon must lie in [-1, 1]")
-        if math.isfinite(self.k):
+        if finite(self.k):
             if not self.k > 0:
                 problems.append("k must be > 0")
-            elif not math.isfinite(self.length):
+            elif not finite(self.length):
                 problems.append("k is too small: 2*pi/k overflows")
-        if math.isfinite(self.sigma_b) and not self.sigma_b > 0:
+        if finite(self.sigma_b) and not self.sigma_b > 0:
             problems.append("sigma_b must be > 0")
         if not (0.0 <= self.n_b < 1.0):
             problems.append("n_b must lie in [0, 1)")

@@ -85,18 +85,12 @@ def cic_moments(basis: LinearSplineBasis2D, x: np.ndarray, v: np.ndarray,
     return flat.reshape(basis.nx, basis.nv) / n
 
 
-def osde_linear(ensemble: ParticleEnsemble, basis: LinearSplineBasis2D,
-                use_weights: bool = False) -> GriddedDensity:
-    """Linear-spline orthogonal-series density estimate of the ensemble.
-
-    With ``use_weights`` False the markers carry unit weight and the
-    estimate targets the sampling density g; with True each marker
-    carries w_k = f_k/g_k and the estimate targets f.
-    """
+def osde_linear(ensemble: ParticleEnsemble, basis: LinearSplineBasis2D) -> GriddedDensity:
+    """Linear-spline orthogonal-series density estimate of f: each marker
+    carries its weight w_k = f_k/g_k."""
     if ensemble.n_p < 1:
         raise ValueError("need at least one marker")
-    omega = ensemble.weights() if use_weights else 1.0
-    moments = cic_moments(basis, ensemble.x, ensemble.v, omega)
+    moments = cic_moments(basis, ensemble.x, ensemble.v, ensemble.weights())
     coeffs = basis.solve_mass(moments)
     return GriddedDensity(basis.domain, coeffs)
 

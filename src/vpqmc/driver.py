@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coupling, densest, lowdisc, pic, sampling, spectral
 from .core import (DiagnosticsRecord, GriddedDensity, InitialCondition,
-                   ParticleEnsemble, PhaseSpaceDomain, whole_steps)
+                   ParticleEnsemble, PhaseSpaceDomain, finite, whole_steps)
 
 
 class ParseError(ValueError):
@@ -388,7 +388,20 @@ def _sidecar_problems(meta: dict) -> List[str]:
                      for problem in _rule_problems(lambda: PhaseSpaceDomain(**domain))]
     if "t" in meta and type(meta["t"]) not in (int, float):
         problems.append(f"sidecar 't' must be a number, got {meta['t']!r}")
+    elif "t" in meta and not finite(meta["t"]):  # JSON's Infinity, NaN, 1e400
+        problems.append(f"sidecar 't' must be finite, got {meta['t']!r}")
     return problems
+
+
+def _sidecar_text(sidecar: Path) -> str:
+    """A sidecar's text; FormatError if it is missing or not UTF-8, which
+    JSON text must be."""
+    if not sidecar.exists():
+        raise FormatError(f"missing sidecar {sidecar}")
+    try:
+        return sidecar.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
 
 
 def read_dump(path):
@@ -397,11 +410,10 @@ def read_dump(path):
     JSON object, lacks a field or holds one of the wrong type or out of
     range raises FormatError naming each such field."""
     sidecar_file = _sidecar_path(path)
-    if not sidecar_file.exists():
-        raise FormatError(f"missing sidecar {sidecar_file}")
+    text = _sidecar_text(sidecar_file)
     try:
-        meta = json.loads(sidecar_file.read_text())
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        meta = json.loads(text)
+    except ValueError as exc:
         raise FormatError(f"sidecar {sidecar_file} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"sidecar {sidecar_file} must be a JSON object")
@@ -527,7 +539,7 @@ def _cmd_reconstruct(particles, out, mode, nx, nv, lam) -> None:
     ensemble, domain, t = particles
     basis = densest.LinearSplineBasis2D(domain, nx, nv)
     if mode == "osde":
-        est = densest.osde_linear(ensemble, basis, use_weights=True)
+        est = densest.osde_linear(ensemble, basis)
     else:
         est = densest.bilinear_ridge_fit(ensemble.x, ensemble.v, ensemble.f_like,
                                          basis, lam=lam)
@@ -547,10 +559,7 @@ def _cmd_hk(grid) -> None:
 
 
 def _cmd_dump_info(path) -> None:
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FormatError(f"missing sidecar {sidecar}")
-    print(sidecar.read_text().strip())
+    print(_sidecar_text(_sidecar_path(path)).strip())
 
 
 _DUMP_KINDS = {"GRID_DUMP": "grid", "PARTICLE_DUMP": "particles"}

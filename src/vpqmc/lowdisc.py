@@ -20,7 +20,21 @@ from .core import ParticleEnsemble
 
 
 class EmptyPointSet(ValueError):
-    """Raised when a discrepancy is requested for zero points."""
+    """Raised for an empty point set: no pairs, or no marker in a window."""
+
+
+def unit_square_pairs(pairs) -> np.ndarray:
+    """``pairs`` as a float (n, 2) array, n >= 1, with every entry in
+    [0, 1]; else ValueError, and EmptyPointSet for n = 0."""
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("pairs must be a nonempty (n, 2) array")
+    if pairs.shape[0] == 0:
+        raise EmptyPointSet("pairs must be a nonempty (n, 2) array")
+    # written so that NaN fails
+    if not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
+        raise ValueError("pairs must lie in [0, 1]^2")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -133,17 +147,11 @@ def star_discrepancy(points: np.ndarray) -> float:
     any order; then one memmove shifts those ranks up and y goes in at
     t.  The points of a tied x go in together, between one pass of open
     values and one of closed values.  Quadratic at worst, about n^2/4
-    rank pairs for points in random order; O(n) memory.
+    rank pairs for points in random order; O(n) memory.  ``points`` must
+    pass ``unit_square_pairs``.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array")
+    pts = unit_square_pairs(points)
     n = pts.shape[0]
-    if n == 0:
-        raise EmptyPointSet("star discrepancy of an empty point set")
-    if not (pts.min() >= 0.0 and pts.max() <= 1.0):
-        raise ValueError("points must lie in [0, 1]^2")
-
     order = np.argsort(pts[:, 0], kind="stable")
     xs, ys = pts[order, 0], pts[order, 1]
     counts = np.arange(n + 1) / n

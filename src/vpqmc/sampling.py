@@ -81,16 +81,6 @@ def _cell_cdf(a, b, s, h):
     return h * (s * a + 0.5 * s * s * (b - a))
 
 
-def _checked_pairs(pairs) -> np.ndarray:
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-        raise ValueError("pairs must be a nonempty (n, 2) array")
-    # written so that NaN fails
-    if not (pairs.min() >= 0.0 and pairs.max() <= 1.0):
-        raise ValueError("pairs must lie in [0, 1]^2")
-    return pairs
-
-
 @dataclass(frozen=True)
 class BilinearSampler(NodeGrid):
     """Exact inverse-transform sampler of |density| / mass, mass the
@@ -311,7 +301,7 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     tables (at most 2*ROWS rows each) and one chunk's temporaries; the
     pairs too, unless the caller passed them inline.
     """
-    pairs = _checked_pairs(pairs)
+    pairs = lowdisc.unit_square_pairs(pairs)
     x = np.empty(pairs.shape[0])
     for c in _chunks(x.size):
         x[c] = sample_marginal_x(s, pairs[c, 0])
@@ -516,7 +506,7 @@ def its_tensor_product(ic: InitialCondition, pairs: np.ndarray,
     f_like/g_like stays meaningful after truncation.  A component with no
     mass in [v_min, v_max] raises ValueError (:func:`_velocity_components`).
     """
-    pairs = _checked_pairs(pairs)
+    pairs = lowdisc.unit_square_pairs(pairs)
     if abs(domain.length - ic.length) > 1e-9 * ic.length:
         raise ValueError("domain length must equal one perturbation period 2*pi/k")
     gaussians = _velocity_components(ic, domain)
@@ -546,7 +536,7 @@ def uniform_sample(ic: InitialCondition, pairs: np.ndarray,
                    domain: PhaseSpaceDomain) -> ParticleEnsemble:
     """Markers uniform on the phase-space box; g_like = 1/area, f_like from
     the initial condition.  Used by the discrepancy-tracking experiments."""
-    pairs = _checked_pairs(pairs)
+    pairs = lowdisc.unit_square_pairs(pairs)
     x = domain.x_min + pairs[:, 0] * domain.length
     v = domain.v_min + pairs[:, 1] * domain.v_span
     g_like = np.full(pairs.shape[0], 1.0 / domain.area)

@@ -31,9 +31,6 @@ class NonNeutralPlasmaWarning(UserWarning):
     """Mean charge density deviates from the neutralizing background."""
 
 
-_NONNEUTRAL = "mean density deviates from the unit background"
-
-
 @dataclass
 class SpectralState(Carrier):
     """Real collocation values of f at time t.
@@ -129,27 +126,27 @@ def charge_density(s: SpectralState) -> np.ndarray:
     return s.dv * np.sum(s.values, axis=1)
 
 
-def poisson_fourier(s: SpectralState, warn_nonneutral: bool = True) -> np.ndarray:
+def poisson_fourier(s: SpectralState) -> np.ndarray:
     """Electric field on the x nodes from the Fourier Poisson solve.
 
     Solves the weak-form sign convention -Phi'' = q*(rho - 1), i.e. Gauss's
     law dE/dx = q*(rho - 1) with E = -Phi' and the zero mode pinned, and
-    returns E at the collocation points.  Warns, on every call, when the
-    mean density departs from the unit neutralizing background.  The
-    solve is a memo of ``values`` (see ``SpectralState``): until it is
-    rebound, every call returns the same read-only array.
+    returns E at the collocation points.  The solve is a memo of
+    ``values`` (see ``SpectralState``): until it is rebound, every call
+    returns the same read-only array.  The solve warns, once per state,
+    when the mean density departs from the unit neutralizing background.
     """
-    e, nonneutral = s.memo(_solve_fourier, ("values",))
-    if warn_nonneutral and nonneutral:
-        warnings.warn(_NONNEUTRAL, NonNeutralPlasmaWarning, stacklevel=2)
-    return e
+    return s.memo(_solve_fourier, ("values",))
 
 
-def _solve_fourier(s: SpectralState):
-    """The field of ``poisson_fourier`` and whether the plasma is non-neutral."""
+def _solve_fourier(s: SpectralState) -> np.ndarray:
+    """The field of ``poisson_fourier``; warns if the plasma is non-neutral."""
     rho = charge_density(s)
     rho_hat = np.fft.rfft(rho)
-    nonneutral = abs(rho_hat[0] / s.nx - 1.0) > 1e-6
+    if abs(rho_hat[0] / s.nx - 1.0) > 1e-6:
+        # above: Carrier.memo, poisson_fourier, then its caller
+        warnings.warn("mean density deviates from the unit background",
+                      NonNeutralPlasmaWarning, stacklevel=4)
     kx = s.kappa_x()
     phi_hat = np.zeros_like(rho_hat)
     nonzero = kx != 0.0
@@ -157,7 +154,7 @@ def _solve_fourier(s: SpectralState):
     # the background only affects the zero mode, which is pinned anyway
     e = np.fft.irfft(-1j * kx * phi_hat, s.nx)
     e.flags.writeable = False
-    return e, nonneutral
+    return e
 
 
 def kick_v(s: SpectralState, dt: float) -> SpectralState:
@@ -294,7 +291,7 @@ def zero_pad(s: SpectralState, n_pad: int) -> GriddedDensity:
 
 def field_energy(s: SpectralState) -> float:
     """(1/2) integral of E^2 dx (the node sum equals the mode sum by Parseval)."""
-    e = poisson_fourier(s, warn_nonneutral=False)
+    e = poisson_fourier(s)
     return float(0.5 * s.dx * np.sum(e * e))
 
 

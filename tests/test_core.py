@@ -81,15 +81,21 @@ def test_epsilon_of_one_accepted(epsilon):
     assert InitialCondition(epsilon=epsilon, k=0.5).epsilon == epsilon
 
 
+# an int beyond the float range is not finite either (math.isfinite
+# raises OverflowError on it)
+_NON_FINITE = [np.nan, np.inf, -np.inf, pytest.param(10 ** 400, id="10**400"),
+               pytest.param(-10 ** 400, id="-10**400")]
+
+
 @pytest.mark.parametrize("key", ["epsilon", "k", "sigma_b", "v_b"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", _NON_FINITE)
 def test_initial_condition_rejects_non_finite_parameters(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be finite$"):
         InitialCondition(**{"epsilon": 0.1, "k": 0.5, key: value})
 
 
 @pytest.mark.parametrize("index", range(4))
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", _NON_FINITE)
 def test_domain_rejects_non_finite_bounds(index, value):
     bounds = [0.0, 2.0, -1.0, 1.0]
     bounds[index] = value

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,13 +107,13 @@ def test_osde_linear_in_weights_and_permutation_invariant():
     w = rng.random(n) + 0.5
     e1 = ParticleEnsemble(x=x, v=v, f_like=3.0 * w, g_like=np.ones(n))
     e2 = ParticleEnsemble(x=x, v=v, f_like=w, g_like=np.ones(n))
-    a = osde_linear(e1, b, use_weights=True)
-    c = osde_linear(e2, b, use_weights=True)
+    a = osde_linear(e1, b)
+    c = osde_linear(e2, b)
     np.testing.assert_allclose(a.values, 3.0 * c.values, rtol=1e-12)
     perm = rng.permutation(n)
     e3 = ParticleEnsemble(x=x[perm], v=v[perm], f_like=w[perm],
                           g_like=np.ones(n))
-    d = osde_linear(e3, b, use_weights=True)
+    d = osde_linear(e3, b)
     np.testing.assert_allclose(d.values, c.values, atol=1e-15)
 
 
@@ -126,7 +128,8 @@ def test_osde_recovers_sampled_bilinear_density():
     sampler = build_sampler(g)
     basis = LinearSplineBasis2D(DOM, g.nx, g.nv)
     e = rosenblatt_sample(sampler, generate_pairs(Sobol(skip=1), 1 << 14))
-    est = osde_linear(e, basis)
+    # unit weights: the estimate targets g
+    est = osde_linear(replace(e, f_like=e.g_like), basis)
     err = l2_norm(basis, est.values - g.values) / l2_norm(basis, g.values)
     assert err < 0.02
     # trapezoid mass close to 1
@@ -140,8 +143,9 @@ def test_osde_sobol_beats_pseudorandom():
     n = 10_000
     e_q = rosenblatt_sample(sampler, generate_pairs(Sobol(skip=1), n))
     e_r = rosenblatt_sample(sampler, generate_pairs(PseudoRandom(seed=11), n))
-    err_q = l2_norm(basis, osde_linear(e_q, basis).values - g.values)
-    err_r = l2_norm(basis, osde_linear(e_r, basis).values - g.values)
+    # unit weights: the estimates target g
+    err_q, err_r = (l2_norm(basis, osde_linear(replace(e, f_like=e.g_like), basis).values
+                            - g.values) for e in (e_q, e_r))
     assert err_q < err_r
 
 

@@ -455,6 +455,13 @@ _BROKEN_SIDECARS = [
     ("grid", _set("domain", {**_BOUNDS, "x_min": float("nan")}), "'domain': x_min must be"),
     ("grid", lambda meta: {**meta, "nx": 1, "nv": 16}, "'nx' must be >= 2, got 1"),
     ("grid", lambda meta: {**meta, "nx": 16, "nv": 1}, "'nv' must be >= 2, got 1"),
+    # these were read as t = inf or nan, or raised OverflowError
+    ("grid", _set("t", float("inf")), "'t' must be finite, got inf"),
+    ("grid", _set("t", float("nan")), "'t' must be finite, got nan"),
+    ("particles", lambda meta: json.dumps({**meta, "t": "T"}).replace('"T"', "1e400").encode(),
+     "'t' must be finite, got inf"),
+    ("particles", _set("t", 10 ** 400), "'t' must be finite, got 1000"),
+    ("grid", _set("domain", {**_BOUNDS, "x_max": 10 ** 400}), "'domain': x_max must be finite"),
 ]
 
 
@@ -478,6 +485,16 @@ def test_read_dump_checks_its_sidecar(tmp_path, capsys, kind, edit, field):
         read_dump(path)
     command = "hk-variation" if kind == "grid" else "discrepancy"
     assert cli_main([command, str(path)]) == 1
+    assert '"type": "FormatError"' in capsys.readouterr().err
+
+
+def test_dump_info_of_a_sidecar_that_is_not_utf8(tmp_path, capsys):
+    # this raised UnicodeDecodeError
+    path = tmp_path / "dump.bin"
+    write_grid_dump(path, GriddedDensity(PhaseSpaceDomain(**_BOUNDS), np.ones((4, 4))), t=0.0)
+    sidecar = tmp_path / "dump.bin.json"
+    sidecar.write_bytes(b"\xff" + sidecar.read_bytes())
+    assert cli_main(["dump-info", str(path)]) == 1
     assert '"type": "FormatError"' in capsys.readouterr().err
 
 

@@ -16,6 +16,8 @@ or code block, and ``perfbench/run.py`` traces the names in its
 * A field counts as read when it is read as an attribute, or documented.
 * A defaulted parameter counts as passed when some call of the same callee
   name passes it, by keyword or by position.
+* No defaulted parameter is passed by every call of its callee name, and
+  always as the same literal: one value would serve as a constant.
 * Every parameter of every library function, method and lambda is read
   (as an AST ``Name``) in its body.
 * Every name that a module-level import binds is read in its module.
@@ -27,6 +29,7 @@ import ast
 import importlib
 import re
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +37,7 @@ import pytest
 
 from test_perfbench_contract import bench
 from vpqmc.driver import cli_main
+from vpqmc.spectral import NonNeutralPlasmaWarning
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "vpqmc").glob("*.py")
@@ -132,10 +136,13 @@ def run_codes(tmp_path_factory):
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        status = [cli_main(command) for command in commands]
+        with warnings.catch_warnings(record=True) as caught:
+            status = [cli_main(command) for command in commands]
     finally:
         sys.setprofile(previous)
     assert status == [0] * len(commands)
+    # the 8-node velocity grid is too coarse for the background to be neutral
+    assert all(w.category is NonNeutralPlasmaWarning for w in caught), caught
     return codes
 
 
@@ -224,7 +231,22 @@ def _passes(call, param, position):
         or len(call.args) > position)
 
 
-def test_every_defaulted_parameter_is_passed():
+def _literal(call, param, position):
+    """What a call passes for a parameter, as ``ast.dump`` text, if that is
+    a literal; else None."""
+    passed = [kw.value for kw in call.keywords if kw.arg == param]
+    if (not passed and position is not None and len(call.args) > position
+            and not any(isinstance(a, ast.Starred) for a in call.args[:position + 1])):
+        passed = [call.args[position]]
+    try:
+        ast.literal_eval(passed[0])
+    except (IndexError, ValueError):
+        return None
+    return ast.dump(passed[0])
+
+
+def _calls():
+    """The library and benchmark calls, by callee name."""
     calls = {}
     for tree in TREES.values():
         for node in ast.walk(tree):
@@ -232,10 +254,26 @@ def test_every_defaulted_parameter_is_passed():
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _calls()
     unpassed = [f"{path.stem}.{qualname}({param})" for path in LIBRARY
                 for callee, qualname, param, position in _defaulted_parameters(TREES[path])
                 if not any(_passes(call, param, position) for call in calls.get(callee, ()))]
     assert not unpassed, f"parameters passed only from tests: {unpassed}"
+
+
+def test_no_defaulted_parameter_is_always_passed_one_literal():
+    calls = _calls()
+    constant = []
+    for path in LIBRARY:
+        for callee, qualname, param, position in _defaulted_parameters(TREES[path]):
+            literals = {_literal(call, param, position) for call in calls.get(callee, ())}
+            if len(literals) == 1 and None not in literals:
+                constant.append(f"{path.stem}.{qualname}({param})")
+    assert not constant, f"parameters that one literal serves: {constant}"
 
 
 def test_every_parameter_is_read():

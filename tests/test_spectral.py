@@ -107,8 +107,12 @@ def test_poisson_linearity_in_fluctuations():
 
 def test_poisson_nonneutral_warns():
     s = _state_with_rho(lambda x: 1.1 + 0.0 * x)
-    with pytest.warns(NonNeutralPlasmaWarning):
+    with pytest.warns(NonNeutralPlasmaWarning) as record:
         poisson_fourier(s)
+    assert record[0].filename == __file__  # names the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poisson_fourier(s)  # the state's solve is a memo: no second warning
 
 
 def test_gauss_law_consistency():
@@ -400,15 +404,16 @@ def test_run_solves_each_emitted_field_once(monkeypatch):
     np.testing.assert_array_equal(end.values, s.values)
 
 
-def test_every_kick_warns_once_when_nonneutral():
-    # the first kick of each advance call reuses a silent solve, and still
-    # warns as its own solve would; the diagnostics never warn
+def test_every_solved_state_warns_once_when_nonneutral():
+    # 10 steps of 3 kicks, each on a new state, plus the last emitted state,
+    # whose field only the diagnostics solve; the first kick of each
+    # advance call reuses the emitted state's solve and warns no more
     ic = InitialCondition(epsilon=1e-3, k=0.3, n_b=0.1, sigma_b=0.3, v_b=4.5)
     dom = PhaseSpaceDomain(0.0, 2 * np.pi / 0.3, -10.0, 10.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_spectral(ic, dom, 32, 32, 0.1, 1.0, out_stride=2)
-    assert [w.category for w in caught] == [NonNeutralPlasmaWarning] * 3 * 10
+    assert [w.category for w in caught] == [NonNeutralPlasmaWarning] * (3 * 10 + 1)
 
 
 def test_rebinding_values_drops_the_solved_field():
