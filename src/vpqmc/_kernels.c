@@ -1,11 +1,13 @@
-/* Compiled marker loops of vpqmc, loaded through ctypes by _kernels.py.
+/* Compiled loops of vpqmc, loaded through ctypes by _kernels.py.
 
-   Each loop keeps the evaluation order of the numpy form it replaced, so
-   its results carry the same bits: IEEE double arithmetic, no fused
-   multiply-add (the build passes -ffp-contract=off) and no reassociation.
-   Only a maximum of values that are never NaN is taken in another order,
-   as it is exact.  Every array is C-contiguous; the caller allocates the
-   outputs. */
+   Each loop keeps the evaluation order of the numpy form it replaced:
+   IEEE double arithmetic, no fused multiply-add (the build passes
+   -ffp-contract=off) and no reassociation.  Only a maximum of values
+   that are never NaN is taken in another order, as it is exact.  So the
+   results carry the bits of the numpy form, except vp_kick's: numpy's
+   complex multiply fuses multiply-adds on some of its dispatch paths, so
+   it agrees with that one only to rounding.  Every array is C-contiguous;
+   the caller allocates the outputs. */
 
 #include <math.h>
 #include <stdint.h>
@@ -261,5 +263,41 @@ void vp_sobol_pairs(int64_t skip, int64_t n, const uint64_t *v1,
         }
         out[2 * k] = (double)a * 0x1p-32;
         out[2 * k + 1] = (double)b * 0x1p-32;
+    }
+}
+
+/* The velocity shear of the spectral solver on the (nx, nk) complex
+   v-spectrum fh, in place: fh[i, j] *= z[i]**j.  The powers are built as
+   np.cumprod builds them along j from 1, w_j = w_(j-1) * z, and each
+   complex product is (ar*br - ai*bi) + (ar*bi + ai*br) i.  The rows go in
+   blocks of KICK_ROWS; in a block the columns go outside and the rows
+   inside, so the rows' running powers, held in the block, do not wait on
+   each other, and the block's rows stay in cache from one column to the
+   next.  Column 0 takes z**0 = 1 and is left as it is.  Complex values
+   are (re, im) pairs of doubles. */
+#define KICK_ROWS 16
+
+void vp_kick(int64_t nx, int64_t nk, double *fh, const double *z)
+{
+    for (int64_t i0 = 0; i0 < nx; i0 += KICK_ROWS) {
+        int64_t m = nx - i0 < KICK_ROWS ? nx - i0 : KICK_ROWS;
+        double wr[KICK_ROWS], wi[KICK_ROWS];
+        for (int64_t b = 0; b < m; b++) {
+            wr[b] = 1.0;
+            wi[b] = 0.0;
+        }
+        for (int64_t j = 1; j < nk; j++) {
+            for (int64_t b = 0; b < m; b++) {
+                const double *zb = z + 2 * (i0 + b);
+                double pr = wr[b] * zb[0] - wi[b] * zb[1];
+                double pi = wr[b] * zb[1] + wi[b] * zb[0];
+                wr[b] = pr;
+                wi[b] = pi;
+                double *c = fh + 2 * ((i0 + b) * nk + j);
+                double fr = c[0], fi = c[1];
+                c[0] = fr * pr - fi * pi;
+                c[1] = fr * pi + fi * pr;
+            }
+        }
     }
 }

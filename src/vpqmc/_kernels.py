@@ -17,8 +17,9 @@ import os
 import zlib
 
 COMPILER = "cc"
-#: No -ffast-math or -march=native: the loops must keep the bits of the
-#: numpy forms they replaced, so no multiply-add may be fused either.
+#: No -ffast-math or -march=native: the loops must keep the evaluation
+#: order of the numpy forms they replaced, so no multiply-add may be
+#: fused either (see the header of ``_kernels.c``).
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -94,3 +95,4 @@ deposit_moments = _declare("vp_deposit_moments", None, _I64, _PTR, _PTR, _PTR, _
 horner = _declare("vp_horner", None, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR)
 star_discrepancy = _declare("vp_star_discrepancy", _F64, _I64, _PTR, _PTR, _PTR, _PTR)
 sobol_pairs = _declare("vp_sobol_pairs", None, _I64, _I64, _PTR, _PTR, _PTR)
+kick = _declare("vp_kick", None, _I64, _I64, _PTR, _PTR)

@@ -44,7 +44,8 @@ def _non_finite(obj, *names) -> list:
 @dataclass(frozen=True)
 class PhaseSpaceDomain:
     """Periodic-in-x, velocity-truncated phase-space box [x_min,x_max]x[v_min,v_max]
-    with finite bounds; a broken rule raises ValueError naming every one."""
+    with finite bounds and finite extents; a broken rule raises ValueError
+    naming every one."""
 
     x_min: float
     x_max: float
@@ -53,11 +54,15 @@ class PhaseSpaceDomain:
 
     def __post_init__(self):
         problems = _non_finite(self, "x_min", "x_max", "v_min", "v_max")
-        if not problems:  # the order rules on finite bounds only
+        if not problems:  # the order and extent rules on finite bounds only
             if not self.x_max > self.x_min:
                 problems.append("x_max must exceed x_min")
+            elif not finite(self.length):
+                problems.append("the x extent x_max - x_min must be finite")
             if not self.v_max > self.v_min:
                 problems.append("v_max must exceed v_min")
+            elif not finite(self.v_span):
+                problems.append("the v extent v_max - v_min must be finite")
         if problems:
             raise ValueError("; ".join(problems))
 

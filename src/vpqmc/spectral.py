@@ -7,20 +7,24 @@ box).  Each split sub-step is an exact shear implemented as a phase
 multiplication in the transformed direction, so mass and the L2 norm are
 conserved to rounding.  Every transform is real-input (rfft/irfft), so the
 state is real by construction.  A smooth exponential filter applied once
-per full step keeps aliasing at bay.  ``advance`` is the one split-step
-implementation; ``advect_x``, ``kick_v`` and ``apply_filter`` apply its
-sub-flows one at a time, through the same phase and profile builders.
+per full step keeps aliasing at bay.  ``_steps`` is the one split-step
+loop: ``run_spectral`` drives it and ``advance`` takes it a given number
+of steps.  ``advect_x``, ``kick_v`` and ``apply_filter`` apply its
+sub-flows one at a time, through the same phase, kick and profile
+builders.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _kernels
 # RUTH3 is also re-exported from here
 from .core import (Carrier, DiagnosticsRecord, GriddedDensity,
                    InitialCondition, PhaseSpaceDomain, Q, Q_OVER_M, RUTH3,
@@ -39,7 +43,7 @@ class SpectralState(Carrier):
     (j = 0..nv-1) with S = v_max - v_min; both directions periodic for
     transform purposes.  ``values`` is read-only (see ``core.Carrier``),
     and the field that ``poisson_fourier`` solves is a memo of it, so the
-    record's solve serves the first kick of ``advance``.
+    record's solve serves the next step's first kick.
     """
 
     domain: PhaseSpaceDomain
@@ -102,18 +106,21 @@ def _drift_phase(s: SpectralState, tau: float) -> np.ndarray:
     return np.exp(-1j * np.outer(s.kappa_x(), s.v_nodes()) * tau)
 
 
-def _kick_phase(s: SpectralState, shift: np.ndarray) -> np.ndarray:
-    """exp(-i shift(x) k_v) on the (x node, rfft bin along v) grid.
+def _kick(fh: np.ndarray, s: SpectralState, tau: float) -> None:
+    """The velocity shear f(x, v) <- f(x, v - (q/m) E(x) tau) on ``fh``, the
+    v-spectrum (rfft along v) of ``s``, in place; E is the field of ``s``.
 
-    k_v is j times the first nonzero wavenumber, so row i holds the powers
-    z_i**j of z_i = exp(-i shift_i k_v[1]): one complex exp per x node and
-    a running product along v instead of one exp per entry.
+    The phase exp(-i shift(x) k_v) has k_v = j k_v[1] in bin j, so row i
+    takes the powers z_i**j of z_i = exp(-i shift_i k_v[1]): one complex
+    exp per x node, and ``_kernels.c``'s ``vp_kick`` multiplies the powers
+    in by a running product along v.
     """
+    if not (fh.dtype == complex and fh.shape == (s.nx, s.nv // 2 + 1)
+            and fh.flags.c_contiguous and fh.flags.writeable):
+        raise ValueError("fh must be the writable C-contiguous v-spectrum of s")
+    shift = Q_OVER_M * poisson_fourier(s) * tau
     z = np.exp(-1j * s.kappa_v()[1] * shift)
-    phase = np.empty((s.nx, s.nv // 2 + 1), dtype=complex)
-    phase[:, 0] = 1.0
-    phase[:, 1:] = z[:, None]
-    return np.cumprod(phase, axis=1, out=phase)
+    _kernels.kick(s.nx, fh.shape[1], fh.ctypes.data, z.ctypes.data)
 
 
 def advect_x(s: SpectralState, dt: float) -> SpectralState:
@@ -141,27 +148,38 @@ def poisson_fourier(s: SpectralState) -> np.ndarray:
 
 def _solve_fourier(s: SpectralState) -> np.ndarray:
     """The field of ``poisson_fourier``; warns if the plasma is non-neutral."""
-    rho = charge_density(s)
-    rho_hat = np.fft.rfft(rho)
+    rho_hat = np.fft.rfft(charge_density(s))
     if abs(rho_hat[0] / s.nx - 1.0) > 1e-6:
         # above: Carrier.memo, poisson_fourier, then its caller
         warnings.warn("mean density deviates from the unit background",
                       NonNeutralPlasmaWarning, stacklevel=4)
-    kx = s.kappa_x()
-    phi_hat = np.zeros_like(rho_hat)
-    nonzero = kx != 0.0
-    phi_hat[nonzero] = Q * rho_hat[nonzero] / kx[nonzero] ** 2
-    # the background only affects the zero mode, which is pinned anyway
-    e = np.fft.irfft(-1j * kx * phi_hat, s.nx)
+    rho_hat *= _field_multiplier(s.domain, s.nx)
+    e = np.fft.irfft(rho_hat, s.nx)
     e.flags.writeable = False
     return e
+
+
+@functools.lru_cache(maxsize=8)
+def _field_multiplier(domain: PhaseSpaceDomain, nx: int) -> np.ndarray:
+    """-i q / k_x on the rfft bins along x, 0 at k_x = 0, cached read-only.
+
+    With Phi_hat = q rho_hat / k_x**2 and E_hat = -i k_x Phi_hat, it takes
+    the charge density's spectrum to the field's; the background only
+    affects the zero mode, which is pinned.
+    """
+    kx = SpectralState(domain, np.empty((nx, 1))).kappa_x()
+    m = np.zeros(kx.shape, dtype=complex)
+    m[1:] = -1j * Q / kx[1:]
+    m.flags.writeable = False
+    return m
 
 
 def kick_v(s: SpectralState, dt: float) -> SpectralState:
     """Exact velocity shear f(x, v) <- f(x, v - (q/m) E(x) dt) per column,
     E the self-consistent field of the current state."""
-    shift = Q_OVER_M * poisson_fourier(s) * dt
-    return SpectralState(s.domain, _shear(s.values, _kick_phase(s, shift), 1), s.t)
+    fh = np.fft.rfft(s.values, axis=1)
+    _kick(fh, s, dt)
+    return SpectralState(s.domain, np.fft.irfft(fh, s.nv, axis=1), s.t)
 
 
 def _filter_profile(n: int) -> np.ndarray:
@@ -193,41 +211,50 @@ def _drift_tables(domain: PhaseSpaceDomain, nx: int, nv: int,
     return tuple(tables)
 
 
-def advance(s: SpectralState, dt: float, n_steps: int) -> SpectralState:
-    """``n_steps`` composite kick-first RUTH3 split steps, each filtered.
+def _steps(s: SpectralState, dt: float):
+    """Composite kick-first RUTH3 split steps from ``s``, each filtered,
+    without end: yields the state after the n-th step, at t = s.t + n*dt.
 
     The field is recomputed before every kick (kicks preserve the charge
-    density, so each sub-flow is exact), except that the first kick reads
-    the field memo of ``s`` (``poisson_fourier``), so the field of an
-    emitted state is solved once.  The three drift phases come from a
-    cache keyed on (domain, nx, nv, dt), and the x factor of the filter is
-    folded into the last of them.  The v factor of a step's filter is
-    folded into the next step's first kick phase, and the one still
-    pending is applied by one v-axis transform pair before returning; it
+    density, so each sub-flow is exact) from the field memo of the state
+    it kicks (``poisson_fourier``), so a yielded state whose field the
+    caller solves before asking for the next step is solved once.  The
+    three drift phases come from a cache keyed on (domain, nx, nv, dt),
+    and the x factor of the filter is folded into the last of them.  Each
+    step ends on its filtered v-spectrum gh = filter_v * rfft_v(f); the
+    yielded values are irfft_v(gh), and the next step's first kick starts
+    from gh, so a step takes 13 transforms of the whole grid.  The filter
     is 1 at k_v = 0, so the charge density, and hence the field, does not
-    see it.  Each kick phase is built by recurrence along v (see
-    ``_kick_phase``).  Returns a new state.
+    see it.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     drifts = _drift_tables(s.domain, s.nx, s.nv, dt)
     filter_v = _filter_profile(s.nv)
-    f = s.values
-    for step in range(n_steps):
-        for i, (d, drift) in enumerate(zip(RUTH3.kick, drifts)):
-            now = s if f is s.values else SpectralState(s.domain, f)
-            shift = Q_OVER_M * poisson_fourier(now) * (d * dt)
-            phase = _kick_phase(now, shift)
-            if i == 0 and step > 0:
-                phase *= filter_v
-            f = _shear(_shear(f, phase, 1), drift, 0)
-    return SpectralState(s.domain, _shear(f, filter_v, 1), s.t + n_steps * dt)
+    t0 = s.t
+    fh = np.fft.rfft(s.values, axis=1)
+    for n in itertools.count(1):
+        for d, drift in zip(RUTH3.kick, drifts):
+            _kick(fh, s, d * dt)
+            # the state the next kick reads; after the last drift, only its
+            # values are read, by the filter's transform
+            s = SpectralState(s.domain, _shear(np.fft.irfft(fh, s.nv, axis=1), drift, 0))
+            fh = np.fft.rfft(s.values, axis=1)
+        fh *= filter_v
+        s = SpectralState(s.domain, np.fft.irfft(fh, s.nv, axis=1), t0 + n * dt)
+        yield s
+
+
+def advance(s: SpectralState, dt: float, n_steps: int) -> SpectralState:
+    """``n_steps`` composite kick-first RUTH3 split steps, each filtered:
+    the state ``_steps(s, dt)`` yields after ``n_steps``.  The first kick
+    reads the field memo of ``s``.  Returns a new state."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    return next(itertools.islice(_steps(s, dt), n_steps - 1, None))
 
 
 def step_order3(s: SpectralState, dt: float) -> SpectralState:
     """One composite kick-first RUTH3 split step followed by the filter:
-    ``advance(s, dt, 1)``, with its cached drift tables, folded filter and
-    kick phases built by recurrence."""
+    ``advance(s, dt, 1)``."""
     return advance(s, dt, 1)
 
 
@@ -305,9 +332,8 @@ def total_mass(s: SpectralState) -> float:
 
 def grid_entropy(s: SpectralState) -> float:
     """Integral of f ln f over the nodes where f > 0."""
-    f = s.values
-    pos = f > 0.0
-    return float(s.dx * s.dv * np.sum(f[pos] * np.log(f[pos])))
+    f = s.values[s.values > 0.0]
+    return float(s.dx * s.dv * np.sum(f * np.log(f)))
 
 
 def diagnostics(s: SpectralState, with_hk: bool = False) -> DiagnosticsRecord:
@@ -353,11 +379,8 @@ def run_spectral(ic: InitialCondition, domain: PhaseSpaceDomain,
             on_record(rec, state)
 
     emit()
-    done = 0
-    while done < n_steps:
-        stride = min(out_stride, n_steps - done)
-        state = advance(state, dt, stride)
-        done += stride
-        state.t = done * dt
-        emit()
+    steps = itertools.islice(_steps(state, dt), n_steps)
+    for done, state in enumerate(steps, 1):
+        if done % out_stride == 0 or done == n_steps:
+            emit()
     return records, state

@@ -581,6 +581,16 @@ def spectral_step_order3_complex_reference(s, dt):
     return np.fft.ifft2(fh).real
 
 
+def kick_phase_cumprod_reference(z, nk):
+    """The (len(z), nk) table z_i**j of the spectral kick, built by
+    np.cumprod along j from a column of ones: the numpy form the compiled
+    ``vp_kick`` replaced, whose powers it builds by the same products."""
+    phase = np.empty((z.size, nk), dtype=complex)
+    phase[:, 0] = 1.0
+    phase[:, 1:] = z[:, None]
+    return np.cumprod(phase, axis=1, out=phase)
+
+
 def _pad_spectrum_axis(fh, n_pad, axis):
     """Embed an unshifted FFT into an n_pad-times longer spectrum along axis.
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -101,6 +103,18 @@ def test_domain_rejects_non_finite_bounds(index, value):
     bounds[index] = value
     name = ("x_min", "x_max", "v_min", "v_max")[index]
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        PhaseSpaceDomain(*bounds)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((-1e308, 1e308, -1.0, 1.0), "the x extent x_max - x_min must be finite"),
+    ((0.0, 2.0, -1e308, 1e308), "the v extent v_max - v_min must be finite"),
+    ((-1e308, 1e308, -1e308, 1e308), "the x extent x_max - x_min must be finite; "
+                                      "the v extent v_max - v_min must be finite"),
+])
+def test_domain_rejects_an_extent_that_overflows(bounds, message):
+    # a finite pair of bounds whose extent is inf gave dx = inf and NaN rows
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PhaseSpaceDomain(*bounds)
 
 

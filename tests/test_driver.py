@@ -98,6 +98,9 @@ def test_partial_last_step_rejected(tmp_path, capsys, args, message):
     (["solver=spectral", "v_min=1", "v_max=-1"], "v_max must exceed v_min"),
     (["solver=pic", "epsilon=1.5"], "epsilon must lie in [-1, 1]"),
     (["solver=spectral", "epsilon=-1.5"], "epsilon must lie in [-1, 1]"),
+    # ran to the end with all-NaN rows and exit 0
+    (["solver=spectral", "nx=8", "nv=8", "v_min=-1e308", "v_max=1e308"],
+     "the v extent v_max - v_min must be finite"),
 ])
 def test_physics_rules_are_usage_errors(tmp_path, capsys, args, message):
     # a non-finite physics key used to run to the end with NaN rows (or,
@@ -462,6 +465,11 @@ _BROKEN_SIDECARS = [
      "'t' must be finite, got inf"),
     ("particles", _set("t", 10 ** 400), "'t' must be finite, got 1000"),
     ("grid", _set("domain", {**_BOUNDS, "x_max": 10 ** 400}), "'domain': x_max must be finite"),
+    # these were read, and hk-variation printed 1,inf
+    ("grid", _set("domain", {**_BOUNDS, "x_min": -1e308, "x_max": 1e308}),
+     "'domain': the x extent x_max - x_min must be finite"),
+    ("particles", _set("domain", {**_BOUNDS, "v_min": -1e308, "v_max": 1e308}),
+     "'domain': the v extent v_max - v_min must be finite"),
 ]
 
 

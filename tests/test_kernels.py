@@ -1,5 +1,7 @@
 """The compiled loops of ``vpqmc/_kernels.c`` against their numpy forms in
-``oracles.py``, bit for bit (compared as uint64 words)."""
+``oracles.py``, bit for bit (compared as uint64 words); the spectral kick
+only to rounding, as numpy's complex multiply fuses multiply-adds on some
+of its dispatch paths."""
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ import pytest
 import oracles
 from test_lowdisc import _BITWISE_CASES, _tied_sets
 from test_pic import _edge_positions
-from vpqmc import pic
-from vpqmc.core import InitialCondition, ParticleEnsemble, PhaseSpaceDomain, periodic_cell
+from vpqmc import _kernels, pic, spectral
+from vpqmc.core import (InitialCondition, ParticleEnsemble, PhaseSpaceDomain, Q_OVER_M,
+                        periodic_cell)
 from vpqmc.lowdisc import (SOBOL_POINTS, PseudoRandom, Sobol, generate_pairs,
                            star_discrepancy)
 from vpqmc.sampling import uniform_sample
@@ -215,3 +218,32 @@ def test_star_discrepancy_matches_numpy_sweep_bitwise():
         assert type(got) is float
         want = oracles.star_discrepancy_passed_points_reference(pts)
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), pts
+
+
+# --- spectral kick ------------------------------------------------------------------
+
+@pytest.mark.parametrize("nx, nk", [(128, 65), (128, 8), (37, 2), (5, 1)])
+def test_kick_matches_the_cumprod_form(nx, nk):
+    # nk = nv // 2 + 1: nv = 128, the odd nv = 15, nv = 2 and a lone bin;
+    # 37 rows end on a part block; unit z of random phase, as
+    # exp(-i shift k_v[1]) is
+    rng = np.random.default_rng(nx * nk)
+    fh = rng.standard_normal((nx, nk)) + 1j * rng.standard_normal((nx, nk))
+    z = np.exp(1j * rng.uniform(-np.pi, np.pi, nx))
+    want = fh * oracles.kick_phase_cumprod_reference(z, nk)
+    _kernels.kick(nx, nk, fh.ctypes.data, z.ctypes.data)
+    np.testing.assert_allclose(fh, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("nx, nv", [(128, 128), (16, 15)])
+def test_spectral_kick_matches_the_cumprod_form(nx, nv):
+    s = spectral.state_from_initial_condition(InitialCondition(epsilon=0.5, k=0.5),
+                                              PhaseSpaceDomain(0.0, L, -6.5, 6.5), nx, nv)
+    fh = np.fft.rfft(s.values, axis=1)
+    shift = Q_OVER_M * spectral.poisson_fourier(s) * 0.3
+    want = fh * oracles.kick_phase_cumprod_reference(
+        np.exp(-1j * s.kappa_v()[1] * shift), nv // 2 + 1)
+    spectral._kick(fh, s, 0.3)
+    np.testing.assert_allclose(fh, want, rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError, match="v-spectrum"):
+        spectral._kick(np.asfortranarray(fh), s, 0.3)

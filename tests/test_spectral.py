@@ -168,8 +168,9 @@ def _complex_reference(s, dt, n_steps):
 
 @pytest.mark.parametrize("nx,nv", [(32, 32), (17, 15)])
 def test_step_order3_matches_complex_reference(nx, nv):
-    # one fused advance and 200 single steps (each applying its pending v
-    # filter) against the complex-FFT step, and against each other
+    # one advance of 200 steps and 200 single steps (each starting from
+    # a new v transform of its values) against the complex-FFT step, and
+    # against each other
     s0 = state_from_initial_condition(LANDAU, DOM, nx, nv)
     ref = _complex_reference(s0, 0.05, 200)
     fused = advance(s0, 0.05, 200)
@@ -377,14 +378,13 @@ def test_run_output_stride_records_match_every_step_run():
     every, end_every = run_spectral(LANDAU, DOM, 16, 16, 0.1, 2.2)
     strided, end_strided = run_spectral(LANDAU, DOM, 16, 16, 0.1, 2.2,
                                         out_stride=5)
-    # steps 0, 5, 10, 15, 20 and the partial last stride's step 22
+    # steps 0, 5, 10, 15, 20 and the partial last stride's step 22; every
+    # step makes its values whether it is emitted or not, so bit for bit
     assert len(strided) == 6
     for got, want in zip(strided, every[::5] + every[-1:]):
         for name in fields:
-            assert getattr(got, name) == pytest.approx(
-                getattr(want, name), rel=1e-13, abs=1e-13)
-    np.testing.assert_allclose(end_strided.values, end_every.values,
-                               rtol=0.0, atol=1e-13)
+            assert getattr(got, name) == getattr(want, name)
+    np.testing.assert_array_equal(end_strided.values, end_every.values)
 
 
 def test_run_solves_each_emitted_field_once(monkeypatch):
@@ -393,21 +393,35 @@ def test_run_solves_each_emitted_field_once(monkeypatch):
     monkeypatch.setattr(spectral, "_solve_fourier",
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
     records, end = run_spectral(LANDAU, DOM, 16, 16, 0.1, 1.0, out_stride=2)
-    # one solve per record and per kick, less the first kick of each of
-    # the five advance calls, which reuses its record's solve
+    # one solve per record and per kick, less the first kick after each of
+    # the five records before the last, which reuses its record's solve
     assert len(calls) == len(records) + 3 * 10 - 5
-    # the reused field gives the bits of a fresh solve
-    s = state_from_initial_condition(LANDAU, DOM, 16, 16)
-    for rec in records[1:]:
-        s = advance(SpectralState(s.domain, s.values), 0.1, 2)
-        assert rec.field_energy == field_energy(s)
-    np.testing.assert_array_equal(end.values, s.values)
+    # the reused fields give the bits of fresh solves: advance solves the
+    # field of every state it kicks, and no record's
+    s0 = state_from_initial_condition(LANDAU, DOM, 16, 16)
+    for n, rec in enumerate(records[1:], 1):
+        assert rec.field_energy == field_energy(advance(s0, 0.1, 2 * n))
+    np.testing.assert_array_equal(end.values, advance(s0, 0.1, 10).values)
+
+
+@pytest.mark.parametrize("out_stride", [1, 3, 10])
+def test_run_makes_13_full_grid_transforms_per_step(monkeypatch, out_stride):
+    full_grid = []
+    for name in ("rfft", "irfft"):
+        def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
+            if np.ndim(a) == 2:
+                full_grid.append(1)
+            return _transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    run_spectral(LANDAU, DOM, 16, 16, 0.1, 1.0, out_stride=out_stride)
+    # the v transform of the initial values, then 13 for each of 10 steps
+    assert len(full_grid) == 1 + 13 * 10
 
 
 def test_every_solved_state_warns_once_when_nonneutral():
     # 10 steps of 3 kicks, each on a new state, plus the last emitted state,
-    # whose field only the diagnostics solve; the first kick of each
-    # advance call reuses the emitted state's solve and warns no more
+    # whose field only the diagnostics solve; the first kick after an
+    # emitted state reuses that state's solve and warns no more
     ic = InitialCondition(epsilon=1e-3, k=0.3, n_b=0.1, sigma_b=0.3, v_b=4.5)
     dom = PhaseSpaceDomain(0.0, 2 * np.pi / 0.3, -10.0, 10.0)
     with warnings.catch_warnings(record=True) as caught:
