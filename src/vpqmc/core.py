@@ -336,43 +336,18 @@ def normalize_to_sampling_density(f: GriddedDensity) -> GriddedDensity:
     return GriddedDensity(f.domain, absvals)
 
 
-class Carrier:
-    """Base of the mutable carriers, whose arrays change only by rebinding.
-
-    Every array assigned to an attribute is stored as a read-only view, so
-    writing into it raises ValueError and an array object never changes
-    its values (the caller's own base array stays writable).  ``memo``
-    computes a value from named attributes once, until one of them is
-    rebound.
-    """
-
-    def __setattr__(self, name, value):
-        if isinstance(value, np.ndarray):
-            value = value.view()
-            value.flags.writeable = False
-        entries = self.__dict__.get("_memo", {})
-        for fn in [fn for fn, (reads, _) in entries.items() if name in reads]:
-            del entries[fn]  # frees what the old array gave
-        super().__setattr__(name, value)
-
-    def memo(self, fn, reads):
-        """``fn(self)``, computed once until an attribute named in ``reads``
-        is rebound; ``fn`` must read no other attribute."""
-        entries = self.__dict__.setdefault("_memo", {})
-        if fn not in entries:
-            entries[fn] = (reads, fn(self))
-        return entries[fn][1]
-
-
 @dataclass
-class ParticleEnsemble(Carrier):
+class ParticleEnsemble:
     """Marker arrays sampling the stochastic characteristics.
 
     Each marker carries its position, velocity and the two likelihoods
     f_like (plasma density at the marker) and g_like (sampling density at
     the marker); the ratio f_like/g_like is the particle weight.  Pushers
-    rebind its arrays (see ``Carrier``).  The weights and the entropy
-    estimate are memos of the likelihoods alone, which the
+    change the arrays only by rebinding: each assigned array is stored as
+    a read-only view (the caller's base array stays writable), so writing
+    into it raises ValueError, and ``memo`` keeps a value computed from
+    named attributes until one of them is rebound.  The weights and the
+    entropy estimate are memos of the likelihoods alone, which the
     volume-preserving pushers never rebind, so under them each is computed
     once per run.
     """
@@ -390,6 +365,23 @@ class ParticleEnsemble(Carrier):
         n = self.x.shape[0]
         if not (self.v.shape == self.f_like.shape == self.g_like.shape == (n,)):
             raise ValueError("all marker arrays must share one length")
+
+    def __setattr__(self, name, value):
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        entries = self.__dict__.get("_memo", {})
+        for fn in [fn for fn, (reads, _) in entries.items() if name in reads]:
+            del entries[fn]  # frees what the old array gave
+        super().__setattr__(name, value)
+
+    def memo(self, fn, reads):
+        """``fn(self)``, computed once until an attribute named in ``reads``
+        is rebound; ``fn`` must read no other attribute."""
+        entries = self.__dict__.setdefault("_memo", {})
+        if fn not in entries:
+            entries[fn] = (reads, fn(self))
+        return entries[fn][1]
 
     @property
     def n_p(self) -> int:

@@ -57,7 +57,7 @@ def run_pic(ensemble: ParticleEnsemble,
 
     The entropy estimate, like the weights that the deposits, kinetic
     energy and mass read, is a memo of the likelihoods
-    (``core.Carrier.memo``): computed once per run under the
+    (``ParticleEnsemble.memo``): computed once per run under the
     volume-preserving kinds, once per record under the Euler kinds.
     """
     fields = pic.SelfConsistentField(solver)

@@ -236,7 +236,7 @@ class SelfConsistentField:
     """Callable field machinery: deposit the ensemble, solve, return the field.
 
     The field is a memo of the ensemble's (x, f_like, g_like)
-    (``core.Carrier.memo``): a call returns the field already built from
+    (``ParticleEnsemble.memo``): a call returns the field already built from
     the same three arrays without depositing again.  Each deposit locates
     the positions afresh, and the field keeps that stencil for
     evaluations at the same x.  Being shared, the field's coefficients

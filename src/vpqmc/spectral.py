@@ -26,24 +26,25 @@ import numpy as np
 
 from . import _kernels
 # RUTH3 is also re-exported from here
-from .core import (Carrier, DiagnosticsRecord, GriddedDensity,
-                   InitialCondition, PhaseSpaceDomain, Q, Q_OVER_M, RUTH3,
-                   eval_initial_f, whole_steps)
+from .core import (DiagnosticsRecord, GriddedDensity, InitialCondition,
+                   PhaseSpaceDomain, Q, Q_OVER_M, RUTH3, eval_initial_f,
+                   whole_steps)
 
 
 class NonNeutralPlasmaWarning(UserWarning):
     """Mean charge density deviates from the neutralizing background."""
 
 
-@dataclass
-class SpectralState(Carrier):
-    """Real collocation values of f at time t.
+@dataclass(frozen=True, eq=False)
+class SpectralState:
+    """Real collocation values of f at time t, an immutable value.
 
     Nodes: x_i = x_min + i*L/nx (i = 0..nx-1), v_j = v_min + j*S/nv
     (j = 0..nv-1) with S = v_max - v_min; both directions periodic for
-    transform purposes.  ``values`` is read-only (see ``core.Carrier``),
-    and the field that ``poisson_fourier`` solves is a memo of it, so the
-    record's solve serves the next step's first kick.
+    transform purposes.  ``values`` is stored as a read-only view (the
+    caller's own base array stays writable), and the field that
+    ``poisson_fourier`` returns is solved once per state, so the record's
+    solve serves the next step's first kick.
     """
 
     domain: PhaseSpaceDomain
@@ -51,9 +52,15 @@ class SpectralState(Carrier):
     t: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
+        values = np.asarray(self.values, dtype=float).view()
+        if values.ndim != 2:
             raise ValueError("values must be 2-D (nx, nv)")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def _field(self) -> np.ndarray:
+        return _solve_fourier(self)
 
     @property
     def nx(self) -> int:
@@ -81,17 +88,12 @@ class SpectralState(Carrier):
         """The non-negative wavenumbers of an rfft along x."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)
 
-    def kappa_v(self) -> np.ndarray:
-        """The non-negative wavenumbers of an rfft along v."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.nv, d=self.dv)
-
 
 def state_from_initial_condition(ic: InitialCondition, domain: PhaseSpaceDomain,
                                  nx: int, nv: int) -> SpectralState:
-    s = SpectralState(domain, np.zeros((nx, nv)))
-    xx, vv = np.meshgrid(s.x_nodes(), s.v_nodes(), indexing="ij")
-    s.values = eval_initial_f(ic, xx, vv)
-    return s
+    grid = SpectralState(domain, np.empty((nx, nv)))  # for its nodes
+    xx, vv = np.meshgrid(grid.x_nodes(), grid.v_nodes(), indexing="ij")
+    return SpectralState(domain, eval_initial_f(ic, xx, vv))
 
 
 def _shear(f: np.ndarray, factor: np.ndarray, axis: int) -> np.ndarray:
@@ -119,7 +121,8 @@ def _kick(fh: np.ndarray, s: SpectralState, tau: float) -> None:
             and fh.flags.c_contiguous and fh.flags.writeable):
         raise ValueError("fh must be the writable C-contiguous v-spectrum of s")
     shift = Q_OVER_M * poisson_fourier(s) * tau
-    z = np.exp(-1j * s.kappa_v()[1] * shift)
+    # k_v[1] = 2 pi / (nv dv), with the bits of np.fft.rfftfreq's entry 1
+    z = np.exp(-1j * (2.0 * np.pi * (1.0 / (s.nv * s.dv))) * shift)
     _kernels.kick(s.nx, fh.shape[1], fh.ctypes.data, z.ctypes.data)
 
 
@@ -138,21 +141,21 @@ def poisson_fourier(s: SpectralState) -> np.ndarray:
 
     Solves the weak-form sign convention -Phi'' = q*(rho - 1), i.e. Gauss's
     law dE/dx = q*(rho - 1) with E = -Phi' and the zero mode pinned, and
-    returns E at the collocation points.  The solve is a memo of
-    ``values`` (see ``SpectralState``): until it is rebound, every call
-    returns the same read-only array.  The solve warns, once per state,
-    when the mean density departs from the unit neutralizing background.
+    returns E at the collocation points.  The field is solved once per
+    state: every call on the same state returns the same read-only array.
+    The solve warns, once per state, when the mean density departs from
+    the unit neutralizing background.
     """
-    return s.memo(_solve_fourier, ("values",))
+    return s._field
 
 
 def _solve_fourier(s: SpectralState) -> np.ndarray:
     """The field of ``poisson_fourier``; warns if the plasma is non-neutral."""
     rho_hat = np.fft.rfft(charge_density(s))
     if abs(rho_hat[0] / s.nx - 1.0) > 1e-6:
-        # above: Carrier.memo, poisson_fourier, then its caller
+        # above: _field, cached_property.__get__, poisson_fourier, its caller
         warnings.warn("mean density deviates from the unit background",
-                      NonNeutralPlasmaWarning, stacklevel=4)
+                      NonNeutralPlasmaWarning, stacklevel=5)
     rho_hat *= _field_multiplier(s.domain, s.nx)
     e = np.fft.irfft(rho_hat, s.nx)
     e.flags.writeable = False
@@ -216,8 +219,8 @@ def _steps(s: SpectralState, dt: float):
     without end: yields the state after the n-th step, at t = s.t + n*dt.
 
     The field is recomputed before every kick (kicks preserve the charge
-    density, so each sub-flow is exact) from the field memo of the state
-    it kicks (``poisson_fourier``), so a yielded state whose field the
+    density, so each sub-flow is exact) from the field of the state it
+    kicks (``poisson_fourier``), so a yielded state whose field the
     caller solves before asking for the next step is solved once.  The
     three drift phases come from a cache keyed on (domain, nx, nv, dt),
     and the x factor of the filter is folded into the last of them.  Each
@@ -246,7 +249,7 @@ def _steps(s: SpectralState, dt: float):
 def advance(s: SpectralState, dt: float, n_steps: int) -> SpectralState:
     """``n_steps`` composite kick-first RUTH3 split steps, each filtered:
     the state ``_steps(s, dt)`` yields after ``n_steps``.  The first kick
-    reads the field memo of ``s``.  Returns a new state."""
+    reads the field of ``s``.  Returns a new state."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return next(itertools.islice(_steps(s, dt), n_steps - 1, None))

@@ -155,7 +155,8 @@ def test_handoff_preserves_negative_likelihoods():
     x = state.x_nodes()[:, None]
     v = state.v_nodes()[None, :]
     # dip into the tail where the Maxwellian is ~1e-4
-    state.values = state.values - 0.02 * np.exp(-((x - 6.0) ** 2 + (v - 4.0) ** 2))
+    state = dataclasses.replace(
+        state, values=state.values - 0.02 * np.exp(-((x - 6.0) ** 2 + (v - 4.0) ** 2)))
     e = handoff(state, 4, Sobol(skip=1), 20_000)
     assert np.all(e.g_like > 0)
     assert np.any(e.f_like < 0)
@@ -301,7 +302,7 @@ def test_field_solvers_agree_on_smooth_density():
 
     state = spectral.SpectralState(DOM, np.zeros((64, 8)))
     rho = 1.0 + amp * np.cos(kappa * state.x_nodes())
-    state.values = np.tile(rho[:, None], (1, 8)) / (state.dv * 8)
+    state = dataclasses.replace(state, values=np.tile(rho[:, None], (1, 8)) / (state.dv * 8))
     e_spectral = spectral.poisson_fourier(state)
 
     solver = pic.SplinePoissonSolver.build(0.0, L, 32)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_advect_single_mode_shear():
     x = s.x_nodes()[:, None]
     v = s.v_nodes()[None, :]
     phi = np.exp(-0.5 * v ** 2)
-    s.values = np.cos(kappa * x) * phi
+    s = replace(s, values=np.cos(kappa * x) * phi)
     dt = 0.37
     out = advect_x(s, dt)
     expect = np.cos(kappa * (x - v * dt)) * phi
@@ -76,8 +77,7 @@ def _state_with_rho(rho_fn, nx=64, nv=16, domain=None):
     s = SpectralState(domain, np.zeros((nx, nv)))
     x = s.x_nodes()
     # v-independent f whose trapezoid integral reproduces rho(x)
-    s.values = np.tile(rho_fn(x)[:, None], (1, nv)) / (s.dv * nv)
-    return s
+    return replace(s, values=np.tile(rho_fn(x)[:, None], (1, nv)) / (s.dv * nv))
 
 
 def test_poisson_cosine_fluctuation():
@@ -142,7 +142,7 @@ def test_kick_constant_field_shifts_gaussian():
     s = _maxwellian_state(nx=8, nv=64, domain=dom)
     x = s.x_nodes()[:, None]
     v = s.v_nodes()[None, :]
-    s.values = (1.0 + a * np.cos(x)) * np.exp(-0.5 * v ** 2) / np.sqrt(2 * np.pi)
+    s = replace(s, values=(1.0 + a * np.cos(x)) * np.exp(-0.5 * v ** 2) / np.sqrt(2 * np.pi))
     out = kick_v(s, dt)
     expect = ((1.0 + a * np.cos(x)) * np.exp(-0.5 * (v - a * dt * np.sin(x)) ** 2)
               / np.sqrt(2 * np.pi))
@@ -248,7 +248,7 @@ def test_hk_variation_sine():
     dom = PhaseSpaceDomain(0.0, 2 * np.pi, -1.0, 1.0)
     for nx in (64, 128):
         s = SpectralState(dom, np.zeros((nx, 16)))
-        s.values = np.tile(np.sin(s.x_nodes())[:, None], (1, 16))
+        s = replace(s, values=np.tile(np.sin(s.x_nodes())[:, None], (1, 16)))
         assert hk_variation(s) == pytest.approx(8.0, rel=0.01)
 
 
@@ -262,7 +262,7 @@ def test_hk_variation_two_mode_analytic():
     # f = cos(2x): V = int |2 sin(2x)| * v-span = 8 * 2 = 16 on [0,2pi]x[-1,1]
     dom = PhaseSpaceDomain(0.0, 2 * np.pi, -1.0, 1.0)
     s = SpectralState(dom, np.zeros((128, 8)))
-    s.values = np.tile(np.cos(2 * s.x_nodes())[:, None], (1, 8))
+    s = replace(s, values=np.tile(np.cos(2 * s.x_nodes())[:, None], (1, 8)))
     assert hk_variation(s) == pytest.approx(16.0, rel=0.01)
 
 
@@ -302,7 +302,7 @@ def test_zero_pad_matches_the_two_step_form_bitwise(nx, nv, n_pad):
 def test_zero_pad_single_mode():
     dom = PhaseSpaceDomain(0.0, 2 * np.pi, -1.0, 1.0)
     s = SpectralState(dom, np.zeros((16, 8)))
-    s.values = np.tile(np.cos(3 * s.x_nodes())[:, None], (1, 8))
+    s = replace(s, values=np.tile(np.cos(3 * s.x_nodes())[:, None], (1, 8)))
     fine = zero_pad(s, 4)
     assert fine.values.shape == (64, 33)
     x_fine = dom.length / 64 * np.arange(64)
@@ -346,7 +346,7 @@ def test_zero_pad_linear_respline_mode_error():
     h = length / nx
     k_star = int(np.floor(2.0 / h))  # largest integer mode with k h / 2 <= 1
     s = SpectralState(dom, np.zeros((nx, 4)))
-    s.values = np.tile(np.cos(k_star * s.x_nodes())[:, None], (1, 4))
+    s = replace(s, values=np.tile(np.cos(k_star * s.x_nodes())[:, None], (1, 4)))
     fine = zero_pad(s, n_pad)
     coeff = _linear_interpolant_mode(fine.values[:, 0], length, float(k_star))
     measured = abs(1.0 - coeff / 0.5)
@@ -433,10 +433,48 @@ def test_every_solved_state_warns_once_when_nonneutral():
 def test_rebinding_values_drops_the_solved_field():
     s = state_from_initial_condition(LANDAU, DOM, 16, 16)
     field_energy(s)
-    s.values = state_from_initial_condition(InitialCondition(0.1, 0.5), DOM, 16, 16).values
+    s = replace(s, values=state_from_initial_condition(InitialCondition(0.1, 0.5), DOM, 16, 16).values)
     # the kick solves the new values, as a state that never held a field does
     np.testing.assert_array_equal(advance(s, 0.1, 1).values,
                                   advance(SpectralState(DOM, s.values), 0.1, 1).values)
+
+
+@pytest.mark.parametrize("name", ["domain", "values", "t"])
+def test_state_is_frozen(name):
+    s = state_from_initial_condition(LANDAU, DOM, 8, 8)
+    with pytest.raises(FrozenInstanceError):
+        setattr(s, name, getattr(s, name))
+
+
+def test_state_values_and_field_are_read_only():
+    a = np.full((8, 4), 1.0 / DOM.v_span)  # a neutral plasma
+    s = SpectralState(DOM, a)
+    with pytest.raises(ValueError):
+        s.values[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        poisson_fourier(s)[0] = 2.0
+    assert a.flags.writeable  # the caller's own base array is left as it was
+
+
+def test_a_replaced_state_solves_its_own_field():
+    s = _state_with_rho(lambda x: 1.0 + np.cos(x))
+    e = poisson_fourier(s)
+    r = replace(s, values=_state_with_rho(lambda x: 1.0 + 0.5 * np.cos(x)).values)
+    assert poisson_fourier(r) is not e
+    np.testing.assert_allclose(poisson_fourier(r), -0.5 * np.sin(r.x_nodes()), atol=1e-12)
+    assert poisson_fourier(s) is e
+
+
+def test_poisson_fourier_solves_once_per_state(monkeypatch):
+    calls = []
+    solve = spectral._solve_fourier
+    monkeypatch.setattr(spectral, "_solve_fourier",
+                        lambda s: calls.append(s) or solve(s))
+    s = state_from_initial_condition(LANDAU, DOM, 16, 16)
+    e = poisson_fourier(s)
+    assert poisson_fourier(s) is e
+    field_energy(s)
+    assert calls == [s]
 
 
 def test_run_hk_period_toggles_field():
