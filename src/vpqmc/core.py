@@ -287,6 +287,10 @@ class GriddedDensity(NodeGrid):
     def nv(self) -> int:
         return self.values.shape[1]
 
+    def rows(self, first: int, end: int) -> np.ndarray:
+        """A fresh, writable copy of rows first..end-1, taken mod nx."""
+        return self.values[np.arange(first, end) % self.nx]
+
     def x_marginal_nodes(self) -> np.ndarray:
         """Trapezoid v-integral of each x column: g_X(x_i)."""
         return self.dv * (self.values @ v_trapezoid_weights(self.nv))

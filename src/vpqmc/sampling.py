@@ -87,9 +87,17 @@ class BilinearSampler(NodeGrid):
     trapezoid mass of |density|: holds the mass, the x marginal of the
     whole grid and its trapezoid partial sums, and builds the conditional
     tables one block of rows at a time (:func:`_block_tables`).
-    Immutable, so sampling is pure and thread-safe."""
+    Immutable, so sampling is pure and thread-safe.
 
-    density: GriddedDensity
+    ``density`` is a grid of the package convention that gives its rows
+    on demand: ``rows(first, end)`` returns a fresh, writable copy of
+    rows first..end-1, taken mod nx.  A ``GriddedDensity`` copies them
+    from its values, and ``spectral.PaddedGrid`` makes them from a
+    spectrum, so a padded density is never whole: the sampler reads it
+    only through ``rows``, one block of at most 2*ROWS rows at a time.
+    """
+
+    density: NodeGrid
     mass: float = field(init=False)
     marginal_x_nodes: np.ndarray = field(init=False)
     cum_x: np.ndarray = field(init=False)
@@ -162,7 +170,7 @@ def sample_conditional_v(s: BilinearSampler, x, u_v):
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(u_v, dtype=float))
     ix, fx = periodic_cell(x, s.domain.x_min, s.dx, s.nx)
-    return _invert_in_rows(s, *_block_tables(s, 0, s.nx), ix, fx, u)
+    return _invert_in_rows(s, *_block_tables(s, 0, s.nx)[:3], ix, fx, u)
 
 
 def _chunks(n: int):
@@ -180,13 +188,14 @@ def _row_blocks(nx: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _abs_x_marginal(density: GriddedDensity, mass: float = 1.0) -> np.ndarray:
+def _abs_x_marginal(density: NodeGrid, mass: float = 1.0) -> np.ndarray:
     """The x-marginal nodes of |density| / mass, one block of rows at a
     time: the bits of ``GriddedDensity(domain, np.abs(values) /
-    mass).x_marginal_nodes()`` without a second whole grid (x / 1.0 == x)."""
+    mass).x_marginal_nodes()`` without a whole grid (x / 1.0 == x)."""
     gx = np.empty(density.nx)
     for first, end in _row_blocks(density.nx):
-        block = np.abs(density.values[first:end])
+        block = density.rows(first, end)
+        np.abs(block, out=block)
         block /= mass
         gx[first:end] = GriddedDensity(density.domain, block).x_marginal_nodes()
     return gx
@@ -195,11 +204,11 @@ def _abs_x_marginal(density: GriddedDensity, mass: float = 1.0) -> np.ndarray:
 def _block_tables(s: BilinearSampler, first: int, end: int):
     """|density| / mass at the grid rows first..end (row nx is row 0),
     ``cum_cols[i, j]``, the mass of its row i below node j (cell pieces
-    0.5*dv*(left + right) in columns 1.., then an in-place cumsum), and
-    the x marginal at those rows."""
+    0.5*dv*(left + right) in columns 1.., then an in-place cumsum), the
+    x marginal at those rows, and the signed density at those rows."""
     held = np.arange(first, end + 1) % s.nx
-    rows = s.density.values[held]
-    np.abs(rows, out=rows)
+    signed = s.density.rows(first, end + 1)
+    rows = np.abs(signed)
     rows /= s.mass
     cum_cols = np.empty(rows.shape)
     cum_cols[:, 0] = 0.0
@@ -207,7 +216,7 @@ def _block_tables(s: BilinearSampler, first: int, end: int):
     np.add(rows[:, :-1], rows[:, 1:], out=pieces)
     pieces *= 0.5 * s.dv
     np.cumsum(pieces, axis=1, out=pieces)
-    return rows, cum_cols, s.marginal_x_nodes[held]
+    return rows, cum_cols, s.marginal_x_nodes[held], signed
 
 
 def _column(rows, gx_rows, ix, fx):
@@ -260,8 +269,8 @@ def _conditional_by_row_blocks(s: BilinearSampler, x, u):
     :func:`_row_blocks` that holds points, the tables of the block and
     the row after it are built and its points mapped ``CHUNK`` at a time.
     One stencil per chunk reads g from the table rows and f from the
-    grid.  Every step is elementwise, so the results have the bits of one
-    pass over whole-grid tables.
+    block's signed rows.  Every step is elementwise, so the results have
+    the bits of one pass over whole-grid tables.
     """
     ix = periodic_cell(x, s.domain.x_min, s.dx, s.nx)[0]
     order = np.argsort(ix, kind="stable")
@@ -274,17 +283,17 @@ def _conditional_by_row_blocks(s: BilinearSampler, x, u):
         block = order[starts[first]:starts[end]]
         if block.size == 0:
             continue
-        rows, cum_cols, gx_rows = _block_tables(s, first, end)
+        rows, cum_cols, gx_rows, signed = _block_tables(s, first, end)
         for c in _chunks(block.size):
             idx = block[c]
             ix, fx = periodic_cell(x[idx], s.domain.x_min, s.dx, s.nx)
             row = ix - first  # grid row ix is table row ix - first
             v[idx] = vs = _invert_in_rows(s, rows, cum_cols, gx_rows, row, fx, u[idx])
-            jv, fv = bounded_cell(vs, s.domain.v_min, s.dv, s.nv)
-            g[idx] = bilinear_sum(rows, *cell_stencil(row, row + 1, fx, jv, fv))
-            f[idx] = bilinear_sum(s.density.values,
-                                  *cell_stencil(ix, (ix + 1) % s.nx, fx, jv, fv))
-        del rows, cum_cols  # before the next block's are built
+            stencil = cell_stencil(row, row + 1, fx, *bounded_cell(vs, s.domain.v_min,
+                                                                   s.dv, s.nv))
+            g[idx] = bilinear_sum(rows, *stencil)
+            f[idx] = bilinear_sum(signed, *stencil)
+        del rows, cum_cols, signed  # before the next block's are built
     return v, f, g
 
 
@@ -296,10 +305,11 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     negative carry negative weights, and g_like the bilinear |density| /
     mass.  x comes from the marginal inversion in chunks of ``CHUNK``,
     then v and both likelihoods one block of rows at a time
-    (:func:`_conditional_by_row_blocks`).  Live at once: the density, the
-    length-n u_v, x, v, f_like, g_like and sort index, one block's two
-    tables (at most 2*ROWS rows each) and one chunk's temporaries; the
-    pairs too, unless the caller passed them inline.
+    (:func:`_conditional_by_row_blocks`).  Live at once: the density (a
+    whole grid, or a ``spectral.PaddedGrid``'s half-spectrum), the
+    length-n u_v, x, v, f_like, g_like and sort index, one block's signed
+    rows and two tables (at most 2*ROWS rows each) and one chunk's
+    temporaries; the pairs too, unless the caller passed them inline.
     """
     pairs = lowdisc.unit_square_pairs(pairs)
     x = np.empty(pairs.shape[0])
@@ -311,12 +321,16 @@ def rosenblatt_sample(s: BilinearSampler, pairs: np.ndarray) -> ParticleEnsemble
     return ParticleEnsemble(x=x, v=v, f_like=f_like, g_like=g_like)
 
 
-def sample_gridded_density(density: GriddedDensity, sequence: SequenceKind,
+def sample_gridded_density(density: NodeGrid, sequence: SequenceKind,
                            n: int) -> ParticleEnsemble:
-    """Draw n markers from a signed gridded density: the first n pairs of
-    ``sequence`` through ``rosenblatt_sample(BilinearSampler(density),
-    pairs)``.  No second grid is made.  For a 1024 x 1025 float grid
-    (8 MiB) and n = 1e5 the traced peak of a handoff is 14.9 MiB.
+    """Draw n markers from a signed gridded density, a ``GriddedDensity``
+    or a ``spectral.PaddedGrid`` (see :class:`BilinearSampler`): the first
+    n pairs of ``sequence`` through
+    ``rosenblatt_sample(BilinearSampler(density), pairs)``.  No whole
+    grid is made.  For a 32 x 32 state padded 32 times (a 1024 x 1025
+    fine grid, 8 MiB if whole) and n = 1e5 the traced peak of a handoff
+    is 8.2 MiB, most of it marker-length arrays; with the whole grid it
+    was 15.1 MiB.
     """
     return rosenblatt_sample(BilinearSampler(density), lowdisc.generate_pairs(sequence, n))
 
@@ -329,7 +343,7 @@ def forward_cdf(s: BilinearSampler, x, v):
     column mass vanishes the conditional coordinate is reported as 0.
     """
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    rows, cum_cols, gx_rows = _block_tables(s, 0, s.nx)
+    rows, cum_cols, gx_rows = _block_tables(s, 0, s.nx)[:3]
     # x on a bounded grid of nx + 1 nodes: x_max is in the last cell, not the first
     ix, fx = bounded_cell(x, s.domain.x_min, s.dx, s.nx + 1)
     u_x = s.cum_x[ix] + _cell_cdf(gx_rows[ix], gx_rows[ix + 1], fx, s.dx)

@@ -7,9 +7,11 @@ adjoint Euler map, and central finite-difference determinants of such
 maps.  Beside them are the estimators and dense operator forms that only
 tests compare against: the spline potential, the momentum estimator, the
 dense hat-basis mass matrices and the spline norm, the B-spline
-re-expansion error, a marker's weight and the periodic wrap of positions.
+re-expansion error, a marker's weight and the periodic wrap of positions,
+and the traced peak allocation of a call.
 """
 
+import tracemalloc
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,6 +28,16 @@ _FIXED_POINT_CAP = 100
 def wrap_x(domain: PhaseSpaceDomain, x):
     """Map positions into [x_min, x_max) by periodicity."""
     return domain.x_min + np.mod(np.asarray(x, dtype=float) - domain.x_min, domain.length)
+
+
+def traced_peak(fn: Callable):
+    """(peak bytes that tracemalloc traced during fn(), its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def weight(ensemble: ParticleEnsemble, k: int) -> float:

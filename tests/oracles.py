@@ -640,3 +640,12 @@ def zero_pad_two_step_reference(values, n_pad):
                 np.moveaxis(fh, axis, 0)[n // 2] *= 0.5
             fine = np.fft.irfft(fh, n_pad * n, axis=axis) * n_pad
     return np.concatenate([fine, fine[:, :1]], axis=1)
+
+
+def spectral_moments_node_sum_reference(s):
+    """(total mass, kinetic energy) of a ``vpqmc.spectral.SpectralState``
+    as whole-grid node sums: of f, and of v_j**2 f built as a full
+    (nx, nv) product."""
+    mass = float(s.dx * s.dv * np.sum(s.values))
+    kinetic = float(0.5 * s.dx * s.dv * np.sum(s.v_nodes() ** 2 * s.values))
+    return mass, kinetic

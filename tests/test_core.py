@@ -225,6 +225,15 @@ def test_grid_nodes_and_bilinear_wrap():
     assert g.bilinear_at(4.0, -1.0) == pytest.approx(vals[0, 0])
 
 
+def test_gridded_density_rows_are_fresh_copies_taken_mod_nx():
+    vals = np.arange(12.0).reshape(4, 3)
+    g = GriddedDensity(PhaseSpaceDomain(0.0, 4.0, -1.0, 1.0), vals)
+    rows = g.rows(3, 6)
+    np.testing.assert_array_equal(rows, vals[[3, 0, 1]])
+    rows[:] = -1.0
+    np.testing.assert_array_equal(g.values, np.arange(12.0).reshape(4, 3))
+
+
 def test_mass_matches_2d_trapezoid_with_wrap():
     dom = PhaseSpaceDomain(0.0, 2 * np.pi, -1.0, 1.0)
     g = GriddedDensity(dom, np.random.default_rng(3).random((16, 9)))

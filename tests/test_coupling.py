@@ -1,9 +1,9 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from harness import traced_peak
 from oracles import ks_statistic_two_sample, ks_statistic_uniform
 from vpqmc.core import InitialCondition, PhaseSpaceDomain
 from vpqmc.coupling import handoff, run_coupled, run_pic
@@ -57,6 +57,23 @@ def test_handoff_preserves_mass_and_kinetic_energy():
     assert abs(pic.kinetic_energy(e) - h_grid) <= 3 * sigma + 1e-3
 
 
+@pytest.mark.parametrize("nx, nv, n_pad", [(16, 16, 2), (15, 17, 3), (16, 16, 1),
+                                          (17, 15, 1), (33, 31, 4), (32, 32, 32)])
+def test_handoff_matches_sampling_the_zero_padded_grid_bitwise(nx, nv, n_pad):
+    # the PaddedGrid's rows, made block by block, give the markers of the
+    # whole padded grid: a signed state, several row blocks where
+    # n_pad*nx > ROWS, a last block that wraps to row 0, two chunks
+    values = np.random.default_rng(7 * nx + nv).standard_normal((nx, nv)) + 0.4
+    state = spectral.SpectralState(DOM, values)
+    n = sampling.CHUNK + 77
+    e = handoff(state, n_pad, Sobol(skip=1), n)
+    want = sampling.sample_gridded_density(spectral.zero_pad(state, n_pad), Sobol(skip=1), n)
+    for name in ("x", "v", "f_like", "g_like"):
+        np.testing.assert_array_equal(getattr(e, name).view(np.uint64),
+                                      getattr(want, name).view(np.uint64))
+    assert np.any(e.f_like < 0)
+
+
 def test_handoff_peak_memory_is_three_fine_grids_markers_and_one_chunk():
     # the padded density, the normalized |f| and the sampler's cum_cols;
     # six marker-length arrays (the pairs' two columns, x, v, g_like and
@@ -67,12 +84,7 @@ def test_handoff_peak_memory_is_three_fine_grids_markers_and_one_chunk():
     n_pad, n_p = 16, 100_000
     grid_bytes = spectral.zero_pad(state, n_pad).values.nbytes
     bound = 3 * grid_bytes + 6 * 8 * n_p + 32 * 8 * sampling.CHUNK
-    tracemalloc.start()
-    try:
-        handoff(state, n_pad, Sobol(skip=1), n_p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: handoff(state, n_pad, Sobol(skip=1), n_p))
     assert peak <= bound
 
 
@@ -89,12 +101,28 @@ def test_handoff_peak_memory_is_one_fine_grid_markers_and_one_row_block():
     bound = grid.nbytes + 7 * 8 * n_p + 32 * 8 * sampling.CHUNK + block_bytes
     assert bound < 2 * grid.nbytes
     del grid
-    tracemalloc.start()
-    try:
-        handoff(state, n_pad, Sobol(skip=1), n_p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: handoff(state, n_pad, Sobol(skip=1), n_p))
+    assert peak <= bound
+
+
+def test_handoff_peak_memory_holds_no_fine_grid():
+    # the padded density is never whole: seven marker-length arrays (the
+    # pairs' two columns, x, v, g_like, f_like and the sort index); a fixed
+    # allowance of CHUNK-length temporaries; one row block's signed rows,
+    # normalized |f| and cum_cols, each the block's rows and the row after
+    # it (65 here, at most 2 * ROWS); and the PaddedGrid's half-spectrum.
+    # The whole fine grid (8.4 MB here) does not fit
+    state = _maxwell_state(32, 32)
+    n_pad, n_p = 32, 20_000
+    grid = spectral.zero_pad(state, n_pad).values
+    held = max(end - first for first, end in sampling._row_blocks(grid.shape[0])) + 1
+    assert held <= 2 * sampling.ROWS
+    block_bytes = 3 * held * grid.shape[1] * 8
+    spectrum_bytes = n_pad * state.nx * (state.nv // 2 + 1) * 16
+    bound = 7 * 8 * n_p + 32 * 8 * sampling.CHUNK + block_bytes + spectrum_bytes
+    assert bound < grid.nbytes
+    del grid
+    peak, _ = traced_peak(lambda: handoff(state, n_pad, Sobol(skip=1), n_p))
     assert peak <= bound
 
 
@@ -111,17 +139,16 @@ def test_rosenblatt_sample_peak_memory_is_one_fine_grid_markers_and_one_row_bloc
     bound = grid.nbytes + 7 * 8 * n_p + 32 * 8 * sampling.CHUNK + block_bytes
     assert bound < 2 * grid.nbytes
     del grid
-    tracemalloc.start()
-    try:
+
+    def sample():
         g = spectral.zero_pad(state, n_pad)
         values = g.values
         np.abs(values, out=values)
         values /= g.mass()
         pairs = generate_pairs(Sobol(skip=1), n_p)
-        e = sampling.rosenblatt_sample(sampling.build_sampler(g), pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return sampling.rosenblatt_sample(sampling.build_sampler(g), pairs)
+
+    peak, e = traced_peak(sample)
     assert peak <= bound
     assert e.n_p == n_p
 

@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from harness import traced_peak
 from oracles import (brute_force_star_discrepancy, fit_loglog_slope,
                      sobol_pairs_sequential, star_discrepancy_histogram_sweep)
 from vpqmc.core import ParticleEnsemble
@@ -133,12 +132,7 @@ def test_sweep_memory_is_linear():
     # an n x m corner table at n = 4000 would be 128 MB
     pts = generate_pairs(PseudoRandom(seed=3), 4000)
     star_discrepancy(pts)  # numpy loads some modules on first use
-    tracemalloc.start()
-    try:
-        star_discrepancy(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: star_discrepancy(pts))
     assert peak < 1 << 20
 
 

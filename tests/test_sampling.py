@@ -220,14 +220,16 @@ def test_rosenblatt_sample_matches_chunked_dense_path_bitwise():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_cum_cols_match_the_concatenate_form_bitwise(nx, nv, v_span, seed):
     # each block's tables are the rows first..end (row nx is row 0) of the
-    # whole grid's |density| / mass and its concatenate-form cum_cols
+    # whole grid's |density| / mass and its concatenate-form cum_cols, and
+    # its signed rows those of the density
     dom = PhaseSpaceDomain(0.0, 2.0, -0.5 * v_span, 0.5 * v_span)
     s = _random_sampler(seed, domain=dom, nx=nx, nv=nv)
     whole = GriddedDensity(dom, np.abs(s.density.values) / s.mass)
     cum_cols = oracles.cum_cols_concatenate_reference(whole)
     for first, end in sampling._row_blocks(nx):
         held = np.arange(first, end + 1) % nx
-        rows, block_cum_cols, gx_rows = sampling._block_tables(s, first, end)
+        rows, block_cum_cols, gx_rows, signed = sampling._block_tables(s, first, end)
+        np.testing.assert_array_equal(_bits(signed), _bits(s.density.values[held]))
         np.testing.assert_array_equal(_bits(rows), _bits(whole.values[held]))
         np.testing.assert_array_equal(_bits(block_cum_cols), _bits(cum_cols[held]))
         np.testing.assert_array_equal(_bits(gx_rows), _bits(s.marginal_x_nodes[held]))

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harness import spline_mode_error
-from oracles import (fit_loglog_slope, spectral_step_order3_complex_reference,
+from oracles import (fit_loglog_slope, spectral_moments_node_sum_reference,
+                     spectral_step_order3_complex_reference,
                      zero_pad_complex_reference, zero_pad_two_step_reference)
 from vpqmc import spectral
 from vpqmc.core import InitialCondition, PhaseSpaceDomain
-from vpqmc.spectral import (NonNeutralPlasmaWarning, RUTH3, SpectralState,
-                            advance, advect_x, charge_density, field_energy, hk_variation,
-                            kick_v, kinetic_energy, poisson_fourier,
+from vpqmc.spectral import (NonNeutralPlasmaWarning, PaddedGrid, RUTH3, SpectralState,
+                            advance, advect_x, charge_density, diagnostics,
+                            field_energy, hk_variation, kick_v, kinetic_energy,
+                            poisson_fourier,
                             run_spectral, state_from_initial_condition,
                             step_order3, total_mass, zero_pad)
 
@@ -299,6 +301,32 @@ def test_zero_pad_matches_the_two_step_form_bitwise(nx, nv, n_pad):
     np.testing.assert_array_equal(fine.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("n_pad", [1, 2, 3, 32])
+@pytest.mark.parametrize("nx, nv", [(8, 6), (7, 9), (6, 5), (9, 10)])
+def test_padded_grid_rows_match_zero_pad_bitwise(nx, nv, n_pad):
+    # each range, those that cross the wrap row included, gives a fresh,
+    # writable copy with the bits of the whole grid's rows taken mod nx
+    values = np.random.default_rng(100 * nx + nv).standard_normal((nx, nv))
+    s = SpectralState(DOM, values)
+    grid = PaddedGrid(s, n_pad)
+    whole = zero_pad(s, n_pad).values
+    n = grid.nx
+    assert (grid.nx, grid.nv) == whole.shape
+    for first, end in ((0, n), (0, 2), (n - 1, n + 1), (n // 2, n + 3), (n - 2, 2 * n + 1)):
+        rows = grid.rows(first, end)
+        want = whole[np.arange(first, end) % n]
+        np.testing.assert_array_equal(rows.view(np.uint64), want.view(np.uint64))
+        rows[:] = np.nan
+    assert np.array_equal(grid.rows(0, n), whole)
+
+
+def test_padded_grid_rejects_n_pad_below_one():
+    s = state_from_initial_condition(LANDAU, DOM, 8, 8)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="n_pad must be >= 1"):
+            PaddedGrid(s, bad)
+
+
 def test_zero_pad_single_mode():
     dom = PhaseSpaceDomain(0.0, 2 * np.pi, -1.0, 1.0)
     s = SpectralState(dom, np.zeros((16, 8)))
@@ -313,6 +341,26 @@ def test_zero_pad_preserves_original_nodes():
     s = state_from_initial_condition(LANDAU, DOM, 16, 16)
     fine = zero_pad(s, 8)
     np.testing.assert_allclose(fine.values[::8, :-1][:, ::8], s.values, atol=1e-10)
+
+
+def test_moments_match_the_node_sum_forms():
+    # from the column sums over x and the cached v**2: the whole-grid
+    # node sums up to rounding; the public functions and the record read
+    # the same helper, so they agree bit for bit
+    odd = SpectralState(PhaseSpaceDomain(-1.0, 2.0, -3.0, 5.0),
+                        np.random.default_rng(5).random((9, 13)) + 0.1)
+    odd = replace(odd, values=odd.values / np.mean(charge_density(odd)))  # neutral
+    states = [state_from_initial_condition(LANDAU, DOM, 128, 128),
+              advance(state_from_initial_condition(LANDAU, DOM, 32, 32), 0.1, 20), odd]
+    for s in states:
+        mass, kinetic = spectral_moments_node_sum_reference(s)
+        assert total_mass(s) == pytest.approx(mass, rel=1e-13)
+        assert kinetic_energy(s) == pytest.approx(kinetic, rel=1e-13)
+        rec = diagnostics(s)
+        assert (rec.total_mass, rec.kinetic_energy) == (total_mass(s), kinetic_energy(s))
+    v2 = spectral._v_squared(DOM, 128)
+    assert v2 is spectral._v_squared(DOM, 128)
+    assert v2.shape == (128,) and not v2.flags.writeable
 
 
 def test_zero_pad_mass_preserved():
