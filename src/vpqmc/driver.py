@@ -206,9 +206,11 @@ def parse_config(path: Optional[str] = None,
     explicit = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot read config {path}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config {path} is not UTF-8 text: {exc}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if line and not (line.startswith("[") and line.endswith("]")):
@@ -472,7 +474,8 @@ def _solve(cfg: RunConfig, outdir: Path, timeseries: TextIO) -> None:
         emitted["n"] += 1
         if cfg.dump_stride < 1 or n % cfg.dump_stride != 0:
             return
-        stamp = f"t{rec.t:012.5f}"
+        # the record index keeps apart records whose times agree to 5 decimals
+        stamp = f"t{rec.t:012.5f}_r{n:06d}"
         if spectral_record:
             write_grid_dump(outdir / f"state_{stamp}.grid",
                             spectral.zero_pad(carrier, 1), rec.t)
@@ -519,6 +522,8 @@ def _cmd_run(args: List[str]) -> None:
     it = iter(args)
     for a in it:
         if a == "--config":
+            if config_path is not None:
+                raise ParseError("--config given more than once")
             config_path = next(it, None)
             if config_path is None:
                 raise ParseError("--config requires a path")

@@ -9,7 +9,8 @@ Two routes to a marker ensemble:
 * :class:`BilinearSampler` performs the exact dimension-by-dimension
   inversion (marginal CDF in x, then the conditional CDF in v given x)
   of |density| / mass for an arbitrary signed bilinear gridded density,
-  working out the mass itself; each one-cell CDF piece is a monotone
+  working out the mass and the x marginal in one pass over the rows and
+  keeping both read-only; each one-cell CDF piece is a monotone
   quadratic with a closed-form root.  :func:`rosenblatt_sample` builds
   the conditional tables one block of grid rows at a time and reads both
   likelihoods in the same pass; the verification entry points
@@ -22,7 +23,6 @@ Two routes to a marker ensemble:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,13 +81,13 @@ def _cell_cdf(a, b, s, h):
     return h * (s * a + 0.5 * s * s * (b - a))
 
 
-@dataclass(frozen=True)
 class BilinearSampler(NodeGrid):
     """Exact inverse-transform sampler of |density| / mass, mass the
     trapezoid mass of |density|: holds the mass, the x marginal of the
     whole grid and its trapezoid partial sums, and builds the conditional
-    tables one block of rows at a time (:func:`_block_tables`).
-    Immutable, so sampling is pure and thread-safe.
+    tables one block of rows at a time (:func:`_block_tables`).  The
+    marginal and its partial sums are read-only, so sampling is pure and
+    thread-safe.
 
     ``density`` is a grid of the package convention that gives its rows
     on demand: ``rows(first, end)`` returns a fresh, writable copy of
@@ -95,32 +95,19 @@ class BilinearSampler(NodeGrid):
     from its values, and ``spectral.PaddedGrid`` makes them from a
     spectrum, so a padded density is never whole: the sampler reads it
     only through ``rows``, one block of at most 2*ROWS rows at a time.
+    The constructor reads each row once, for both the mass and the
+    marginal.
     """
 
-    density: NodeGrid
-    mass: float = field(init=False)
-    marginal_x_nodes: np.ndarray = field(init=False)
-    cum_x: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        mass = nonzero_mass(float(self.dx * np.sum(_abs_x_marginal(self.density))))
-        gx = _abs_x_marginal(self.density, mass)
-        cell = 0.5 * self.dx * (gx + np.roll(gx, -1))
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "marginal_x_nodes", gx)
-        object.__setattr__(self, "cum_x", np.concatenate(([0.0], np.cumsum(cell))))
-
-    @property
-    def domain(self) -> PhaseSpaceDomain:
-        return self.density.domain
-
-    @property
-    def nx(self) -> int:
-        return self.density.nx
-
-    @property
-    def nv(self) -> int:
-        return self.density.nv
+    def __init__(self, density: NodeGrid):
+        self.density = density
+        self.domain, self.nx, self.nv = density.domain, density.nx, density.nv
+        gx = _abs_x_marginal(density)
+        self.mass = nonzero_mass(float(self.dx * np.sum(gx)))
+        gx /= self.mass
+        cum_x = np.concatenate(([0.0], np.cumsum(0.5 * self.dx * (gx + np.roll(gx, -1)))))
+        gx.flags.writeable = cum_x.flags.writeable = False
+        self.marginal_x_nodes, self.cum_x = gx, cum_x
 
 
 def build_sampler(g: GriddedDensity) -> BilinearSampler:
@@ -188,15 +175,14 @@ def _row_blocks(nx: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _abs_x_marginal(density: NodeGrid, mass: float = 1.0) -> np.ndarray:
-    """The x-marginal nodes of |density| / mass, one block of rows at a
-    time: the bits of ``GriddedDensity(domain, np.abs(values) /
-    mass).x_marginal_nodes()`` without a whole grid (x / 1.0 == x)."""
+def _abs_x_marginal(density: NodeGrid) -> np.ndarray:
+    """The x-marginal nodes of |density|, one block of rows at a time:
+    the bits of ``GriddedDensity(domain, np.abs(values)).x_marginal_nodes()``
+    without a whole grid."""
     gx = np.empty(density.nx)
     for first, end in _row_blocks(density.nx):
         block = density.rows(first, end)
         np.abs(block, out=block)
-        block /= mass
         gx[first:end] = GriddedDensity(density.domain, block).x_marginal_nodes()
     return gx
 

@@ -8,7 +8,8 @@ maps.  Beside them are the estimators and dense operator forms that only
 tests compare against: the spline potential, the momentum estimator, the
 dense hat-basis mass matrices and the spline norm, the B-spline
 re-expansion error, a marker's weight and the periodic wrap of positions,
-and the traced peak allocation of a call.
+the traced peak allocation of a call, and a row source that counts the
+rows it serves.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from vpqmc import densest
-from vpqmc.core import Q_OVER_M, ParticleEnsemble, PhaseSpaceDomain
+from vpqmc.core import Q_OVER_M, NodeGrid, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.pic import (FieldSolution, FixedPointDiverged, IntegratorKind,
                        SplineStencil, push)
 
@@ -38,6 +39,20 @@ def traced_peak(fn: Callable):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+class CountingRows(NodeGrid):
+    """The rows of ``density``, served through ``rows`` like the
+    density's own; ``served`` counts the rows handed out so far."""
+
+    def __init__(self, density: NodeGrid):
+        self.density = density
+        self.domain, self.nx, self.nv = density.domain, density.nx, density.nv
+        self.served = 0
+
+    def rows(self, first: int, end: int) -> np.ndarray:
+        self.served += end - first
+        return self.density.rows(first, end)
 
 
 def weight(ensemble: ParticleEnsemble, k: int) -> float:

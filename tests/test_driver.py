@@ -158,6 +158,31 @@ def test_unknown_key_rejected_with_line(tmp_path):
         parse_config(str(cfg_file))
 
 
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # this exited 1 with a bare UnicodeDecodeError
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(b"dt = 0.1\n# caf\xe9 \xff\n")
+    with pytest.raises(ParseError, match="latin.cfg"):
+        parse_config(str(cfg_file))
+    assert cli_main(["run", "--config", str(cfg_file), f"outdir={tmp_path / 'out'}"]) == 2
+    assert '"type": "ParseError"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_config_is_a_usage_error(tmp_path, capsys):
+    # the first --config used to be dropped without a word
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("dt = 0.1\n")
+    second.write_text("dt = 0.2\n")
+    outdir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(first), "--config", str(second),
+                     "scenario=landau", "solver=spectral", "nx=8", "nv=8", "t_max=0.2",
+                     f"outdir={outdir}"]) == 2
+    err = capsys.readouterr().err
+    assert '"type": "ParseError"' in err and "--config" in err
+    assert not outdir.exists()
+
+
 def test_file_plus_override_precedence(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# comment\n[run]\nscenario = landau\ndt = 0.1\nnx = 32\n")
@@ -588,6 +613,20 @@ def test_cli_periodic_dumps(tmp_path):
     assert len(stamped) == 3  # records at t=0..0.4, every 2nd dumped
     kind, g, t = read_dump(stamped[0])
     assert kind == "grid" and t == 0.0
+
+
+def test_cli_periodic_dumps_of_close_records_keep_apart(tmp_path):
+    # the five records at t = 0..4e-6 agree to 5 decimals; their dumps
+    # all had the name state_t000000.00000.grid and overwrote each other
+    outdir = tmp_path / "dumps"
+    assert cli_main(["run", "scenario=landau", "solver=spectral", "nx=16", "nv=16",
+                     "dt=0.000001", "t_max=0.000004", "dump_stride=1",
+                     f"outdir={outdir}"]) == 0
+    times = [float(line.split(",")[0]) for line in
+             (outdir / "timeseries.csv").read_text().splitlines()[1:]]
+    stamped = sorted(outdir.glob("state_t*.grid"))
+    assert len(times) == 5 and len(stamped) == 5
+    assert [read_dump(path)[2] for path in stamped] == times
 
 
 def test_cli_sample_rejects_zero_n(tmp_path, capsys):

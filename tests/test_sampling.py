@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
+from harness import CountingRows
 from vpqmc import sampling, spectral
 from vpqmc.core import (AllZeroDensity, GriddedDensity, InitialCondition,
                         PhaseSpaceDomain, eval_initial_f,
@@ -45,6 +46,49 @@ def test_sampler_rejects_a_non_finite_node(bad):
         broken[2, 3] = bad
         with pytest.raises(ValueError, match="^sampling density mass must be finite$"):
             build(GriddedDensity(UNIT, broken))
+
+
+def _signed_density(nx, nv=21, seed=51):
+    values = np.random.default_rng(seed).standard_normal((nx, nv)) + 0.2
+    return GriddedDensity(PhaseSpaceDomain(-1.0, 2.0, -3.0, 4.0), values)
+
+
+def _padded_density():
+    values = np.random.default_rng(52).standard_normal((20, 16)) + 0.2
+    state = spectral.SpectralState(PhaseSpaceDomain(-1.0, 2.0, -3.0, 4.0), values, 0.0)
+    return spectral.PaddedGrid(state, 8)
+
+
+@pytest.mark.parametrize("make", [lambda: _signed_density(5),
+                                  lambda: _signed_density(2 * sampling.ROWS + 3),
+                                  _padded_density],
+                         ids=["grid_5_rows", "grid_131_rows", "padded_grid"])
+def test_sampler_reads_each_row_once_for_mass_and_marginal(make):
+    # the mass and the marginal used to take a pass over the rows each
+    density = CountingRows(make())
+    s = sampling.BilinearSampler(density)
+    assert density.served == s.nx == density.nx
+    assert (s.domain, s.nv) == (density.domain, density.nv)
+
+
+def test_sampler_marginal_and_partial_sums_are_read_only():
+    s = sampling.BilinearSampler(_signed_density(9))
+    before = s.cum_x.copy()
+    for table in (s.marginal_x_nodes, s.cum_x):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 5.0
+    np.testing.assert_array_equal(s.cum_x, before)
+
+
+@pytest.mark.parametrize("nx", [2, 5, sampling.ROWS, 2 * sampling.ROWS + 3])
+def test_sampler_mass_and_marginal_are_those_of_abs_density(nx):
+    density = _signed_density(nx, seed=53 + nx)
+    s = sampling.BilinearSampler(density)
+    gx = GriddedDensity(density.domain, np.abs(density.values)).x_marginal_nodes()
+    # the mass keeps the bits of the trapezoid sum of |density|'s marginal
+    assert _bits(s.mass) == _bits(np.float64(density.dx * np.sum(gx)))
+    np.testing.assert_allclose(s.marginal_x_nodes, gx / s.mass, rtol=1e-14, atol=0.0)
+    assert s.cum_x[-1] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_build_sampler_rejects_a_negative_node():
