@@ -144,35 +144,43 @@ static double corner_max(double sign, double u, const double *s,
    (u, y), (t+1)/n - u*y, and for each rank r >= t, which moves up to
    r + 1, the open corner (u, s[r]) before the move, u*s[r] - r/n, and
    the closed one after, (r+2)/n - u*s[r]; counts[r] = r/n.  One pass
-   over the ranks r >= t takes both, in four running maxima of each
-   kind, and then one memmove shifts the ranks up for y. */
+   over the ranks r >= t takes both into top, the largest of best and
+   every value taken so far, and then one memmove shifts the ranks up
+   for y.
+
+   The pass goes in groups of four ranks [r, r+4) and skips a group that
+   cannot raise top.  s is sorted and u >= 0, so fl(u*s[j]) never falls
+   as j grows, and fl(a - b) never falls in a nor rises in b: u*s[r+3] -
+   counts[r] is at least each open value of the group, and counts[r+5] -
+   u*s[r] at least each closed one.  When both are <= top, no value of
+   the group is above top, so skipping it leaves the maximum, bits and
+   all.  No value is NaN, as unit_square_pairs rejects NaN.  A group
+   that is not skipped takes its eight values in a tree of maxima, whose
+   order does not matter, as a maximum is exact. */
 static double sweep_point(double u, double y, double *s, int64_t k,
                           const double *counts, double best)
 {
     int64_t t = upper_bound(s, k, y);
-    double o0 = best, o1 = best, o2 = best, o3 = best;
-    double c0 = counts[t + 1] - u * y, c1 = c0, c2 = c0, c3 = c0;
+    double top = max2(best, counts[t + 1] - u * y);
     int64_t r = t;
     for (; r + 4 <= k; r += 4) {
+        if (u * s[r + 3] - counts[r] <= top && counts[r + 5] - u * s[r] <= top)
+            continue;
         double p0 = u * s[r], p1 = u * s[r + 1];
         double p2 = u * s[r + 2], p3 = u * s[r + 3];
-        o0 = max2(o0, p0 - counts[r]);
-        o1 = max2(o1, p1 - counts[r + 1]);
-        o2 = max2(o2, p2 - counts[r + 2]);
-        o3 = max2(o3, p3 - counts[r + 3]);
-        c0 = max2(c0, counts[r + 2] - p0);
-        c1 = max2(c1, counts[r + 3] - p1);
-        c2 = max2(c2, counts[r + 4] - p2);
-        c3 = max2(c3, counts[r + 5] - p3);
+        double open = max2(max2(p0 - counts[r], p1 - counts[r + 1]),
+                           max2(p2 - counts[r + 2], p3 - counts[r + 3]));
+        double closed = max2(max2(counts[r + 2] - p0, counts[r + 3] - p1),
+                             max2(counts[r + 4] - p2, counts[r + 5] - p3));
+        top = max2(top, max2(open, closed));
     }
     for (; r < k; r++) {
         double p = u * s[r];
-        o0 = max2(o0, p - counts[r]);
-        c0 = max2(c0, counts[r + 2] - p);
+        top = max2(top, max2(p - counts[r], counts[r + 2] - p));
     }
     memmove(s + t + 1, s + t, (size_t)(k - t) * sizeof(double));
     s[t] = y;
-    return max2(max2(max2(o0, o1), max2(o2, o3)), max2(max2(c0, c1), max2(c2, c3)));
+    return top;
 }
 
 /* The same for the m > 1 points with y values g at one x = u: the open

@@ -555,7 +555,8 @@ def _cmd_reconstruct(particles, out, mode, nx, nv, lam) -> None:
 def _cmd_discrepancy(particles, window, cap) -> None:
     ensemble, _, t = particles
     res = lowdisc.star_discrepancy_in_window(ensemble, window, cap=cap)
-    print(f"t,n_in_window,d_star\n{_fmt(t)},{res.n_in_window},{_fmt(res.d_star)}")
+    print(f"t,n_in_window,d_star,n_used\n"
+          f"{_fmt(t)},{res.n_in_window},{_fmt(res.d_star)},{res.n_used}")
 
 
 def _cmd_hk(grid) -> None:

@@ -142,13 +142,19 @@ def star_discrepancy(points: np.ndarray) -> float:
     The sweep is one compiled loop (``_kernels.c``) over S.  A binary
     search finds a point's rank t; one read-only pass over the ranks from
     t on takes each one's open value before the point goes in and its
-    closed value after (its rank one higher), in four running maxima of
-    each kind, since a maximum of values that are never NaN is exact in
-    any order; then one memmove shifts those ranks up and y goes in at
-    t.  The points of a tied x go in together, between one pass of open
-    values and one of closed values.  Quadratic at worst, about n^2/4
-    rank pairs for points in random order; O(n) memory.  ``points`` must
-    pass ``unit_square_pairs``.
+    closed value after (its rank one higher) into a running maximum,
+    since a maximum of values that are never NaN is exact in any order;
+    then one memmove shifts those ranks up and y goes in at t.  The pass
+    goes four ranks at a time and skips a group whose two bounds, read
+    from its ends by the same monotonicity (u*S[r+3] - r/n over its open
+    values, (r+5)/n - u*S[r] over its closed ones), are no larger than
+    the maximum so far, so the skip leaves the result's bits.  The points
+    of a tied x go in together, between one pass of open values and one
+    of closed values.  Quadratic at worst: about n^2/16 groups for points
+    in random order, all but a small share of them skipped (0.1% of the
+    groups are scanned for 4000 random points, 8% for the first 4000
+    Sobol points); O(n) memory.  ``points`` must pass
+    ``unit_square_pairs``.
     """
     pts = unit_square_pairs(points)
     n = pts.shape[0]

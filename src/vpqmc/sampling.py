@@ -57,18 +57,23 @@ ROWS = 64
 def _invert_cell_quadratic(a, b, target, h):
     """Solve target = h*(s*a + s^2*(b-a)/2) for s in [0, 1].
 
-    One cell of a piecewise-linear density with node values (a, b); the
-    inversion follows the closed-form quadratic root, falling back to the
-    linear expression when b - a underflows the discriminant.  Vectorized.
+    One cell of a piecewise-linear density with node values (a, b) >= 0;
+    the inversion takes the quadratic root in the form that does not
+    cancel, s = (2*target/h) / (a + sqrt(a^2 + 2*(b-a)*target/h)), which
+    is (-a + sqrt(...)) / (b-a) rationalized, so s keeps a few ulps
+    however small b - a is against a.  It falls back to the linear
+    expression when b - a underflows the discriminant.  Vectorized.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     target = np.asarray(target, dtype=float)
     diff = b - a
     degenerate = np.abs(diff) < _DEGENERATE_REL * np.maximum(np.maximum(a, b), 1.0)
-    safe_diff = np.where(degenerate, 1.0, diff)
     radicand = np.maximum(a * a + 2.0 * diff * target / h, 0.0)
-    s_quad = (-a + np.sqrt(radicand)) / safe_diff
+    # a + sqrt(radicand) is 0 only where a = 0 and the radicand is 0;
+    # there it counts as infinite, so that s = 0
+    denom = a + np.sqrt(radicand)
+    s_quad = 2.0 * target / h / np.where(denom > 0.0, denom, np.inf)
     # zero-density cells only ever receive a zero target; park s at 0
     safe_a = np.where(a > 0.0, a, 1.0)
     s_lin = np.where(a > 0.0, target / (safe_a * h), 0.0)

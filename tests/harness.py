@@ -8,11 +8,13 @@ maps.  Beside them are the estimators and dense operator forms that only
 tests compare against: the spline potential, the momentum estimator, the
 dense hat-basis mass matrices and the spline norm, the B-spline
 re-expansion error, a marker's weight and the periodic wrap of positions,
-the traced peak allocation of a call, and a row source that counts the
-rows it serves.
+the traced peak allocation of a call, a row source that counts the
+rows it serves, and a count of the rank groups whose skip bound in the
+star-discrepancy sweep meets its running maximum exactly.
 """
 
 import tracemalloc
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,6 +41,36 @@ def traced_peak(fn: Callable):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def sweep_bound_ties(points):
+    """(ties, D*): ties counts the four-rank groups that ``sweep_point``
+    in ``vpqmc/_kernels.c`` skips with a bound equal to its running
+    maximum, by the same sweep in Python floats (the same IEEE
+    operations) over points whose x are distinct and below 1; D* is that
+    sweep's result.  A set with ties > 0 tests the skip at equality."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    order = np.argsort(pts[:, 0])
+    xs, ys = pts[order, 0].tolist(), pts[order, 1].tolist()
+    assert len(set(xs)) == n and xs[-1] < 1.0
+    counts = (np.arange(n + 1) / n).tolist()
+    s, best, ties = [], -np.inf, 0
+    for k, (u, y) in enumerate(zip(xs, ys)):
+        t = bisect_right(s, y)
+        top = max(best, u - counts[k], counts[t + 1] - u * y)
+        for r in range(t, k, 4):
+            if r + 4 <= k:
+                ob, cb = u * s[r + 3] - counts[r], counts[r + 5] - u * s[r]
+                if ob <= top and cb <= top:
+                    ties += ob == top or cb == top
+                    continue
+            for j in range(r, min(r + 4, k)):
+                top = max(top, u * s[j] - counts[j], counts[j + 2] - u * s[j])
+        s.insert(t, y)
+        best = top
+    # the open corners (1, s[r]) and (1, 1)
+    return ties, max(best, *(w - c for w, c in zip(s, counts)), 1.0 - counts[n])
 
 
 class CountingRows(NodeGrid):

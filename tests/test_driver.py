@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from harness import wrap_x
 from vpqmc.core import GriddedDensity, ParticleEnsemble, PhaseSpaceDomain
 from vpqmc.core import DiagnosticsRecord
+from vpqmc.lowdisc import star_discrepancy
 from vpqmc import driver, pic, sampling
 from vpqmc.driver import (CSV_HEADER, FormatError, ParseError, RunConfig,
                           ValidationError, cli_main, parse_config, read_dump,
@@ -752,6 +753,25 @@ def test_cli_discrepancy_cap_below_one_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "cap must be >= 1" in captured.err
     assert captured.out == ""
+
+
+def test_cli_discrepancy_reports_the_markers_it_used(tmp_path, capsys):
+    # 25 markers in the window and cap=10 keep every 3rd marker: 9 of them
+    rng = np.random.default_rng(8)
+    dom = PhaseSpaceDomain(0.0, 2.0, -1.0, 1.0)
+    e = ParticleEnsemble(x=rng.random(25) * 2.0, v=rng.random(25) * 2.0 - 1.0,
+                         f_like=np.ones(25), g_like=np.ones(25))
+    path = tmp_path / "p.dump"
+    write_particle_dump(path, e, dom, 0.5)
+    assert cli_main(["discrepancy", str(path), "cap=10"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == "t,n_in_window,d_star,n_used"
+    t, n_in, d_star, n_used = row.split(",")
+    want = star_discrepancy(np.column_stack([e.x[::3] / 2.0, (e.v[::3] + 1.0) / 2.0]))
+    assert (float(t), int(n_in), float(d_star), int(n_used)) == (0.5, 25, want, 9)
+    # without a stride every marker is used
+    assert cli_main(["discrepancy", str(path)]) == 0
+    assert capsys.readouterr().out.strip().endswith(",25")
 
 
 def test_cli_sample_and_reconstruct_round_trip(tmp_path):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from harness import traced_peak
+from harness import sweep_bound_ties, traced_peak
 from oracles import (brute_force_star_discrepancy, fit_loglog_slope,
                      sobol_pairs_sequential, star_discrepancy_histogram_sweep)
-from vpqmc.core import ParticleEnsemble
+from vpqmc import lowdisc
+from vpqmc.core import InitialCondition, ParticleEnsemble, PhaseSpaceDomain
+from vpqmc.coupling import run_pic
+from vpqmc.pic import IntegratorKind, SplinePoissonSolver
+from vpqmc.sampling import uniform_sample
 from vpqmc.lowdisc import (EmptyPointSet, PseudoRandom, Sobol, generate_pairs,
                            star_discrepancy, star_discrepancy_in_window)
 
@@ -128,6 +132,78 @@ def test_matches_histogram_sweep_bitwise_on_tied_sets():
         assert star_discrepancy(pts) == star_discrepancy_histogram_sweep(pts), pts
 
 
+def test_matches_histogram_sweep_bitwise_on_windows_of_a_pic_run(monkeypatch):
+    # the windowed sets that a discrepancy-tracking run measures: 2e5
+    # uniform Sobol markers pushed by symplectic Euler, at t = 0, 7.5, 15
+    measured = []
+
+    def keep(points):
+        measured.append(points)
+        return star_discrepancy(points)
+
+    monkeypatch.setattr(lowdisc, "star_discrepancy", keep)
+    dom = PhaseSpaceDomain(0.0, 4 * np.pi, -8.0, 8.0)
+    e = uniform_sample(InitialCondition(epsilon=0.5, k=0.5),
+                       generate_pairs(Sobol(skip=1), 200_000), dom)
+    records = run_pic(e, SplinePoissonSolver.build(0.0, dom.length, 32),
+                      IntegratorKind.SYMPLECTIC_EULER, 0.3, 0.0, 15.0,
+                      out_stride=25, star_disc_period=1)
+    assert [r.t for r in records] == [0.0, 7.5, 15.0]
+    assert all(3900 < len(p) <= 4000 for p in measured)
+    # a window of a uniform Sobol fill, as at t = 0, is among the cases of
+    # test_kernels.py
+    for rec, pts in zip(records[1:], measured[1:]):
+        assert rec.star_disc == star_discrepancy_histogram_sweep(pts)
+
+
+def test_matches_histogram_sweep_bitwise_where_a_group_bound_meets_the_maximum():
+    # distinct dyadic x and y on a lattice: every value is exact, so
+    # many tie, and the sweep skips groups whose bound equals its maximum
+    rng = np.random.default_rng(4)
+    for levels, n in ((4, 1024), (8, 1000), (16, 512)):
+        pts = np.column_stack([(rng.permutation(n) + 0.5) / n,
+                               np.floor(rng.random(n) * levels) / levels])
+        ties, mirrored = sweep_bound_ties(pts)
+        assert ties > 0
+        assert star_discrepancy(pts) == mirrored == star_discrepancy_histogram_sweep(pts)
+
+
+# Sets whose maximum is a value of one end of a four-rank group, across a
+# gap in y from the group's other ranks, while the group's other bound
+# stays below the maximum: the open corner (0.9, 0.99) of the last rank,
+# with 0.99's rank later raised by 35 points below it, and the closed
+# corner (0.5, 0.21) of the first.  A bound read from a rank nearer the
+# gap would skip the group and lose the maximum.
+_GROUP_END_CASES = {
+    "open": (np.column_stack([np.r_[0.01, 0.02, 0.03, 0.04, 0.9, np.linspace(0.91, 0.99, 35)],
+                              np.r_[0.1, 0.11, 0.12, 0.99, 0.05, np.linspace(0.13, 0.98, 35)]]),
+             0.9 * 0.99 - 3 / 40),
+    "closed": (np.column_stack([np.r_[np.linspace(0.005, 0.295, 30), 0.35, 0.37, 0.39, 0.45,
+                                      0.5, np.linspace(0.6, 0.95, 5)],
+                                np.r_[np.linspace(0.005, 0.195, 30), 0.9, 0.91, 0.92, 0.21,
+                                      0.205, np.linspace(0.95, 0.99, 5)]]),
+               32 / 40 - 0.5 * 0.21),
+}
+
+
+@pytest.mark.parametrize("end", sorted(_GROUP_END_CASES))
+def test_maximum_at_one_end_of_a_rank_group(end):
+    pts, want = _GROUP_END_CASES[end]
+    assert star_discrepancy(pts) == star_discrepancy_histogram_sweep(pts) == want
+
+
+def test_matches_histogram_sweep_bitwise_in_any_order():
+    # Sobol points and points tied in x and y on a 1/16 lattice, in
+    # their order, reversed and shuffled
+    rng = np.random.default_rng(21)
+    pts = np.vstack([generate_pairs(Sobol(skip=3), 1500),
+                     np.floor(rng.random((500, 2)) * 16) / 16])
+    want = star_discrepancy_histogram_sweep(pts)
+    for order in (slice(None), slice(None, None, -1), rng.permutation(2000),
+                  rng.permutation(2000)):
+        assert star_discrepancy(pts[order]) == want
+
+
 def test_sweep_memory_is_linear():
     # an n x m corner table at n = 4000 would be 128 MB
     pts = generate_pairs(PseudoRandom(seed=3), 4000)
@@ -230,9 +306,6 @@ def test_window_disjoint_raises():
 def test_sobol_uniform_beats_pseudorandom_in_window():
     # fresh uniform fills of [0,4pi] x [-8,8]: the Sobol fill has smaller
     # D* in the measurement window than the pseudo-random average
-    from vpqmc.core import InitialCondition, PhaseSpaceDomain
-    from vpqmc.sampling import uniform_sample
-
     ic = InitialCondition(epsilon=0.5, k=0.5)
     dom = PhaseSpaceDomain(0.0, 4 * np.pi, -8.0, 8.0)
     window = (0.0, 2.0, -1.0, 1.0)

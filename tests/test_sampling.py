@@ -1,3 +1,4 @@
+import decimal
 import re
 
 import numpy as np
@@ -118,6 +119,27 @@ def test_single_cell_quadratic_cdf():
     s = _sampler(dom, vals.T)  # g(x, v) independent of x, linear 0->2 in v
     assert sample_conditional_v(s, 0.3, 0.25) == pytest.approx(0.5, abs=1e-12)
     assert sample_conditional_v(s, 0.9, 0.0625) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.73, 41.0])
+@pytest.mark.parametrize("ratio", [1e-10, -1e-10, 1e-12])
+def test_in_cell_root_keeps_its_precision_when_the_nodes_nearly_agree(a, ratio):
+    # |b - a| / a above the degenerate cutoff but small, where the root
+    # (-a + sqrt(a^2 + 2*(b-a)*target/h)) / (b - a) cancels; the reference
+    # is the exact root of the float inputs in 50-digit decimals
+    b = a * (1.0 + ratio)
+    h = 0.0625
+    s = np.linspace(0.0, 1.0, 41)
+    target = h * (s * a + 0.5 * s * s * (b - a))
+    got = sampling._invert_cell_quadratic(np.full(s.size, a), np.full(s.size, b), target, h)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        diff = D(b) - D(a)
+        for g, t in zip(got, target):
+            q = 2 * D(t) / D(h)
+            want = q / (D(a) + (D(a) * D(a) + diff * q).sqrt())
+            assert abs(D(g) - want) <= D(4e-16) * want, (g, t)
 
 
 def test_marginal_endpoints():
