@@ -118,27 +118,6 @@ static int64_t upper_bound(const double *s, int64_t k, double y)
     return lo;
 }
 
-/* The largest of best and sign*(u*s[r] - c[r]) over the ranks r in
-   [lo, hi), in four running maxima that do not wait on each other:
-   sign = +1 takes the open corners (u, s[r]) with c[r] = r/n, and
-   sign = -1 the closed ones whose count is c[r] (under round-to-nearest
-   -(p - c) is c - p exactly, and D* > 0, so a zero's sign never shows). */
-static double corner_max(double sign, double u, const double *s,
-                         const double *c, int64_t lo, int64_t hi, double best)
-{
-    double m0 = best, m1 = best, m2 = best, m3 = best;
-    int64_t r = lo;
-    for (; r + 4 <= hi; r += 4) {
-        m0 = max2(m0, sign * (u * s[r] - c[r]));
-        m1 = max2(m1, sign * (u * s[r + 1] - c[r + 1]));
-        m2 = max2(m2, sign * (u * s[r + 2] - c[r + 2]));
-        m3 = max2(m3, sign * (u * s[r + 3] - c[r + 3]));
-    }
-    for (; r < hi; r++)
-        m0 = max2(m0, sign * (u * s[r] - c[r]));
-    return max2(max2(m0, m1), max2(m2, m3));
-}
-
 /* The values a point with y at x = u takes as it goes into the sorted y
    values s[0..k) of the points passed, at rank t: its own closed corner
    (u, y), (t+1)/n - u*y, and for each rank r >= t, which moves up to
@@ -183,61 +162,35 @@ static double sweep_point(double u, double y, double *s, int64_t k,
     return top;
 }
 
-/* The same for the m > 1 points with y values g at one x = u: the open
-   corners of every rank that will move, from the lowest landing rank t
-   on, then all m points go in, then the closed corners (u, s[r]),
-   (r+1)/n - u*s[r], of the ranks from t on. */
-static double sweep_group(double u, const double *g, int64_t m, double *s,
-                          int64_t k, const double *counts, double best)
-{
-    double lo = g[0];
-    for (int64_t j = 1; j < m; j++)
-        if (g[j] < lo)
-            lo = g[j];
-    int64_t t = upper_bound(s, k, lo);
-    best = corner_max(1.0, u, s, counts, t, k, best);
-    for (int64_t j = 0; j < m; j++, k++) {
-        int64_t at = upper_bound(s, k, g[j]);
-        memmove(s + at + 1, s + at, (size_t)(k - at) * sizeof(double));
-        s[at] = g[j];
-    }
-    return corner_max(-1.0, u, s, counts + 1, t, k, best);
-}
-
-/* One step of the sweep: the points ys[0..m) at x = u go in. */
-static double sweep_step(double u, const double *ys, int64_t m, double *s,
-                         int64_t k, const double *counts, double best)
-{
-    if (m == 1)
-        return sweep_point(u, ys[0], s, k, counts, best);
-    return sweep_group(u, ys, m, s, k, counts, best);
-}
-
 /* Exact star discrepancy of n >= 1 points in [0, 1]^2 by the
    passed-points sweep (lowdisc.star_discrepancy): xs ascending, ys in
    the same order, counts[r] = r/n for r = 0..n, and s room for n values.
-   The distinct x go in ascending order, the points of one x together;
-   each u also takes its open corner (u, 1), u - (count of x < u)/n, and
-   at u = 1 every passed rank takes its open corner (1, s[r]) before the
-   points at x = 1 go in. */
+   Every point goes in on its own through sweep_point, first taking its
+   open corner (u, 1), u - (count of points passed)/n; then every rank
+   takes its open corner (1, s[r]).
+
+   Points that share an x, those at x = 1 too, go in one after another,
+   in any order, and the maximum is still exact.  A tied point counts
+   the tied points before it in its open corners, which count only
+   x < u, and misses those after it in its closed corners, which count
+   x <= u: each error lowers a value, as fl(a - b) never falls in a nor
+   rises in b, so no value is taken above its true one.  And each true
+   value is taken: a rank's open value at the first tied insertion that
+   lands at or below it (no tied point is below it yet), or at the last
+   pass if none does; its closed value at the last such insertion (all
+   of them are below it); and (u, 1) at the first point of each x.  The
+   open corner (1, 1) is the open corner (1, s[r]) of the first rank of
+   y = 1 if a point has y = 1; else (u, 1) at the first point at x = 1
+   if there is one; else its value is 0, which is not the maximum, as
+   the first point takes a positive value: u - 0 or, at u = 0, 1/n - 0. */
 double vp_star_discrepancy(int64_t n, const double *xs, const double *ys,
                            const double *counts, double *s)
 {
     double best = -INFINITY;
-    int64_t k = 0;
-    while (k < n && xs[k] < 1.0) {
-        double u = xs[k];
-        int64_t end = k + 1;
-        while (end < n && xs[end] == u)
-            end++;
-        best = max2(best, u - counts[k]);
-        best = sweep_step(u, ys + k, end - k, s, k, counts, best);
-        k = end;
-    }
-    best = corner_max(1.0, 1.0, s, counts, 0, k, best); /* 1.0 * s[r] is s[r] */
-    best = max2(best, 1.0 - counts[k]);
-    if (k < n)
-        best = sweep_step(1.0, ys + k, n - k, s, k, counts, best);
+    for (int64_t k = 0; k < n; k++)
+        best = sweep_point(xs[k], ys[k], s, k, counts, max2(best, xs[k] - counts[k]));
+    for (int64_t r = 0; r < n; r++) /* 1.0 * s[r] is s[r] */
+        best = max2(best, s[r] - counts[r]);
     return best;
 }
 

@@ -57,10 +57,10 @@ def run_pic(ensemble: ParticleEnsemble,
     the first record.  The optional star-discrepancy probe runs on every
     ``star_disc_period``-th emitted record.  Its exact sweep over the
     windowed subset (at most ``star_disc_cap`` markers) takes one compiled
-    pass per marker over the y ranks above it, in groups of four ranks
-    that it skips when they cannot raise the maximum, about n^2/16 groups
-    in all, so it is quadratic in the subset size and throttled
-    separately from the cheap moment diagnostics.
+    pass per marker, tied in x or not, over the y ranks above it, in
+    groups of four ranks that it skips when they cannot raise the
+    maximum, about n^2/16 groups in all, so it is quadratic in the subset
+    size and throttled separately from the cheap moment diagnostics.
 
     The entropy estimate, like the weights that the deposits, kinetic
     energy and mass read, is a memo of the likelihoods

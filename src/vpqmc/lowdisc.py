@@ -11,7 +11,7 @@ bit-reproducible across platforms for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -122,10 +122,10 @@ def star_discrepancy(points: np.ndarray) -> float:
 
         D* = max over corners of max(closed/n - u*w, u*w - open/n).
 
-    The sweep visits the distinct x in ascending order and keeps the y of
-    the k points already passed in one sorted buffer S, so that each rank
-    t is a count.  At x = u the closed corner (u, S[t]) is (t+1)/n -
-    u*S[t]; before the points at u go in, the open corner (u, S[t]) is
+    The sweep takes the points in ascending x and keeps the y of the k
+    points already passed in one sorted buffer S, so that each rank t is
+    a count.  As a point at x = u goes in, the closed corner (u, S[t]) is
+    (t+1)/n - u*S[t]; before it goes in, the open corner (u, S[t]) is
     u*S[t] - t/n and the open corner (u, 1) is u - k/n.  Every other
     corner computes to no more than one of these, as fl(u*w) is monotone
     in w and fl(c - a) in a: between two passed y the closed count is
@@ -135,9 +135,19 @@ def star_discrepancy(points: np.ndarray) -> float:
     closed value only falls as u grows and its open value only rises, so
     each is taken only when a point lands at or below the rank: the open
     value before, the closed value after, at that u; every open value is
-    taken once more at u = 1.  Every value taken is ``u*w``, ``count/n``
-    and one subtraction, as in a direct evaluation, so the result has its
-    bits.
+    taken once more at u = 1, after the last point.  Every value taken is
+    ``u*w``, ``count/n`` and one subtraction, as in a direct evaluation,
+    so the result has its bits.
+
+    Points that share an x, those at x = 1 too, go in one at a time, in
+    any order, by the same step.  A tied point's open corners count the
+    tied points before it, and its closed corners miss those after it,
+    so either value can only come out smaller than the true one, never
+    larger.  And every true value is still taken: a rank's open value at
+    the first tied insertion that lands at or below it (or at u = 1 if
+    none does), its closed value at the last, and the corner (u, 1) at
+    the first point of the x.  So any sort on x will do (the stable one
+    keeps a tied group in row order), and no point takes another path.
 
     The sweep is one compiled loop (``_kernels.c``) over S.  A binary
     search finds a point's rank t; one read-only pass over the ranks from
@@ -148,12 +158,11 @@ def star_discrepancy(points: np.ndarray) -> float:
     goes four ranks at a time and skips a group whose two bounds, read
     from its ends by the same monotonicity (u*S[r+3] - r/n over its open
     values, (r+5)/n - u*S[r] over its closed ones), are no larger than
-    the maximum so far, so the skip leaves the result's bits.  The points
-    of a tied x go in together, between one pass of open values and one
-    of closed values.  Quadratic at worst: about n^2/16 groups for points
-    in random order, all but a small share of them skipped (0.1% of the
-    groups are scanned for 4000 random points, 8% for the first 4000
-    Sobol points); O(n) memory.  ``points`` must pass
+    the maximum so far, so the skip leaves the result's bits.  Quadratic
+    at worst: about n^2/16 groups for points in random order, all but a
+    small share of them skipped (0.1% of the groups are scanned for 4000
+    random points, 8% for the first 4000 Sobol points), one pass per
+    point, tied or not; O(n) memory.  ``points`` must pass
     ``unit_square_pairs``.
     """
     pts = unit_square_pairs(points)
@@ -166,8 +175,7 @@ def star_discrepancy(points: np.ndarray) -> float:
                                      counts.ctypes.data, passed.ctypes.data)
 
 
-@dataclass(frozen=True)
-class WindowDiscrepancy:
+class WindowDiscrepancy(NamedTuple):
     """Star discrepancy of the markers inside an axis-aligned window."""
 
     d_star: float

@@ -43,8 +43,6 @@ class NewtonNoConvergence(RuntimeError):
     """Raised when neither Newton nor bisection invert the spatial CDF."""
 
 
-_DEGENERATE_REL = 1e-14
-
 #: Markers mapped per pass of :func:`rosenblatt_sample`: its temporaries
 #: are a few dozen arrays of this length, whatever the number of markers.
 CHUNK = 1 << 14
@@ -61,23 +59,20 @@ def _invert_cell_quadratic(a, b, target, h):
     the inversion takes the quadratic root in the form that does not
     cancel, s = (2*target/h) / (a + sqrt(a^2 + 2*(b-a)*target/h)), which
     is (-a + sqrt(...)) / (b-a) rationalized, so s keeps a few ulps
-    however small b - a is against a.  It falls back to the linear
-    expression when b - a underflows the discriminant.  Vectorized.
+    however small b - a is against a, and however small a and b are as
+    long as a*a does not underflow (a above ~1.5e-154): equal nodes give
+    the linear root target / (a*h) to rounding, with no threshold to tell
+    them apart.  Vectorized.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     target = np.asarray(target, dtype=float)
-    diff = b - a
-    degenerate = np.abs(diff) < _DEGENERATE_REL * np.maximum(np.maximum(a, b), 1.0)
-    radicand = np.maximum(a * a + 2.0 * diff * target / h, 0.0)
-    # a + sqrt(radicand) is 0 only where a = 0 and the radicand is 0;
+    radicand = np.maximum(a * a + 2.0 * (b - a) * target / h, 0.0)
+    # a + sqrt(radicand) is 0 only where a = 0 and the radicand is 0
+    # (a zero-density cell, which only ever receives a zero target);
     # there it counts as infinite, so that s = 0
     denom = a + np.sqrt(radicand)
-    s_quad = 2.0 * target / h / np.where(denom > 0.0, denom, np.inf)
-    # zero-density cells only ever receive a zero target; park s at 0
-    safe_a = np.where(a > 0.0, a, 1.0)
-    s_lin = np.where(a > 0.0, target / (safe_a * h), 0.0)
-    s = np.where(degenerate, s_lin, s_quad)
+    s = 2.0 * target / h / np.where(denom > 0.0, denom, np.inf)
     return np.clip(s, 0.0, 1.0)
 
 

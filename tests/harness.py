@@ -47,13 +47,13 @@ def sweep_bound_ties(points):
     """(ties, D*): ties counts the four-rank groups that ``sweep_point``
     in ``vpqmc/_kernels.c`` skips with a bound equal to its running
     maximum, by the same sweep in Python floats (the same IEEE
-    operations) over points whose x are distinct and below 1; D* is that
-    sweep's result.  A set with ties > 0 tests the skip at equality."""
+    operations, the points in the same stable order on x, tied x and
+    x = 1 included); D* is that sweep's result.  A set with ties > 0
+    tests the skip at equality."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    order = np.argsort(pts[:, 0])
+    order = np.argsort(pts[:, 0], kind="stable")
     xs, ys = pts[order, 0].tolist(), pts[order, 1].tolist()
-    assert len(set(xs)) == n and xs[-1] < 1.0
     counts = (np.arange(n + 1) / n).tolist()
     s, best, ties = [], -np.inf, 0
     for k, (u, y) in enumerate(zip(xs, ys)):
@@ -69,8 +69,8 @@ def sweep_bound_ties(points):
                 top = max(top, u * s[j] - counts[j], counts[j + 2] - u * s[j])
         s.insert(t, y)
         best = top
-    # the open corners (1, s[r]) and (1, 1)
-    return ties, max(best, *(w - c for w, c in zip(s, counts)), 1.0 - counts[n])
+    # the open corners (1, s[r])
+    return ties, max(best, *(w - c for w, c in zip(s, counts)))
 
 
 class CountingRows(NodeGrid):

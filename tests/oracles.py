@@ -79,8 +79,8 @@ def star_discrepancy_passed_points_reference(points):
     subtraction of the interleaved (-(t+1)/n, t/n) and one max take the
     closed value of each moved rank and the open value of the rank above
     it.  The points of a tied x go in by one merge, between their open
-    and closed values.  The same values as the compiled sweep, so the
-    same bits."""
+    and closed values.  The same maximum as the compiled sweep, which
+    takes tied points one at a time, so the same bits."""
     from bisect import bisect_right
 
     pts = np.asarray(points, dtype=float)

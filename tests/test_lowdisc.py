@@ -156,16 +156,49 @@ def test_matches_histogram_sweep_bitwise_on_windows_of_a_pic_run(monkeypatch):
         assert rec.star_disc == star_discrepancy_histogram_sweep(pts)
 
 
+def _lattice_with_ends(rng, levels, n):
+    """n points on a 1/levels lattice in x (x = 0 and x = 1 each held by
+    several of them) and a 1/16 lattice in y."""
+    xs = np.r_[0.0, 0.0, 1.0, 1.0, np.floor(rng.random(n - 4) * (levels + 1)) / levels]
+    return np.column_stack([rng.permutation(xs), np.floor(rng.random(n) * 16) / 16])
+
+
 def test_matches_histogram_sweep_bitwise_where_a_group_bound_meets_the_maximum():
-    # distinct dyadic x and y on a lattice: every value is exact, so
-    # many tie, and the sweep skips groups whose bound equals its maximum
+    # dyadic x and y on lattices: every value is exact, so many tie, and
+    # the sweep skips groups whose bound equals its maximum; distinct x,
+    # then tied x with groups at x = 0 and x = 1
     rng = np.random.default_rng(4)
-    for levels, n in ((4, 1024), (8, 1000), (16, 512)):
-        pts = np.column_stack([(rng.permutation(n) + 0.5) / n,
-                               np.floor(rng.random(n) * levels) / levels])
+    sets = [np.column_stack([(rng.permutation(n) + 0.5) / n,
+                             np.floor(rng.random(n) * levels) / levels])
+            for levels, n in ((4, 1024), (8, 1000), (16, 512))]
+    sets += [_lattice_with_ends(rng, levels, n) for levels, n in ((4, 1000), (16, 700))]
+    for pts in sets:
         ties, mirrored = sweep_bound_ties(pts)
         assert ties > 0
         assert star_discrepancy(pts) == mirrored == star_discrepancy_histogram_sweep(pts)
+
+
+def _shuffle_y_within_tied_x(rng, pts):
+    """pts with the y of each group of points that share an x permuted
+    among that group's rows; every other row as it was."""
+    out = pts.copy()
+    for u in np.unique(pts[:, 0]):
+        rows = np.flatnonzero(pts[:, 0] == u)
+        out[rows, 1] = pts[rng.permutation(rows), 1]
+    return out
+
+
+def test_tied_points_go_in_in_any_order():
+    # the stable sort on x keeps the rows of a tied x in their order, so
+    # permuting y inside each tied group changes the order in which the
+    # group's points go in, and nothing else
+    rng = np.random.default_rng(23)
+    sets = list(_tied_sets(rng, 350))
+    sets += [_lattice_with_ends(rng, levels, n) for levels, n in ((2, 40), (8, 300), (16, 900))]
+    for pts in sets:
+        want = star_discrepancy_histogram_sweep(pts)
+        for _ in range(3):
+            assert star_discrepancy(_shuffle_y_within_tied_x(rng, pts)) == want, pts
 
 
 # Sets whose maximum is a value of one end of a four-rank group, across a

@@ -124,7 +124,7 @@ def test_single_cell_quadratic_cdf():
 @pytest.mark.parametrize("a", [0.73, 41.0])
 @pytest.mark.parametrize("ratio", [1e-10, -1e-10, 1e-12])
 def test_in_cell_root_keeps_its_precision_when_the_nodes_nearly_agree(a, ratio):
-    # |b - a| / a above the degenerate cutoff but small, where the root
+    # |b - a| / a small, where the root
     # (-a + sqrt(a^2 + 2*(b-a)*target/h)) / (b - a) cancels; the reference
     # is the exact root of the float inputs in 50-digit decimals
     b = a * (1.0 + ratio)
@@ -140,6 +140,40 @@ def test_in_cell_root_keeps_its_precision_when_the_nodes_nearly_agree(a, ratio):
             q = 2 * D(t) / D(h)
             want = q / (D(a) + (D(a) * D(a) + diff * q).sqrt())
             assert abs(D(g) - want) <= D(4e-16) * want, (g, t)
+
+
+@pytest.mark.parametrize("a, b", [(1e-15, 5e-15), (0.0, 5e-15), (2e-15, 1e-15)])
+def test_in_cell_root_of_a_cell_whose_nodes_are_tiny(a, b):
+    # nodes far below 1 that differ by a factor, at half the cell's mass:
+    # the root takes the cell's own shape, not the linear root of equal
+    # nodes; the reference is the exact root in 50-digit decimals
+    h = 1.0
+    target = 0.25 * h * (a + b)
+    got = float(sampling._invert_cell_quadratic(a, b, target, h))
+    assert sampling._cell_cdf(a, b, got, h) / target == pytest.approx(1.0, rel=1e-15)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        q = 2 * D(target) / D(h)
+        want = q / (D(a) + (D(a) * D(a) + (D(b) - D(a)) * q).sqrt())
+        assert abs(D(got) - want) <= D(4e-16) * want
+
+
+def test_round_trip_through_a_tail_below_1e_14():
+    # a Maxwellian in v down to 5e-27 at v_min = -11, and draws whose v
+    # coordinate puts them in the cells whose nodes are all below 1e-14
+    # (v < -8): the forward map gives each draw's pair back
+    dom = PhaseSpaceDomain(0.0, 2.0, -11.0, 11.0)
+    v = np.linspace(dom.v_min, dom.v_max, 45)
+    values = np.exp(-0.5 * v * v) * (1.0 + 0.1 * np.arange(8))[:, None]
+    s = sampling.BilinearSampler(GriddedDensity(dom, values))
+    u_v = np.logspace(-26, -1, 400)
+    pairs = np.column_stack([np.random.default_rng(33).random(u_v.size), u_v])
+    e = rosenblatt_sample(s, pairs)
+    assert np.count_nonzero(e.v < -8.0) > 100
+    ux, uv = forward_cdf(s, e.x, e.v)
+    np.testing.assert_allclose(ux, pairs[:, 0], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(uv, u_v, rtol=1e-9)
 
 
 def test_marginal_endpoints():
